@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .matrix import DistanceMatrix, max_entry
+from .matrix import DistanceMatrix
 
 INF = math.inf
 
@@ -204,15 +204,17 @@ def skeleton_distances(s: WeightedSkeleton) -> ExtendedDistances:
 def q_zero(d: DistanceMatrix) -> int:
     """Least q whose skeleton closure reproduces the matrix.
 
-    Always exists: at q = max entry the skeleton contains an edge for every
-    pair, so its closure is the matrix itself.
+    This is the largest primitive entry, and at least 1.  A primitive pair
+    has no path of its own length through other anchors, so its edge must
+    be in the skeleton; conversely, by induction on D_ij, every other pair
+    is closed through an anchor w with D_iw + D_wj = D_ij, both smaller.
     """
-    if d.n == 1:
-        return 1
-    for q in range(1, max_entry(d) + 1):
-        if skeleton_distances(q_skeleton(d, q)).matches(d):
-            return q
-    raise AssertionError("unreachable: the max-entry skeleton closes the matrix")
+    best = 1
+    for i, row in enumerate(d.entries, 1):
+        for j in range(i + 1, d.n + 1):
+            if row[j - 1] > best and d.is_primitive(i, j):
+                best = row[j - 1]
+    return best
 
 
 def expand_elementary_paths(s: WeightedSkeleton) -> SimpleGraph:

@@ -10,8 +10,12 @@ graph, so validation is the entry gate for every solver in this package.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
+from typing import Iterable, NamedTuple, Sequence
 
 # Hop counts in any realisation are bounded by the vertex count, so entries
 # beyond 32 bits are rejected at the parsing layer.
@@ -61,6 +65,29 @@ class RawMatrix:
         return RawMatrix(tuple(tuple(int(x) for x in row) for row in rows))
 
 
+class LevelMasks(NamedTuple):
+    """Row i's distance levels as bitmasks; bit w stands for index w + 1.
+
+    ``values`` are the distinct entries of the row, ascending (so
+    ``values[0]`` is 0); ``at[a]`` holds the w with D_iw = a for each of
+    them, and ``within[k]`` the w with D_iw <= values[k].
+    """
+
+    values: tuple[int, ...]
+    at: dict[int, int]
+    within: tuple[int, ...]
+
+
+def _row_levels(row: Sequence[int]) -> LevelMasks:
+    at: dict[int, int] = {}
+    bit = 1
+    for x in row:
+        at[x] = at.get(x, 0) | bit
+        bit <<= 1
+    values = tuple(sorted(at))
+    return LevelMasks(values, at, tuple(accumulate((at[a] for a in values), or_)))
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A matrix that passed :func:`validate`.  Construct via ``validate``."""
@@ -74,6 +101,56 @@ class DistanceMatrix:
     def dist(self, i: int, j: int) -> int:
         """Entry at row i, column j, 1-based."""
         return self.entries[i - 1][j - 1]
+
+    @cached_property
+    def levels(self) -> tuple[LevelMasks, ...]:
+        """Each row's distance levels, built once per matrix (0-based rows)."""
+        return tuple(_row_levels(row) for row in self.entries)
+
+    def is_primitive(self, i: int, j: int) -> bool:
+        """True when no third index w, 1-based, has D_iw + D_wj = D_ij.
+
+        Primitive pairs are the ones no realisation can route through
+        another anchor, so every realisation joins them by a path whose
+        interior is all auxiliary.
+        """
+        values, at_i, _ = self.levels[i - 1]
+        at_j = self.levels[j - 1].at
+        dij = self.entries[i - 1][j - 1]
+        for a in values:
+            if a >= dij:
+                break
+            if a and at_i[a] & at_j.get(dij - a, 0):
+                return False
+        return True
+
+
+def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
+    """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij.
+
+    The matrix is symmetric here, so only pairs i < j are scanned: the
+    shortcut set of a pair is the same in both orders, and no pair p < q
+    with q < i can violate when (i, j) is the first violating pair i < j.
+    For each level a of row i below D_ij, the shortcuts at that level are
+    ``at[a]`` of row i meeting the indices within D_ij - a - 1 of j, so a
+    valid matrix costs O(n^2 * max D) mask operations rather than n^3 sums.
+    """
+    levels = d.levels
+    n = d.n
+    for i, row in enumerate(d.entries):
+        values_i, at_i, _ = levels[i]
+        inner = values_i[1:]
+        for j in range(i + 1, n):
+            dij = row[j]
+            values_j, _, within_j = levels[j]
+            shortcut = 0
+            for a in inner:
+                if a >= dij:
+                    break
+                shortcut |= at_i[a] & within_j[bisect_right(values_j, dij - a - 1) - 1]
+            if shortcut:
+                return i + 1, j + 1, (shortcut & -shortcut).bit_length()
+    return None
 
 
 def validate(m: RawMatrix) -> DistanceMatrix:
@@ -96,14 +173,11 @@ def validate(m: RawMatrix) -> DistanceMatrix:
         for j in range(n):
             if i != j and e[i][j] == 0:
                 raise ValidationError(ViolationKind.OFF_DIAGONAL_ZERO, (i + 1, j + 1))
-    for i in range(n):
-        for j in range(n):
-            for w in range(n):
-                if e[i][w] + e[w][j] < e[i][j]:
-                    raise ValidationError(
-                        ViolationKind.TRIANGLE_VIOLATION, (i + 1, j + 1, w + 1)
-                    )
-    return DistanceMatrix(e)
+    d = DistanceMatrix(e)
+    witness = _first_triangle_violation(d)
+    if witness is not None:
+        raise ValidationError(ViolationKind.TRIANGLE_VIOLATION, witness)
+    return d
 
 
 def distance_matrix(rows: Iterable[Sequence[int]]) -> DistanceMatrix:

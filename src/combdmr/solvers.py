@@ -19,17 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import twosat
-from .graph import (
-    Realisation,
-    SimpleGraph,
-    anchor_distances,
-    bfs_apsp,
-    q_skeleton,
-    q_zero,
-    skeleton_distances,
-    unit_graph,
-    verify_realisation,
-)
+from .graph import Realisation, SimpleGraph, q_zero, unit_graph
 from .matrix import DistanceMatrix
 from .twosat import TwoSatInstance, neg, pos
 
@@ -74,23 +64,31 @@ def bounds(d: DistanceMatrix) -> Bounds:
     return Bounds(q0, n + q0 - 1, n + extra)
 
 
+def _outcome(g: SimpleGraph, d: DistanceMatrix, extra: int) -> SolveOutcome:
+    """YES with g when g realises d, else NO.
+
+    The :class:`Realisation` constructor is the one verification of g.
+    """
+    try:
+        return SolveOutcome(True, Realisation(g, d), extra)
+    except ValueError:
+        return _NO
+
+
 def solve_k0(d: DistanceMatrix) -> SolveOutcome:
     """Realisable on exactly the anchors iff the unit graph already works."""
-    g = unit_graph(d)
-    if verify_realisation(g, d):
-        return SolveOutcome(True, Realisation(g, d), 0)
-    return _NO
+    return _outcome(unit_graph(d), d, 0)
 
 
 def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
     """2-CNF over x_i = "anchor i is adjacent to the single extra vertex".
 
     Pairs at distance > 2 must not both attach (that would shortcut them to
-    2); pairs at distance exactly 2 that the unit graph leaves further apart
-    than 2 have no other way to meet, so both their variables are forced.
+    2); pairs at distance exactly 2 that are primitive (no common neighbour
+    in the unit graph) have no other way to meet, so both their variables
+    are forced.
     """
     n = d.n
-    gd = bfs_apsp(unit_graph(d))
     clauses: list[twosat.Clause] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -98,7 +96,7 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
                 clauses.append((neg(i), neg(j)))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if d.dist(i, j) == 2 and gd.dist(i, j) > 2:
+            if d.dist(i, j) == 2 and d.is_primitive(i, j):
                 clauses.append((pos(i), pos(i)))
                 clauses.append((pos(j), pos(j)))
     return TwoSatInstance(n, tuple(clauses))
@@ -113,7 +111,6 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     conjunctions distributively gives four clauses per pair.
     """
     n = d.n
-    gd = bfs_apsp(unit_graph(d))
 
     def x1(i: int) -> int:
         return i
@@ -129,7 +126,7 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
                 clauses.append((neg(x2(i)), neg(x2(j))))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if d.dist(i, j) == 2 and gd.dist(i, j) > 2:
+            if d.dist(i, j) == 2 and d.is_primitive(i, j):
                 clauses.append((pos(x1(i)), pos(x2(i))))
                 clauses.append((pos(x1(i)), pos(x2(j))))
                 clauses.append((pos(x1(j)), pos(x2(i))))
@@ -142,11 +139,16 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
 
     The extra edge makes a path of length 3 through both extras available,
     so pairs at distance > 3 must not attach across the two extras, and
-    pairs at distance exactly 3 that the 2-skeleton cannot serve must be
-    routed through that path in one of the two orientations.
+    pairs at distance exactly 3 that are primitive (the 2-skeleton cannot
+    serve them) must be routed through that path in one of the two
+    orientations.
     """
+    return _extend_phi2(d, build_phi2(d))
+
+
+def _extend_phi2(d: DistanceMatrix, phi2: TwoSatInstance) -> TwoSatInstance:
+    """``build_phi2_prime`` from an already built ``build_phi2(d)``."""
     n = d.n
-    d2 = skeleton_distances(q_skeleton(d, 2))
 
     def x1(i: int) -> int:
         return i
@@ -154,7 +156,7 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     def x2(i: int) -> int:
         return n + i
 
-    clauses = list(build_phi2(d).clauses)
+    clauses = list(phi2.clauses)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if d.dist(i, j) > 3:
@@ -162,12 +164,12 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
                 clauses.append((neg(x2(i)), neg(x1(j))))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if d.dist(i, j) == 3 and d2.dist(i, j) > 3:
+            if d.dist(i, j) == 3 and d.is_primitive(i, j):
                 clauses.append((pos(x1(i)), pos(x2(i))))
                 clauses.append((pos(x1(j)), pos(x2(j))))
                 clauses.append((pos(x1(i)), pos(x1(j))))
                 clauses.append((pos(x2(i)), pos(x2(j))))
-    return TwoSatInstance(2 * n, tuple(clauses))
+    return TwoSatInstance(phi2.variable_count, tuple(clauses))
 
 
 def _assignment_graph(
@@ -196,10 +198,7 @@ def solve_k1(d: DistanceMatrix) -> SolveOutcome:
     assignment = twosat.solve(build_phi1(d))
     if assignment is None:
         return _NO
-    g = _assignment_graph(d, assignment, 1, False)
-    if anchor_distances(g).matches(d):
-        return SolveOutcome(True, Realisation(g, d), 1)
-    return _NO
+    return _outcome(_assignment_graph(d, assignment, 1, False), d, 1)
 
 
 def solve_k2(d: DistanceMatrix) -> SolveOutcome:
@@ -207,20 +206,18 @@ def solve_k2(d: DistanceMatrix) -> SolveOutcome:
     base = solve_k1(d)
     if base.answer:
         return base
-    assignment = twosat.solve(build_phi2(d))
+    phi2 = build_phi2(d)
+    assignment = twosat.solve(phi2)
     if assignment is None:
         # The non-adjacent formula is necessary for both cases.
         return _NO
-    g = _assignment_graph(d, assignment, 2, False)
-    if anchor_distances(g).matches(d):
-        return SolveOutcome(True, Realisation(g, d), 2)
-    assignment2 = twosat.solve(build_phi2_prime(d))
+    outcome = _outcome(_assignment_graph(d, assignment, 2, False), d, 2)
+    if outcome.answer:
+        return outcome
+    assignment2 = twosat.solve(_extend_phi2(d, phi2))
     if assignment2 is None:
         return _NO
-    g2 = _assignment_graph(d, assignment2, 2, True)
-    if anchor_distances(g2).matches(d):
-        return SolveOutcome(True, Realisation(g2, d), 2)
-    return _NO
+    return _outcome(_assignment_graph(d, assignment2, 2, True), d, 2)
 
 
 def _candidate_edges(n: int, k: int) -> list[tuple[int, int]]:

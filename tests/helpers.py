@@ -14,8 +14,10 @@ import random
 from collections import deque
 from itertools import combinations, permutations, product
 
+from hypothesis import strategies as st
+
 from combdmr import SimpleGraph, generate
-from combdmr.matrix import DistanceMatrix, RawMatrix, validate
+from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
 from combdmr.twosat import TwoSatInstance
 
 INF = float("inf")
@@ -61,6 +63,31 @@ def brute_is_distance_matrix(rows) -> bool:
                 if rows[i][w] + rows[w][j] < rows[i][j]:
                     return False
     return True
+
+
+def first_violation_oracle(rows):
+    """``(kind, witness)`` of the first axiom violation of a square matrix,
+    or None, by direct scans in the documented order of ``validate``:
+    diagonal, symmetry, off-diagonal positivity, then the O(n^3) triangle
+    scan over (i, j, w) in row-major order."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 0:
+            return ViolationKind.DIAGONAL_NONZERO, (i + 1,)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return ViolationKind.ASYMMETRIC, (i + 1, j + 1)
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] == 0:
+                return ViolationKind.OFF_DIAGONAL_ZERO, (i + 1, j + 1)
+    for i in range(n):
+        for j in range(n):
+            for w in range(n):
+                if rows[i][w] + rows[w][j] < rows[i][j]:
+                    return ViolationKind.TRIANGLE_VIOLATION, (i + 1, j + 1, w + 1)
+    return None
 
 
 # -- independent BFS ---------------------------------------------------------
@@ -361,3 +388,41 @@ def minimal_tree_stream(count, seed0=5000):
             rows.append([int(dist[b]) for b in range(1, n + 1)])
         out.append((t, dm(rows)))
     return out
+
+
+def planted_or_tree_rows(seed, n, family):
+    """Anchor rows, by the standalone BFS, of a seeded random graph.
+
+    ``"planted"``: a connected graph on n + 0..2 vertices, sparse to dense,
+    with n of them drawn as anchors.  ``"tree"``: a random minimal tree
+    with n anchors.
+    """
+    rng = random.Random(seed)
+    if family == "tree":
+        g = generate.random_minimal_tree(rng, n)
+        anchors = list(range(1, n + 1))
+    else:
+        h = n + rng.randrange(0, 3)
+        g = generate.random_connected_graph(rng, h, rng.choice((0.03, 0.1, 0.3)))
+        anchors = sorted(rng.sample(range(1, h + 1), n))
+    return [
+        [int(dist[b]) for b in anchors]
+        for dist in (bfs_distances(g.vertex_count, g.edges, a) for a in anchors)
+    ]
+
+
+@st.composite
+def metric_cases(draw, max_n=40):
+    """Planted and tree metrics up to ``max_n`` anchors, and single-entry
+    perturbations of them (mirrored or not, so every axiom can break)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    family = draw(st.sampled_from(("planted", "tree")))
+    rows = planted_or_tree_rows(draw(st.integers(0, 2**32)), n, family)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        value = max(0, rows[i][j] + draw(st.sampled_from((-2, -1, 1, 2))))
+        rows[i][j] = value
+        if draw(st.booleans()):
+            rows[j][i] = value
+    return rows

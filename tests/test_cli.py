@@ -7,6 +7,7 @@ acceptance suite; these tests cover behaviour and error paths.
 import pytest
 
 import helpers
+from combdmr import solvers, tree
 from combdmr.cli import main
 from combdmr.textio import parse_colouring, parse_graph, parse_matrix
 
@@ -215,3 +216,30 @@ def test_missing_file_is_invalid_input(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _disagreeing_certificate(d):
+    return tree.ZareckiiReport(False, (tree.ZViolationKind.PARITY_TRIPLE, (1, 2, 3)))
+
+
+def _too_deep(d):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, fake, message",
+    [
+        (["tree", "--certify"], tree, "check_zareckii", _disagreeing_certificate,
+         "AssertionError: tree deciders disagree"),
+        (["solve", "--k", "0"], solvers, "solve_k0", _too_deep,
+         "RecursionError: maximum recursion depth exceeded"),
+    ],
+)
+def test_internal_error_exits_4_not_no(
+    twos, capsys, monkeypatch, argv, module, name, fake, message
+):
+    monkeypatch.setattr(module, name, fake)
+    assert main(argv + [twos]) == 4
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-2] == f"error: internal: {message}"
+    assert lines[-1] == "verdict=NO vertices=0 extra=0"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings
 
 import helpers
 from combdmr import (
@@ -164,3 +165,10 @@ def test_bfs_agrees_with_unit_weight_skeleton():
         s = q_skeleton(d, 1)
         unit_dist = skeleton_distances(s)
         assert unit_dist.entries == bfs_apsp(unit_graph(d)).entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(helpers.metric_cases())
+def test_q_zero_matches_the_skeleton_closure_oracle(rows):
+    assume(helpers.first_violation_oracle(rows) is None)
+    assert q_zero(distance_matrix(rows)) == helpers.q_zero_oracle(rows)

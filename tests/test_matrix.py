@@ -111,3 +111,15 @@ def test_validate_agrees_with_brute_force(n, rng):
 def test_random_bfs_metrics_always_validate():
     for d, _ in helpers.metric_stream(40, seed0=7000):
         assert helpers.brute_is_distance_matrix([list(r) for r in d.entries])
+
+
+@settings(max_examples=250, deadline=None)
+@given(helpers.metric_cases())
+def test_validate_matches_the_row_major_scan(rows):
+    want = helpers.first_violation_oracle(rows)
+    try:
+        validate(RawMatrix.from_rows(rows))
+        got = None
+    except ValidationError as err:
+        got = (err.kind, err.witness)
+    assert got == want

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings
 
 import helpers
 from combdmr import (
@@ -171,6 +172,31 @@ def test_phi2_prime_k2_gadget_firing_depends_on_two_skeleton():
     assert build_phi2_prime(d).clauses == build_phi2(d).clauses
     got = skeleton_distances(q_skeleton(d, 2))
     assert got.entries == closure
+
+
+@settings(max_examples=100, deadline=None)
+@given(helpers.metric_cases())
+def test_forced_pairs_match_their_definitions(rows):
+    # phi1 forces pairs at distance 2 that the unit graph leaves further
+    # apart; phi2' forces pairs at distance 3 that the 2-skeleton closure
+    # leaves further apart.
+    assume(helpers.first_violation_oracle(rows) is None)
+    d = distance_matrix(rows)
+    n = d.n
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    unit_edges = [(i, j) for i, j in pairs if rows[i - 1][j - 1] == 1]
+    unit = [helpers.bfs_distances(n, unit_edges, i) for i in range(1, n + 1)]
+    closure = helpers.skeleton_closure_oracle(rows, 2)
+    want1 = [(i, j) for i, j in pairs if rows[i - 1][j - 1] == 2 and unit[i - 1][j] > 2]
+    want3 = [(i, j) for i, j in pairs if rows[i - 1][j - 1] == 3 and closure[i - 1][j - 1] > 3]
+
+    # Each forced pair of phi1 adds the units i, j; each of phi2' adds four
+    # positive clauses after phi2's, the third of them (x1_i or x1_j).
+    units = [a.variable for a, _ in build_phi1(d).clauses if not a.negated]
+    assert list(zip(units[::2], units[1::2])) == want1
+    extra = build_phi2_prime(d).clauses[len(build_phi2(d).clauses) :]
+    positive = [(a.variable, b.variable) for a, b in extra if not a.negated]
+    assert positive[2::4] == want3
 
 
 # -- k = 1, k = 2 ----------------------------------------------------------------
