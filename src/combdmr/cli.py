@@ -15,7 +15,7 @@ import traceback
 from pathlib import Path
 
 from . import generate, reduction, solvers, tree, twosat
-from .graph import Realisation, SimpleGraph, verify_realisation
+from .graph import NotARealisation, Realisation, SimpleGraph, verify_realisation
 from .matrix import DistanceMatrix, ValidationError, validate
 from .reduction import Colouring
 from .textio import (
@@ -187,7 +187,11 @@ def cmd_extract_colouring(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     inst = reduction.reduce(g)
     rg = _load_graph(args.realisation)
-    r = Realisation(rg, inst.matrix)
+    try:
+        r = Realisation(rg, inst.matrix)
+    except NotARealisation as exc:
+        # The graph came from the user, so this is invalid input.
+        raise reduction.MalformedRealisation(str(exc)) from exc
     c = reduction.extract_colouring(inst, r, args.k)
     _emit_payload(emit_colouring(c), args.out)
     _summary("YES", inst.n_c, args.k)
@@ -323,6 +327,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _internal_error(exc: Exception) -> int:
+    # A failed self-check or a crash is not an answer: exiting 1 would read
+    # as NO.
+    traceback.print_exc()
+    print(f"error: internal: {type(exc).__name__}: {exc}")
+    _summary("NO", 0, 0)
+    return 4
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -335,17 +348,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}")
         _summary("NO", 0, 0)
         return 3
+    except NotARealisation as exc:
+        # A decider emitted a graph that fails its own check: not bad input.
+        return _internal_error(exc)
     except (ParseError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}")
         _summary("NO", 0, 0)
         return 2
     except Exception as exc:
-        # A failed self-check or a crash is not an answer: exiting 1 would
-        # read as NO.
-        traceback.print_exc()
-        print(f"error: internal: {type(exc).__name__}: {exc}")
-        _summary("NO", 0, 0)
-        return 4
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ import random
 
 from .graph import SimpleGraph, anchor_distances, bfs_apsp
 from .matrix import DistanceMatrix, RawMatrix, validate
-from .reduction import GadgetInstance, reduce
 
 
 def _sample(rng: random.Random, items: list[int], count: int) -> list[int]:
@@ -98,8 +97,3 @@ def random_tree_metric(seed: int, anchors: int) -> DistanceMatrix:
     t = random_minimal_tree(rng, anchors)
     dist = anchor_distances(t)
     return validate(RawMatrix(dist.entries))
-
-
-def reduction_instance(g: SimpleGraph) -> GadgetInstance:
-    """Alias for the colourability reduction, for generator symmetry."""
-    return reduce(g)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .matrix import DistanceMatrix
 
@@ -92,11 +92,11 @@ class WeightedSkeleton:
     weighted_edges: tuple[tuple[int, int, int], ...]
 
 
-def bfs_apsp(g: SimpleGraph) -> ExtendedDistances:
-    """Hop distances between all vertex pairs (``inf`` across components)."""
+def _bfs_rows(g: SimpleGraph, sources: int) -> ExtendedDistances:
+    """Hop distances among vertices 1..sources, by one BFS from each."""
     adj = g.adjacency()
     rows = []
-    for s in range(1, g.vertex_count + 1):
+    for s in range(1, sources + 1):
         dist: list[int | float] = [INF] * (g.vertex_count + 1)
         dist[s] = 0
         queue = deque([s])
@@ -107,28 +107,18 @@ def bfs_apsp(g: SimpleGraph) -> ExtendedDistances:
                 if dist[w] is INF:
                     dist[w] = du + 1
                     queue.append(w)
-        rows.append(tuple(dist[1:]))
+        rows.append(tuple(dist[1 : sources + 1]))
     return ExtendedDistances(tuple(rows))
+
+
+def bfs_apsp(g: SimpleGraph) -> ExtendedDistances:
+    """Hop distances between all vertex pairs (``inf`` across components)."""
+    return _bfs_rows(g, g.vertex_count)
 
 
 def anchor_distances(g: SimpleGraph) -> ExtendedDistances:
     """Hop distances restricted to the anchor prefix."""
-    adj = g.adjacency()
-    n = g.anchor_count
-    rows = []
-    for s in range(1, n + 1):
-        dist: list[int | float] = [INF] * (g.vertex_count + 1)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] is INF:
-                    dist[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(dist[1 : n + 1]))
-    return ExtendedDistances(tuple(rows))
+    return _bfs_rows(g, g.anchor_count)
 
 
 def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
@@ -136,6 +126,10 @@ def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
     if g.anchor_count != d.n:
         raise ValueError("anchor count does not match matrix dimension")
     return anchor_distances(g).matches(d)
+
+
+class NotARealisation(ValueError):
+    """A graph's anchor distances differ from the matrix it should realise."""
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,22 @@ class Realisation:
 
     def __post_init__(self) -> None:
         if not verify_realisation(self.graph, self.matrix):
-            raise ValueError("graph does not realise the matrix")
+            raise NotARealisation("graph does not realise the matrix")
+
+
+def _is_connected(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], vertex_count: int
+) -> bool:
+    """True when a walk from vertex 1 over ``adj[v]`` reaches every vertex."""
+    seen = {1}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == vertex_count
 
 
 def unit_graph(d: DistanceMatrix) -> SimpleGraph:
@@ -225,10 +234,16 @@ def expand_elementary_paths(s: WeightedSkeleton) -> SimpleGraph:
     Auxiliary vertices are numbered contiguously after the anchors, in
     lexicographic edge order, so the output is reproducible.
     """
-    n = s.n
+    return _expand_paths(s.n, s.n + 1, s.weighted_edges)
+
+
+def _expand_paths(
+    anchor_count: int, first_fresh: int, weighted_edges: Iterable[tuple[int, int, int]]
+) -> SimpleGraph:
+    """Paths for weighted edges, fresh vertices numbered from ``first_fresh``."""
     edges: list[tuple[int, int]] = []
-    nxt = n + 1
-    for i, j, w in sorted(s.weighted_edges):
+    nxt = first_fresh
+    for i, j, w in sorted(weighted_edges):
         if w == 1:
             edges.append((i, j))
         else:
@@ -237,4 +252,4 @@ def expand_elementary_paths(s: WeightedSkeleton) -> SimpleGraph:
             edges.extend(
                 (min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])
             )
-    return SimpleGraph(nxt - 1, n, frozenset(edges))
+    return SimpleGraph(nxt - 1, anchor_count, frozenset(edges))

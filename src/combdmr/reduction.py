@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Realisation, SimpleGraph, bfs_apsp
+from .graph import Realisation, SimpleGraph, _is_connected, bfs_apsp
 from .matrix import DistanceMatrix, RawMatrix, validate
 from .solvers import SearchSpaceTooLarge
 
@@ -76,24 +76,11 @@ class GadgetInstance:
         return self.matrix.n
 
 
-def _is_connected(g: SimpleGraph) -> bool:
-    adj = g.adjacency()
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.vertex_count
-
-
 def reduce(g: SimpleGraph) -> GadgetInstance:
     """Build the gadget graph and its distance matrix for an input graph."""
     if g.anchor_count != g.vertex_count:
         raise ValueError("every vertex of the input graph must be colourable")
-    if not _is_connected(g):
+    if not _is_connected(g.adjacency(), g.vertex_count):
         raise DisconnectedInput("input graph must be connected")
     nc = g.vertex_count
     nxt = nc + 1

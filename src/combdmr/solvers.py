@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import twosat
-from .graph import Realisation, SimpleGraph, q_zero, unit_graph
+from .graph import NotARealisation, Realisation, SimpleGraph, q_zero, unit_graph
 from .matrix import DistanceMatrix
-from .twosat import TwoSatInstance, neg, pos
+from .twosat import TwoSatInstance
 
 
 class SearchSpaceTooLarge(Exception):
@@ -71,13 +71,33 @@ def _outcome(g: SimpleGraph, d: DistanceMatrix, extra: int) -> SolveOutcome:
     """
     try:
         return SolveOutcome(True, Realisation(g, d), extra)
-    except ValueError:
+    except NotARealisation:
         return _NO
 
 
 def solve_k0(d: DistanceMatrix) -> SolveOutcome:
     """Realisable on exactly the anchors iff the unit graph already works."""
     return _outcome(unit_graph(d), d, 0)
+
+
+def _far_pairs(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
+    """Pairs i < j, 1-based and in lexicographic order, with D_ij > a."""
+    return [
+        (i, j)
+        for i, row in enumerate(d.entries, 1)
+        for j, x in enumerate(row[i:], i + 1)
+        if x > a
+    ]
+
+
+def _primitive_pairs(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
+    """Primitive pairs i < j with D_ij = a, in lexicographic order."""
+    return [
+        (i, j)
+        for i, row in enumerate(d.entries, 1)
+        for j, x in enumerate(row[i:], i + 1)
+        if x == a and d.is_primitive(i, j)
+    ]
 
 
 def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
@@ -88,18 +108,10 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
     in the unit graph) have no other way to meet, so both their variables
     are forced.
     """
-    n = d.n
-    clauses: list[twosat.Clause] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.dist(i, j) > 2:
-                clauses.append((neg(i), neg(j)))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.dist(i, j) == 2 and d.is_primitive(i, j):
-                clauses.append((pos(i), pos(i)))
-                clauses.append((pos(j), pos(j)))
-    return TwoSatInstance(n, tuple(clauses))
+    clauses = [(-i, -j) for i, j in _far_pairs(d, 2)]
+    for i, j in _primitive_pairs(d, 2):
+        clauses += ((i, i), (j, j))
+    return TwoSatInstance(d.n, tuple(clauses))
 
 
 def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
@@ -111,26 +123,11 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     conjunctions distributively gives four clauses per pair.
     """
     n = d.n
-
-    def x1(i: int) -> int:
-        return i
-
-    def x2(i: int) -> int:
-        return n + i
-
     clauses: list[twosat.Clause] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.dist(i, j) > 2:
-                clauses.append((neg(x1(i)), neg(x1(j))))
-                clauses.append((neg(x2(i)), neg(x2(j))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.dist(i, j) == 2 and d.is_primitive(i, j):
-                clauses.append((pos(x1(i)), pos(x2(i))))
-                clauses.append((pos(x1(i)), pos(x2(j))))
-                clauses.append((pos(x1(j)), pos(x2(i))))
-                clauses.append((pos(x1(j)), pos(x2(j))))
+    for i, j in _far_pairs(d, 2):
+        clauses += ((-i, -j), (-n - i, -n - j))
+    for i, j in _primitive_pairs(d, 2):
+        clauses += ((i, n + i), (i, n + j), (j, n + i), (j, n + j))
     return TwoSatInstance(2 * n, tuple(clauses))
 
 
@@ -149,26 +146,11 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
 def _extend_phi2(d: DistanceMatrix, phi2: TwoSatInstance) -> TwoSatInstance:
     """``build_phi2_prime`` from an already built ``build_phi2(d)``."""
     n = d.n
-
-    def x1(i: int) -> int:
-        return i
-
-    def x2(i: int) -> int:
-        return n + i
-
     clauses = list(phi2.clauses)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.dist(i, j) > 3:
-                clauses.append((neg(x1(i)), neg(x2(j))))
-                clauses.append((neg(x2(i)), neg(x1(j))))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if d.dist(i, j) == 3 and d.is_primitive(i, j):
-                clauses.append((pos(x1(i)), pos(x2(i))))
-                clauses.append((pos(x1(j)), pos(x2(j))))
-                clauses.append((pos(x1(i)), pos(x1(j))))
-                clauses.append((pos(x2(i)), pos(x2(j))))
+    for i, j in _far_pairs(d, 3):
+        clauses += ((-i, -n - j), (-n - i, -j))
+    for i, j in _primitive_pairs(d, 3):
+        clauses += ((i, n + i), (j, n + j), (i, j), (n + i, n + j))
     return TwoSatInstance(phi2.variable_count, tuple(clauses))
 
 

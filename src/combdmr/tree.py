@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Realisation, SimpleGraph
+from .graph import Realisation, _expand_paths, _is_connected
 from .matrix import DistanceMatrix
 
 
@@ -49,16 +49,7 @@ class WeightedTree:
             raise ValueError("anchor_count out of range")
         if len(self.edges) != self.vertex_count - 1:
             raise ValueError("edge count does not match a tree")
-        seen = {1}
-        adj = self.adjacency()
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != self.vertex_count:
+        if not _is_connected(self.adjacency(), self.vertex_count):
             raise ValueError("tree is not connected")
         for u, v, w in self.edges:
             if not 1 <= u < v <= self.vertex_count:
@@ -280,7 +271,7 @@ def solve_tree(d: DistanceMatrix) -> Realisation | None:
     """Unweighted minimal tree realisation of d, or None if none exists.
 
     Builds the minimum weighted tree, rejects it when any weight is not an
-    integer (odd doubled weight), and otherwise expends each weight-w edge
+    integer (odd doubled weight), and otherwise expands each weight-w edge
     into a path of w - 1 fresh auxiliary vertices.  All leaves of the result
     are anchors, so the returned tree is the unique minimal realisation.
     """
@@ -289,15 +280,5 @@ def solve_tree(d: DistanceMatrix) -> Realisation | None:
         return None
     if any(w % 2 for _, _, w in wt.edges):
         return None
-    edges: list[tuple[int, int]] = []
-    nxt = wt.vertex_count + 1
-    for u, v, w2 in sorted(wt.edges):
-        w = w2 // 2
-        if w == 1:
-            edges.append((u, v))
-        else:
-            chain = [u] + list(range(nxt, nxt + w - 1)) + [v]
-            nxt += w - 1
-            edges.extend((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
-    g = SimpleGraph(nxt - 1, d.n, frozenset(edges))
-    return Realisation(g, d)
+    halved = [(u, v, w2 // 2) for u, v, w2 in wt.edges]
+    return Realisation(_expand_paths(d.n, wt.vertex_count + 1, halved), d)

@@ -1,33 +1,19 @@
 """2-CNF instances and a linear-time implication-graph solver.
 
-Clauses are pairs of literals; unit constraints are written as a literal
-repeated, so builders never need a special case.  Satisfiability is decided
-via strongly connected components of the implication graph, and the model
-extracted from the component order is deterministic: for a fixed clause
-list the same assignment always comes back, and variables that are not
-constrained at all come out false.
+Literals are non-zero ints in DIMACS style: ``v`` stands for x_v and ``-v``
+for its negation.  Clauses are pairs of literals; unit constraints are
+written as a literal repeated, so builders never need a special case.
+Satisfiability is decided via strongly connected components of the
+implication graph, and the model extracted from the component order is
+deterministic: for a fixed clause list the same assignment always comes
+back, and variables that are not constrained at all come out false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Literal:
-    variable: int
-    negated: bool = False
-
-
-def pos(v: int) -> Literal:
-    return Literal(v, False)
-
-
-def neg(v: int) -> Literal:
-    return Literal(v, True)
-
-
-Clause = tuple[Literal, Literal]
+Clause = tuple[int, int]
 Assignment = tuple[bool, ...]
 
 
@@ -37,15 +23,15 @@ class TwoSatInstance:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self) -> None:
-        for a, b in self.clauses:
-            for lit in (a, b):
-                if not 1 <= lit.variable <= self.variable_count:
-                    raise ValueError(f"literal over undeclared variable {lit.variable}")
+        for clause in self.clauses:
+            for lit in clause:
+                if not 1 <= abs(lit) <= self.variable_count:
+                    raise ValueError(f"literal {lit} over undeclared variable")
 
 
-def _node(lit: Literal) -> int:
+def _node(lit: int) -> int:
     # Negation at the even index: unconstrained variables then resolve false.
-    return 2 * (lit.variable - 1) + (0 if lit.negated else 1)
+    return 2 * abs(lit) - (2 if lit < 0 else 1)
 
 
 def _tarjan_components(adj: list[list[int]]) -> list[int]:
@@ -118,8 +104,8 @@ def check(inst: TwoSatInstance, assignment: Assignment) -> bool:
     if len(assignment) != inst.variable_count:
         raise ValueError("assignment length does not match variable count")
 
-    def truth(lit: Literal) -> bool:
-        return assignment[lit.variable - 1] != lit.negated
+    def truth(lit: int) -> bool:
+        return assignment[abs(lit) - 1] == (lit > 0)
 
     return all(truth(a) or truth(b) for a, b in inst.clauses)
 
@@ -127,8 +113,5 @@ def check(inst: TwoSatInstance, assignment: Assignment) -> bool:
 def dimacs(inst: TwoSatInstance) -> str:
     """DIMACS CNF dump for cross-checking with external solvers."""
     lines = [f"p cnf {inst.variable_count} {len(inst.clauses)}"]
-    for a, b in inst.clauses:
-        sa = -a.variable if a.negated else a.variable
-        sb = -b.variable if b.negated else b.variable
-        lines.append(f"{sa} {sb} 0")
+    lines.extend(f"{a} {b} 0" for a, b in inst.clauses)
     return "\n".join(lines) + "\n"

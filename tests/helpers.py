@@ -197,8 +197,8 @@ def model_bitmap(inst: TwoSatInstance) -> int:
     pats = _variable_patterns(v)
     sat = full
     for a, b in inst.clauses:
-        la = pats[a.variable - 1] ^ (full if a.negated else 0)
-        lb = pats[b.variable - 1] ^ (full if b.negated else 0)
+        la = pats[abs(a) - 1] ^ (full if a < 0 else 0)
+        lb = pats[abs(b) - 1] ^ (full if b < 0 else 0)
         sat &= la | lb
         if not sat:
             break

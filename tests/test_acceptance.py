@@ -127,8 +127,8 @@ def test_c05_twosat_completeness():
         clauses = []
         for _ in range(m):
             a, b = rng.randrange(1, v + 1), rng.randrange(1, v + 1)
-            la = twosat.neg(a) if rng.random() < 0.5 else twosat.pos(a)
-            lb = twosat.neg(b) if rng.random() < 0.5 else twosat.pos(b)
+            la = -a if rng.random() < 0.5 else a
+            lb = -b if rng.random() < 0.5 else b
             clauses.append((la, lb))
         rng_instances.append(twosat.TwoSatInstance(v, tuple(clauses)))
     assert len(rng_instances) >= 500

@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from combdmr import solvers, tree
+from combdmr.graph import Realisation, SimpleGraph
 from combdmr.cli import main
 from combdmr.textio import parse_colouring, parse_graph, parse_matrix
 
@@ -141,6 +142,19 @@ def test_reduce_and_pipeline(tmp_path, capsys):
     assert back.colours[0] != back.colours[1]
 
 
+def test_extract_colouring_from_non_realisation_is_invalid_input(tmp_path, capsys):
+    # A user graph that does not realise the gadget matrix is bad input,
+    # not an internal fault.
+    graph = tmp_path / "k2.graph"
+    graph.write_text("graph 2 2\n1 2\n")
+    real = tmp_path / "path.graph"
+    real.write_text("graph 7 5\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n")
+    assert main(["extract-colouring", str(graph), str(real), "--k", "2"]) == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-2] == "error: graph does not realise the matrix"
+    assert lines[-1] == "verdict=NO vertices=0 extra=0"
+
+
 def test_colour_realise_rejects_improper(tmp_path):
     graph = tmp_path / "k2.graph"
     graph.write_text("graph 2 2\n1 2\n")
@@ -226,6 +240,10 @@ def _too_deep(d):
     raise RecursionError("maximum recursion depth exceeded")
 
 
+def _three_path(d):
+    return Realisation(SimpleGraph(3, 3, frozenset({(1, 2), (2, 3)})), d)
+
+
 @pytest.mark.parametrize(
     "argv, module, name, fake, message",
     [
@@ -233,6 +251,8 @@ def _too_deep(d):
          "AssertionError: tree deciders disagree"),
         (["solve", "--k", "0"], solvers, "solve_k0", _too_deep,
          "RecursionError: maximum recursion depth exceeded"),
+        (["tree"], tree, "solve_tree", _three_path,
+         "NotARealisation: graph does not realise the matrix"),
     ],
 )
 def test_internal_error_exits_4_not_no(

@@ -1,0 +1,32 @@
+"""Smoke runs of the example scripts against the library they import."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_oracle_sweep_agrees_with_brute_force():
+    proc = run_script("scripts/oracle_sweep.py", "--count", "20", "--max-vertices", "5")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "mismatches: 0"
+
+
+def test_reduction_demo_round_trips_colourings():
+    proc = run_script("scripts/reduction_demo.py", "tests/data/k2.graph", "--max-k", "3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = proc.stdout.splitlines()
+    assert "matrix solvable with 2 extra vertices: True" in out
+    assert out[-2:] == [
+        "k=2: realisation on 7 vertices, recovered colouring (1, 2)",
+        "k=3: realisation on 8 vertices, recovered colouring (1, 2)",
+    ]

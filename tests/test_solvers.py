@@ -22,7 +22,6 @@ from combdmr import (
 from combdmr import twosat
 from combdmr.matrix import distance_matrix
 from combdmr.solvers import _assignment_graph
-from combdmr.twosat import Literal
 
 ALL_TWOS = distance_matrix(helpers.ALL_TWOS_3)
 ALL_ONES = distance_matrix(helpers.ALL_ONES_3)
@@ -82,8 +81,8 @@ def test_phi1_all_twos_forces_every_variable():
     inst = build_phi1(ALL_TWOS)
     assert inst.variable_count == 3
     assert len(inst.clauses) == 6
-    assert all(not a.negated and a == b for a, b in inst.clauses)
-    forced = {a.variable for a, _ in inst.clauses}
+    assert all(a > 0 and a == b for a, b in inst.clauses)
+    forced = {abs(a) for a, _ in inst.clauses}
     assert forced == {1, 2, 3}
 
 
@@ -93,9 +92,9 @@ def test_phi1_all_ones_empty():
 
 def test_phi1_unsat_example():
     inst = build_phi1(PHI1_UNSAT)
-    negatives = [(a, b) for a, b in inst.clauses if a.negated]
-    assert negatives == [(Literal(2, True), Literal(3, True))]
-    units = {a.variable for a, b in inst.clauses if not a.negated and a == b}
+    negatives = [(a, b) for a, b in inst.clauses if a < 0]
+    assert negatives == [(-2, -3)]
+    units = {abs(a) for a, b in inst.clauses if a > 0 and a == b}
     assert units == {1, 2, 3}
     assert not helpers.brute_satisfiable(inst)
 
@@ -104,7 +103,7 @@ def test_phi2_all_twos():
     inst = build_phi2(ALL_TWOS)
     assert inst.variable_count == 6
     assert len(inst.clauses) == 12
-    assert all(not a.negated and not b.negated for a, b in inst.clauses)
+    assert all(a > 0 and b > 0 for a, b in inst.clauses)
 
 
 def test_phi2_all_ones_empty():
@@ -116,7 +115,7 @@ def test_phi2_variable_numbering_contract():
     # second extra vertex variable n + i.
     inst = build_phi2(ALL_TWOS)
     pair_12 = inst.clauses[:4]
-    assert [(a.variable, b.variable) for a, b in pair_12] == [
+    assert [(abs(a), abs(b)) for a, b in pair_12] == [
         (1, 4),
         (1, 5),
         (2, 4),
@@ -156,8 +155,8 @@ def test_phi2_prime_far_pair_clauses():
     n = d.n
     clauses = set(build_phi2_prime(d).clauses)
     i, j = 1, 2  # distance 5
-    assert (Literal(i, True), Literal(n + j, True)) in clauses
-    assert (Literal(n + i, True), Literal(j, True)) in clauses
+    assert (-i, -(n + j)) in clauses
+    assert (-(n + i), -j) in clauses
 
 
 def test_phi2_prime_k2_gadget_firing_depends_on_two_skeleton():
@@ -192,10 +191,10 @@ def test_forced_pairs_match_their_definitions(rows):
 
     # Each forced pair of phi1 adds the units i, j; each of phi2' adds four
     # positive clauses after phi2's, the third of them (x1_i or x1_j).
-    units = [a.variable for a, _ in build_phi1(d).clauses if not a.negated]
+    units = [abs(a) for a, _ in build_phi1(d).clauses if a > 0]
     assert list(zip(units[::2], units[1::2])) == want1
     extra = build_phi2_prime(d).clauses[len(build_phi2(d).clauses) :]
-    positive = [(a.variable, b.variable) for a, b in extra if not a.negated]
+    positive = [(abs(a), abs(b)) for a, b in extra if a > 0]
     assert positive[2::4] == want3
 
 

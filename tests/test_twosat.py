@@ -1,14 +1,16 @@
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr.twosat import TwoSatInstance, check, dimacs, neg, pos, solve
+from combdmr.twosat import TwoSatInstance, check, dimacs, solve
 
 
 def test_simple_satisfiable():
-    inst = TwoSatInstance(2, ((pos(1), pos(2)), (neg(1), pos(2))))
+    inst = TwoSatInstance(2, ((1, 2), (-1, 2)))
     a = solve(inst)
     assert a is not None
     assert a[1] is True
@@ -16,7 +18,7 @@ def test_simple_satisfiable():
 
 
 def test_forced_contradiction():
-    inst = TwoSatInstance(1, ((pos(1), pos(1)), (neg(1), neg(1))))
+    inst = TwoSatInstance(1, ((1, 1), (-1, -1)))
     assert solve(inst) is None
 
 
@@ -26,22 +28,30 @@ def test_empty_instance_defaults_false():
 
 
 def test_check_examples():
-    inst = TwoSatInstance(2, ((pos(1), pos(2)),))
+    inst = TwoSatInstance(2, ((1, 2),))
     assert check(inst, (True, False))
-    inst2 = TwoSatInstance(1, ((neg(1), neg(1)),))
+    inst2 = TwoSatInstance(1, ((-1, -1),))
     assert not check(inst2, (True,))
     assert check(TwoSatInstance(0, ()), ())
 
 
 def test_determinism():
-    clauses = ((pos(1), neg(2)), (pos(2), pos(3)), (neg(1), pos(3)))
+    clauses = ((1, -2), (2, 3), (-1, 3))
     inst = TwoSatInstance(3, clauses)
     assert solve(inst) == solve(TwoSatInstance(3, clauses))
 
 
 def test_dimacs_format():
-    inst = TwoSatInstance(2, ((pos(1), neg(2)),))
+    inst = TwoSatInstance(2, ((1, -2),))
     assert dimacs(inst) == "p cnf 2 1\n1 -2 0\n"
+
+
+@pytest.mark.parametrize("lit", [0, 3, -3])
+def test_literals_outside_the_declared_variables_are_rejected(lit):
+    with pytest.raises(ValueError):
+        TwoSatInstance(2, ((1, lit),))
+    with pytest.raises(ValueError):
+        TwoSatInstance(2, ((lit, -2),))
 
 
 def _random_instance(rng, max_vars=16, max_clauses=24):
@@ -51,8 +61,8 @@ def _random_instance(rng, max_vars=16, max_clauses=24):
     for _ in range(m):
         a = rng.randrange(1, v + 1)
         b = rng.randrange(1, v + 1)
-        la = neg(a) if rng.random() < 0.5 else pos(a)
-        lb = neg(b) if rng.random() < 0.5 else pos(b)
+        la = -a if rng.random() < 0.5 else a
+        lb = -b if rng.random() < 0.5 else b
         clauses.append((la, lb))
     return TwoSatInstance(v, tuple(clauses))
 
