@@ -236,20 +236,14 @@ def solve_exact(
         base_adj[v] |= 1 << u
     candidates = _candidate_edges(n, k)
     anchor_mask = ((1 << n) - 1) << 1
-    # Bitmask of anchors required at each BFS level from each anchor.
-    required: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                lvl = d.dist(i, j)
-                required[i][lvl] = required[i].get(lvl, 0) | (1 << j)
 
     def distances_match(adj: list[int]) -> bool:
         for s in range(1, n + 1):
             seen = 1 << s
             frontier = 1 << s
             level = 0
-            req = required[s]
+            # Level masks put anchor w at bit w - 1; here it is at bit w.
+            at = d.levels[s - 1].at
             while frontier:
                 nxt = 0
                 f = frontier
@@ -259,7 +253,7 @@ def solve_exact(
                     f ^= low
                 nxt &= ~seen
                 level += 1
-                if nxt & anchor_mask != req.get(level, 0):
+                if nxt & anchor_mask != at.get(level, 0) << 1:
                     return False
                 seen |= nxt
                 frontier = nxt

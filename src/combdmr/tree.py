@@ -5,10 +5,10 @@ four-point and parity conditions, iff its unique minimum weighted tree
 realisation exists and has integer edge weights.  The builder here inserts
 anchors one at a time into a growing weighted tree, working throughout in
 *doubled* integer weights so that half-integer branch points are exact and
-no floating point ever appears.  Correctness does not rest on the insertion
-heuristic: after the canonical transformation the result is verified against
-the matrix, and since the minimal tree realisation is unique, a verified
-output is the answer and any verification failure is a sound "no tree".
+no floating point ever appears.  Correctness does not rest on the insertion:
+the result is verified against the matrix, and since the minimal tree
+realisation is unique, a verified output is the answer and any verification
+failure is a sound "no tree".
 """
 
 from __future__ import annotations
@@ -49,13 +49,13 @@ class WeightedTree:
             raise ValueError("anchor_count out of range")
         if len(self.edges) != self.vertex_count - 1:
             raise ValueError("edge count does not match a tree")
-        if not _is_connected(self.adjacency(), self.vertex_count):
-            raise ValueError("tree is not connected")
         for u, v, w in self.edges:
             if not 1 <= u < v <= self.vertex_count:
                 raise ValueError(f"bad edge ({u}, {v})")
             if w < 1:
                 raise ValueError("zero-weight edge")
+        if not _is_connected(self.adjacency(), self.vertex_count):
+            raise ValueError("tree is not connected")
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         adj: dict[int, dict[int, int]] = {
@@ -70,40 +70,37 @@ class WeightedTree:
 def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
     """Decide tree realisability by the parity and four-point conditions.
 
-    Scans triples for even perimeter and quadruples for "the maximum of the
-    three pairing sums is attained at least twice", reporting the first
-    violating index tuple in lexicographic order.  Triples and quadruples
-    with repeated indices satisfy the conditions automatically for a
-    validated matrix, so only strictly increasing tuples are scanned.
+    Reports the first violating index tuple, in lexicographic order, of the
+    scan of all triples for even perimeter and then of all quadruples for
+    "the maximum of the three pairing sums is attained at least twice".
+    Tuples with repeated indices satisfy the conditions automatically for a
+    validated matrix.  Only the tuples that start with anchor 1 are scanned,
+    in O(n^3): they come first in that order, and if any tuple violates a
+    condition then one of them does.
+
+    - Parity: the perimeters of (1, i, j), (1, i, k) and (1, j, k) sum to
+      that of (i, j, k) mod 2, so if (i, j, k) is odd one of them is odd.
+    - Four-point: a metric that satisfies the condition on every quadruple
+      containing one base point satisfies it on every quadruple (Gromov's
+      base-point lemma with delta = 0).
     """
     e = d.entries
     n = d.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if (e[i][j] + e[i][k] + e[j][k]) % 2:
+    e1 = e[0]
+    for j in range(1, n):
+        for k in range(j + 1, n):
+            if (e1[j] + e1[k] + e[j][k]) % 2:
+                return ZareckiiReport(
+                    False, (ZViolationKind.PARITY_TRIPLE, (1, j + 1, k + 1))
+                )
+    for j in range(1, n):
+        for k in range(j + 1, n):
+            for l in range(k + 1, n):
+                sums = sorted((e1[j] + e[k][l], e1[k] + e[j][l], e1[l] + e[j][k]))
+                if sums[1] != sums[2]:
                     return ZareckiiReport(
-                        False, (ZViolationKind.PARITY_TRIPLE, (i + 1, j + 1, k + 1))
+                        False, (ZViolationKind.FOUR_POINT, (1, j + 1, k + 1, l + 1))
                     )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    sums = sorted(
-                        (
-                            e[i][j] + e[k][l],
-                            e[i][k] + e[j][l],
-                            e[i][l] + e[j][k],
-                        )
-                    )
-                    if sums[1] != sums[2]:
-                        return ZareckiiReport(
-                            False,
-                            (
-                                ZViolationKind.FOUR_POINT,
-                                (i + 1, j + 1, k + 1, l + 1),
-                            ),
-                        )
     return ZareckiiReport(True, None)
 
 
@@ -120,7 +117,7 @@ def _tree_path(adj: dict[int, dict[int, int]], src: int, dst: int) -> list[int]:
         v = stack.pop()
         if v == dst:
             break
-        for u in sorted(adj[v]):
+        for u in adj[v]:
             if u not in parent:
                 parent[u] = v
                 stack.append(u)
@@ -203,36 +200,31 @@ def canonical_transform(t: WeightedTree) -> WeightedTree:
 def build_weighted_tree(d: DistanceMatrix) -> WeightedTree | None:
     """The minimum weighted tree realisation of d, or None if none exists.
 
-    Anchors are inserted incrementally: for each new anchor the placed pair
-    with the smallest Gromov product (ties broken lexicographically) locates
-    the attachment point on its connecting path, splitting an edge with a
-    fresh Steiner vertex when the point is interior.  The finished tree is
-    canonicalised and then verified pair by pair; by uniqueness of the
-    minimal realisation a verified tree is the answer, and any structural
-    impossibility or verification mismatch means no tree realisation exists.
+    Anchors are inserted in order into a tree rooted at anchor 1.  Anchor i
+    attaches on the path from 1 to the placed anchor k with the largest
+    doubled Gromov product t = D_1i + D_1k - D_ik, at doubled distance t
+    from 1 and with doubled pendant weight 2 D_1i - t, splitting an edge
+    with a fresh Steiner vertex when the point is interior.  Every placed
+    anchor k sits at doubled distance 2 D_1k from 1, so the point lies on
+    the path by the triangle inequality.  A Steiner vertex is born with
+    degree three or renamed to the anchor that lands on it, so the tree
+    needs no canonicalisation.  The finished tree is verified pair by pair;
+    by uniqueness of the minimal realisation a verified tree is the answer,
+    and two anchors on one point or any verification mismatch means no
+    tree realisation exists.
     """
     n = d.n
+    e1 = d.entries[0]
     adj: dict[int, dict[int, int]] = {1: {}}
     next_steiner = n + 1
     for i in range(2, n + 1):
-        if i == 2:
-            _add_edge(adj, 1, 2, 2 * d.dist(1, 2))
-            continue
-        best: tuple[int, int, int] | None = None
-        for j in range(1, i):
-            for k in range(j + 1, i):
-                g2 = d.dist(i, j) + d.dist(i, k) - d.dist(j, k)
-                if best is None or g2 < best[0]:
-                    best = (g2, j, k)
-        assert best is not None
-        g2, j, k = best
-        path = _tree_path(adj, j, k)
+        row = d.entries[i - 1]
+        t, k = max((e1[i - 1] + e1[j - 1] - row[j - 1], j) for j in range(1, i))
+        pendant = 2 * e1[i - 1] - t
+        path = _tree_path(adj, 1, k)
         pos = [0]
         for a, b in zip(path, path[1:]):
             pos.append(pos[-1] + adj[a][b])
-        t = d.dist(i, j) + d.dist(j, k) - d.dist(i, k)
-        if t < 0 or t > pos[-1]:
-            return None
         p = None
         for s in range(len(path)):
             if pos[s] == t:
@@ -249,7 +241,7 @@ def build_weighted_tree(d: DistanceMatrix) -> WeightedTree | None:
                 p = w
                 break
         assert p is not None
-        if g2 == 0:
+        if pendant == 0:
             if p <= n:
                 # Two distinct anchors cannot occupy the same point.
                 return None
@@ -257,8 +249,7 @@ def build_weighted_tree(d: DistanceMatrix) -> WeightedTree | None:
             for u in adj[i]:
                 adj[u][i] = adj[u].pop(p)
         else:
-            _add_edge(adj, p, i, g2)
-    adj = _canonical_adj(adj, n)
+            _add_edge(adj, p, i, pendant)
     for i in range(1, n + 1):
         reach = _doubled_distances_from(adj, i)
         for j in range(1, n + 1):

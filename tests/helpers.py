@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from combdmr import SimpleGraph, generate
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
+from combdmr.tree import ZareckiiReport, ZViolationKind
 from combdmr.twosat import TwoSatInstance
 
 INF = float("inf")
@@ -88,6 +89,42 @@ def first_violation_oracle(rows):
                 if rows[i][w] + rows[w][j] < rows[i][j]:
                     return ViolationKind.TRIANGLE_VIOLATION, (i + 1, j + 1, w + 1)
     return None
+
+
+def zareckii_oracle(rows) -> ZareckiiReport:
+    """The tree certificate of a validated matrix by the full scans: every
+    triple for odd perimeter, then every quadruple for a pairing-sum maximum
+    attained once, reporting the first violating tuple in lexicographic
+    order (O(n^4))."""
+    e = rows
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if (e[i][j] + e[i][k] + e[j][k]) % 2:
+                    return ZareckiiReport(
+                        False, (ZViolationKind.PARITY_TRIPLE, (i + 1, j + 1, k + 1))
+                    )
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    sums = sorted(
+                        (
+                            e[i][j] + e[k][l],
+                            e[i][k] + e[j][l],
+                            e[i][l] + e[j][k],
+                        )
+                    )
+                    if sums[1] != sums[2]:
+                        return ZareckiiReport(
+                            False,
+                            (
+                                ZViolationKind.FOUR_POINT,
+                                (i + 1, j + 1, k + 1, l + 1),
+                            ),
+                        )
+    return ZareckiiReport(True, None)
 
 
 # -- independent BFS ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts against the library they import."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,3 +31,16 @@ def test_reduction_demo_round_trips_colourings():
         "k=2: realisation on 7 vertices, recovered colouring (1, 2)",
         "k=3: realisation on 8 vertices, recovered colouring (1, 2)",
     ]
+
+
+def test_bench_tracer_names_exist_in_the_library():
+    # The benchmark's tracer wraps these names; a missing one would crash
+    # every traced run.
+    path = ROOT / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, fns in tracing.LAYERS.items():
+        module = importlib.import_module(f"combdmr.{layer}")
+        for fn in fns:
+            assert callable(getattr(module, fn, None)), f"combdmr.{layer}.{fn}"

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 import helpers
 from combdmr import (
@@ -13,7 +14,7 @@ from combdmr import (
     solve_tree,
     verify_realisation,
 )
-from combdmr.matrix import distance_matrix
+from combdmr.matrix import ValidationError, distance_matrix
 
 
 def anchor_rows(g: SimpleGraph):
@@ -54,6 +55,33 @@ def test_zareckii_four_point_witness():
         )
     )
     assert sums == [2, 2, 4]
+
+
+def test_zareckii_matches_the_all_tuple_oracle():
+    # Random draws rarely reach the four-point scan: most non-tree metrics
+    # already fail parity.  The explicit examples are bipartite, or have
+    # their odd cycle away from anchor 1.
+    kinds = set()
+    six_cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+    square_on_a_stem = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6)]
+    triangle_on_a_stem = [(1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(helpers.metric_cases(max_n=25))
+    @example(anchor_rows(SimpleGraph.make(6, 6, six_cycle)))
+    @example(anchor_rows(SimpleGraph.make(6, 6, square_on_a_stem)))
+    @example(anchor_rows(SimpleGraph.make(5, 5, triangle_on_a_stem)))
+    def check(rows):
+        try:
+            d = distance_matrix(rows)
+        except ValidationError:
+            return
+        report = check_zareckii(d)
+        assert report == helpers.zareckii_oracle(rows)
+        kinds.add(report.violation and report.violation[0])
+
+    check()
+    assert {ZViolationKind.PARITY_TRIPLE, ZViolationKind.FOUR_POINT} <= kinds
 
 
 # -- weighted tree construction ---------------------------------------------------
@@ -296,3 +324,7 @@ def test_weighted_tree_invariants():
         WeightedTree(3, 3, frozenset({(1, 2, 2)}))
     with pytest.raises(ValueError):
         WeightedTree(4, 4, frozenset({(1, 2, 1), (3, 4, 1), (1, 3, 1), (2, 4, 1)}))
+    with pytest.raises(ValueError):
+        WeightedTree(2, 2, frozenset({(1, 3, 2)}))
+    with pytest.raises(ValueError):
+        WeightedTree(2, 2, frozenset({(0, 2, 2)}))
