@@ -76,6 +76,14 @@ def _finish_yes(args: argparse.Namespace, r: Realisation, extra: int) -> int:
     return 0
 
 
+def _finish(args: argparse.Namespace, outcome: solvers.SolveOutcome) -> int:
+    if outcome.realisation is not None:
+        return _finish_yes(args, outcome.realisation, outcome.extra_vertices_used)
+    print(f"NO: not realisable with at most {args.k} extra vertices")
+    _summary("NO", 0, 0)
+    return 1
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     d = _load_matrix(args.input)
     print(f"valid distance matrix (n={d.n})")
@@ -99,23 +107,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if not parts:
             parts.append("c no formula involved for k=0\n")
         Path(args.dump_cnf).write_text("".join(parts))
-    if outcome.answer:
-        assert outcome.realisation is not None
-        return _finish_yes(args, outcome.realisation, outcome.extra_vertices_used)
-    print(f"NO: not realisable with at most {args.k} extra vertices")
-    _summary("NO", 0, 0)
-    return 1
+    return _finish(args, outcome)
 
 
 def cmd_solve_exact(args: argparse.Namespace) -> int:
     d = _load_matrix(args.input)
-    outcome = solvers.solve_exact(d, args.k, args.max_free_edges)
-    if outcome.answer:
-        assert outcome.realisation is not None
-        return _finish_yes(args, outcome.realisation, outcome.extra_vertices_used)
-    print(f"NO: not realisable with at most {args.k} extra vertices")
-    _summary("NO", 0, 0)
-    return 1
+    return _finish(args, solvers.solve_exact(d, args.k, args.max_free_edges))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -138,7 +135,8 @@ def _zareckii_line(report: ZareckiiReport) -> str:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     d = _load_matrix(args.input)
-    result = tree.solve_tree(d)
+    wt = tree.build_weighted_tree(d)
+    result = tree._expand_tree(d, wt)
     if args.certify:
         report = tree.check_zareckii(d)
         print(_zareckii_line(report))
@@ -150,7 +148,6 @@ def cmd_tree(args: argparse.Namespace) -> int:
         _summary("NO", 0, 0)
         return 1
     if args.weighted_out:
-        wt = tree.build_weighted_tree(d)
         assert wt is not None
         Path(args.weighted_out).write_text(emit_weighted_tree(wt))
     _write_graph_outputs(args, result.graph)
@@ -174,9 +171,7 @@ def cmd_colour_realise(args: argparse.Namespace) -> int:
     c = parse_colouring(_read_text(args.colouring))
     if args.k is not None:
         if args.k < c.k:
-            print(f"error: k={args.k} is below the largest colour used ({c.k})")
-            _summary("NO", 0, 0)
-            return 2
+            raise ValueError(f"k={args.k} is below the largest colour used ({c.k})")
         c = Colouring(args.k, c.colours)
     inst = reduction.reduce(g)
     r = reduction.realise_from_colouring(inst, c)
@@ -201,13 +196,6 @@ def cmd_extract_colouring(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     d = _load_matrix(args.matrix)
-    if g.anchor_count != d.n:
-        print(
-            f"error: graph has {g.anchor_count} anchors "
-            f"but the matrix has dimension {d.n}"
-        )
-        _summary("NO", 0, 0)
-        return 2
     extra = g.vertex_count - g.anchor_count
     if verify_realisation(g, d):
         print("YES: the graph realises the matrix")
@@ -221,22 +209,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.mode == "random-metric":
         if args.vertices is None:
-            print("error: --vertices is required for random-metric")
-            _summary("NO", 0, 0)
-            return 2
+            raise ValueError("--vertices is required for random-metric")
         anchors = args.anchors if args.anchors is not None else args.vertices
         d = generate.random_metric(args.seed, args.vertices, anchors)
     elif args.mode == "random-tree-metric":
         if args.anchors is None:
-            print("error: --anchors is required for random-tree-metric")
-            _summary("NO", 0, 0)
-            return 2
+            raise ValueError("--anchors is required for random-tree-metric")
         d = generate.random_tree_metric(args.seed, args.anchors)
     else:  # reduction
         if args.input is None:
-            print("error: --input is required for reduction mode")
-            _summary("NO", 0, 0)
-            return 2
+            raise ValueError("--input is required for reduction mode")
         d = reduction.reduce(_load_graph(args.input)).matrix
     _emit_payload(emit_matrix(d), args.out)
     _summary("YES", d.n, 0)

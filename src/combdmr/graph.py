@@ -121,11 +121,48 @@ def anchor_distances(g: SimpleGraph) -> ExtendedDistances:
     return _bfs_rows(g, g.anchor_count)
 
 
+def _adjacency_masks(vertex_count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Neighbour bitmasks indexed by vertex: bit u of entry v marks edge uv."""
+    adj = [0] * (vertex_count + 1)
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _levels_match(adj: Sequence[int], d: DistanceMatrix) -> bool:
+    """True iff hop distances from anchors 1..d.n over ``adj`` equal d.
+
+    From each anchor s the walk grows one BFS level at a time up to the
+    row's largest entry, and each level must hold exactly the anchors the
+    matrix puts at that distance from s.  Those levels cover every anchor,
+    so an anchor the walk has not reached by then (its frontier emptied)
+    fails the check at its own level.
+    """
+    anchors = ((1 << d.n) - 1) << 1
+    for s, row in enumerate(d.levels, 1):
+        seen = frontier = 1 << s
+        for level in range(1, row.values[-1] + 1):
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~seen
+            # Level masks put anchor w at bit w - 1; here it is at bit w.
+            if frontier & anchors != row.at.get(level, 0) << 1:
+                return False
+            seen |= frontier
+    return True
+
+
 def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
     """True iff anchor-to-anchor hop distances in g equal d exactly."""
     if g.anchor_count != d.n:
-        raise ValueError("anchor count does not match matrix dimension")
-    return anchor_distances(g).matches(d)
+        raise ValueError(
+            f"graph has {g.anchor_count} anchors but the matrix has dimension {d.n}"
+        )
+    return _levels_match(_adjacency_masks(g.vertex_count, g.edges), d)
 
 
 class NotARealisation(ValueError):

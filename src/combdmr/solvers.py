@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SimpleGraph, q_zero, unit_graph
+from .graph import _adjacency_masks, _levels_match
 from .matrix import DistanceMatrix
 from .twosat import TwoSatInstance
 
@@ -230,37 +231,8 @@ def solve_exact(
         )
     total = n + k
     base = unit_graph(d)
-    base_adj = [0] * (total + 1)
-    for u, v in base.edges:
-        base_adj[u] |= 1 << v
-        base_adj[v] |= 1 << u
+    base_adj = _adjacency_masks(total, base.edges)
     candidates = _candidate_edges(n, k)
-    anchor_mask = ((1 << n) - 1) << 1
-
-    def distances_match(adj: list[int]) -> bool:
-        for s in range(1, n + 1):
-            seen = 1 << s
-            frontier = 1 << s
-            level = 0
-            # Level masks put anchor w at bit w - 1; here it is at bit w.
-            at = d.levels[s - 1].at
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    nxt |= adj[low.bit_length() - 1]
-                    f ^= low
-                nxt &= ~seen
-                level += 1
-                if nxt & anchor_mask != at.get(level, 0) << 1:
-                    return False
-                seen |= nxt
-                frontier = nxt
-            if seen & anchor_mask != anchor_mask:
-                return False
-        return True
-
     for mask in range(1 << free):
         adj = base_adj[:]
         mm = mask
@@ -270,7 +242,7 @@ def solve_exact(
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             mm ^= low
-        if distances_match(adj):
+        if _levels_match(adj, d):
             extra_edges = [
                 candidates[b] for b in range(free) if mask >> b & 1
             ]

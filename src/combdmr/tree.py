@@ -266,10 +266,12 @@ def solve_tree(d: DistanceMatrix) -> Realisation | None:
     into a path of w - 1 fresh auxiliary vertices.  All leaves of the result
     are anchors, so the returned tree is the unique minimal realisation.
     """
-    wt = build_weighted_tree(d)
-    if wt is None:
-        return None
-    if any(w % 2 for _, _, w in wt.edges):
+    return _expand_tree(d, build_weighted_tree(d))
+
+
+def _expand_tree(d: DistanceMatrix, wt: WeightedTree | None) -> Realisation | None:
+    """``solve_tree`` from an already built ``build_weighted_tree(d)``."""
+    if wt is None or any(w % 2 for _, _, w in wt.edges):
         return None
     halved = [(u, v, w2 // 2) for u, v, w2 in wt.edges]
     return Realisation(_expand_paths(d.n, wt.vertex_count + 1, halved), d)

@@ -463,3 +463,44 @@ def metric_cases(draw, max_n=40):
         if draw(st.booleans()):
             rows[j][i] = value
     return rows
+
+
+@st.composite
+def graph_matrix_cases(draw, max_n=12):
+    """A graph with anchors 1..n and a distance matrix it may not realise.
+
+    The matrix is the anchor metric of a connected host graph, exact or with
+    one entry moved by one (kept only when it is still a distance matrix).
+    The graph is the host itself, the host with up to three edges dropped,
+    the host with some anchors cut off from everything, or the host with a
+    pendant path of fresh vertices beyond its farthest vertex from anchor 1.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    h = n + draw(st.integers(min_value=0, max_value=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    host = generate.random_connected_graph(rng, h, draw(st.sampled_from((0.0, 0.1, 0.3, 0.6))))
+    rows = [[int(dist[b]) for b in range(1, n + 1)]
+            for dist in (bfs_distances(h, host.edges, a) for a in range(1, n + 1))]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        moved = [row[:] for row in rows]
+        moved[i][j] = moved[j][i] = max(1, rows[i][j] + draw(st.sampled_from((-1, 1))))
+        if brute_is_distance_matrix(moved):
+            rows = moved
+    edges = sorted(host.edges)
+    variant = draw(st.sampled_from(("host", "drop", "isolate", "trail")))
+    if variant == "drop":
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            if edges:
+                edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif variant == "isolate":
+        cut = draw(st.sets(st.integers(min_value=1, max_value=n), min_size=1))
+        edges = [(u, v) for u, v in edges if u not in cut and v not in cut]
+    elif variant == "trail":
+        dist = bfs_distances(h, host.edges, 1)
+        far = max(range(1, h + 1), key=lambda v: dist[v])
+        tail = draw(st.integers(min_value=1, max_value=3))
+        chain = [far] + list(range(h + 1, h + tail + 1))
+        edges += zip(chain, chain[1:])
+        h += tail
+    return SimpleGraph(h, n, frozenset(edges)), rows

@@ -4,6 +4,8 @@ Byte-level golden comparisons for the fixed instances live in the
 acceptance suite; these tests cover behaviour and error paths.
 """
 
+from pathlib import Path
+
 import pytest
 
 import helpers
@@ -88,12 +90,16 @@ def test_bounds(twos, capsys):
     assert "q0=2\nlower=4\nupper=6" in out
 
 
-def test_tree_yes_and_certify(tmp_path, capsys):
+def test_tree_yes_and_certify(tmp_path, capsys, monkeypatch):
     p = tmp_path / "pair.mat"
     p.write_text("0 2\n2 0\n")
     weighted = tmp_path / "t.wtree"
+    built = []
+    build = tree.build_weighted_tree
+    monkeypatch.setattr(tree, "build_weighted_tree", lambda d: built.append(d) or build(d))
     code = main(["tree", str(p), "--certify", "--weighted-out", str(weighted)])
     assert code == 0
+    assert len(built) == 1
     out = capsys.readouterr().out
     assert "zareckii=holds" in out
     assert weighted.read_text() == "1 2 4\n"
@@ -215,6 +221,27 @@ def test_gen_missing_params(capsys):
     assert main(["gen", "--mode", "random-metric", "--vertices", "3", "--anchors", "9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--mode", "random-metric"], "--vertices is required for random-metric"),
+        (["gen", "--mode", "random-tree-metric"], "--anchors is required for random-tree-metric"),
+        (["gen", "--mode", "reduction"], "--input is required for reduction mode"),
+        (["colour-realise", "k2.graph", "k2.col", "--k", "1"],
+         "k=1 is below the largest colour used (2)"),
+        (["verify", "k2_real.graph", "twos.mat"],
+         "graph has 5 anchors but the matrix has dimension 3"),
+        (["extract-colouring", "quad.graph", "k2_real.graph", "--k", "2"],
+         "graph has 5 anchors but the matrix has dimension 16"),
+    ],
+)
+def test_invalid_input_bytes(capsys, argv, message):
+    data = Path(__file__).parent / "data"
+    argv = [str(data / a) if "." in a else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == f"error: {message}\nverdict=NO vertices=0 extra=0\n"
+
+
 def test_solve_k2_dumps_both_formulas(tmp_path, capsys):
     p = tmp_path / "pair.mat"
     p.write_text("0 3\n3 0\n")
@@ -240,7 +267,7 @@ def _too_deep(d):
     raise RecursionError("maximum recursion depth exceeded")
 
 
-def _three_path(d):
+def _three_path(d, *_):
     return Realisation(SimpleGraph(3, 3, frozenset({(1, 2), (2, 3)})), d)
 
 
@@ -251,7 +278,7 @@ def _three_path(d):
          "AssertionError: tree deciders disagree"),
         (["solve", "--k", "0"], solvers, "solve_k0", _too_deep,
          "RecursionError: maximum recursion depth exceeded"),
-        (["tree"], tree, "solve_tree", _three_path,
+        (["tree"], tree, "_expand_tree", _three_path,
          "NotARealisation: graph does not realise the matrix"),
     ],
 )

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 import helpers
 from combdmr import (
@@ -151,6 +151,21 @@ def test_verify_realisation_star_vs_path():
     path = SimpleGraph.make(3, 3, [(1, 2), (2, 3)])
     assert verify_realisation(star, d)
     assert not verify_realisation(path, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(helpers.graph_matrix_cases())
+# Every walk ends at an empty level with the other anchor still unseen.
+@example((SimpleGraph(3, 2, frozenset()), [[0, 2], [2, 0]]))
+def test_verify_realisation_matches_the_standalone_bfs(case):
+    g, rows = case
+    assert verify_realisation(g, distance_matrix(rows)) == helpers.graph_realises(g, rows)
+
+
+def test_verify_realisation_names_mismatched_anchor_counts():
+    d = distance_matrix(helpers.ALL_TWOS_3)
+    with pytest.raises(ValueError, match="^graph has 2 anchors but the matrix has dimension 3$"):
+        verify_realisation(SimpleGraph.make(3, 2, [(1, 3), (2, 3)]), d)
 
 
 def test_realisation_constructor_rejects_mismatch():
