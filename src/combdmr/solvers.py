@@ -7,7 +7,11 @@ formula for a single extra vertex, one for two non-adjacent extras, and an
 extended one for two adjacent extras.  Any single satisfying assignment is
 as good as any other (the induced anchor metric is assignment-invariant),
 so each decider solves once, builds the induced graph, and compares anchor
-distances against the target matrix.
+distances against the target matrix.  The deciders never write a formula
+down: each literal's successors in its implication graph are unions of
+per-row masks read off the matrix's level masks.  ``build_phi1``,
+``build_phi2`` and ``build_phi2_prime`` write the same formulas as clause
+lists, for ``solve --dump-cnf`` and the tests.
 
 ``solve_exact`` is the independent brute-force oracle: it fixes the anchor
 subgraph to the unit graph (forced in every realisation) and enumerates all
@@ -16,6 +20,7 @@ subsets of the candidate edges touching the extra vertices.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import twosat
@@ -81,23 +86,39 @@ def solve_k0(d: DistanceMatrix) -> SolveOutcome:
     return _outcome(unit_graph(d), d, 0)
 
 
-def _far_pairs(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
-    """Pairs i < j, 1-based and in lexicographic order, with D_ij > a."""
-    return [
-        (i, j)
-        for i, row in enumerate(d.entries, 1)
-        for j, x in enumerate(row[i:], i + 1)
-        if x > a
-    ]
+def _bits(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        bit = m & -m
+        yield bit.bit_length() - 1
+        m ^= bit
 
 
-def _primitive_pairs(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
-    """Primitive pairs i < j with D_ij = a, in lexicographic order."""
+def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
+    """Per row i: the j with D_ij > a, and i's primitive partners at a.
+
+    Bit j - 1 stands for index j.  The pairs at a that are not primitive
+    are those joined through a w in row i's level b at level a - b of w.
+    """
+    levels = d.levels
+    full = (1 << d.n) - 1
+    rows = []
+    for values, at, within in levels:
+        shortcut = 0
+        for b in range(1, a):
+            for w in _bits(at.get(b, 0)):
+                shortcut |= levels[w].at.get(a - b, 0)
+        beyond = full & ~within[bisect_right(values, a) - 1]
+        rows.append((beyond, at.get(a, 0) & ~shortcut))
+    return rows
+
+
+def _pairs(d: DistanceMatrix, a: int) -> list[list[tuple[int, int]]]:
+    """Far pairs (D_ij > a) and primitive pairs at a, lexicographic."""
+    rows = _row_masks(d, a)
     return [
-        (i, j)
-        for i, row in enumerate(d.entries, 1)
-        for j, x in enumerate(row[i:], i + 1)
-        if x == a and d.is_primitive(i, j)
+        [(i, i + 1 + j) for i, masks in enumerate(rows, 1) for j in _bits(masks[k] >> i)]
+        for k in (0, 1)
     ]
 
 
@@ -109,8 +130,9 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
     in the unit graph) have no other way to meet, so both their variables
     are forced.
     """
-    clauses = [(-i, -j) for i, j in _far_pairs(d, 2)]
-    for i, j in _primitive_pairs(d, 2):
+    far, forced = _pairs(d, 2)
+    clauses = [(-i, -j) for i, j in far]
+    for i, j in forced:
         clauses += ((i, i), (j, j))
     return TwoSatInstance(d.n, tuple(clauses))
 
@@ -124,10 +146,11 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     conjunctions distributively gives four clauses per pair.
     """
     n = d.n
+    far, forced = _pairs(d, 2)
     clauses: list[twosat.Clause] = []
-    for i, j in _far_pairs(d, 2):
+    for i, j in far:
         clauses += ((-i, -j), (-n - i, -n - j))
-    for i, j in _primitive_pairs(d, 2):
+    for i, j in forced:
         clauses += ((i, n + i), (i, n + j), (j, n + i), (j, n + j))
     return TwoSatInstance(2 * n, tuple(clauses))
 
@@ -141,18 +164,43 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     serve them) must be routed through that path in one of the two
     orientations.
     """
-    return _extend_phi2(d, build_phi2(d))
-
-
-def _extend_phi2(d: DistanceMatrix, phi2: TwoSatInstance) -> TwoSatInstance:
-    """``build_phi2_prime`` from an already built ``build_phi2(d)``."""
     n = d.n
-    clauses = list(phi2.clauses)
-    for i, j in _far_pairs(d, 3):
+    far, forced = _pairs(d, 3)
+    clauses = list(build_phi2(d).clauses)
+    for i, j in far:
         clauses += ((-i, -n - j), (-n - i, -j))
-    for i, j in _primitive_pairs(d, 3):
+    for i, j in forced:
         clauses += ((i, n + i), (j, n + j), (i, j), (n + i, n + j))
-    return TwoSatInstance(phi2.variable_count, tuple(clauses))
+    return TwoSatInstance(2 * n, tuple(clauses))
+
+
+def _implications(d: DistanceMatrix, extras: int, adjacent: bool) -> list[int]:
+    """The implication graph of phi1 (one extra), phi2 (two) or phi2' (two
+    adjacent), read off the row masks: the graph of the builders' clauses.
+
+    Row i (0-based) has x_i of extra t at nodes t*n + i (negated) and
+    V + t*n + i, for V = extras * n variables; below, y is the other extra.
+    """
+    n = d.n
+    v = extras * n
+    out = [0] * (2 * v)
+    for i, (beyond, partners) in enumerate(_row_masks(d, 2)):
+        # x_i -> -x_j for far j; if i is forced, -x_i -> x_i (one extra) or
+        # -x_i -> y_i, y_j for its partners j (two).
+        own = 1 << i if partners else 0
+        forced = own | partners if extras == 2 else own
+        for t in range(extras):
+            out[v + t * n + i] = beyond << t * n
+            out[t * n + i] = forced << v + (extras - 1 - t) * n
+    if adjacent:
+        for i, (beyond, partners) in enumerate(_row_masks(d, 3)):
+            own = 1 << i if partners else 0
+            # x_i -> -y_j for far j, and -x_i -> y_i, x_j for partners j.
+            out[v + i] |= beyond << n
+            out[v + n + i] |= beyond
+            out[i] |= own << v + n | partners << v
+            out[n + i] |= own << v | partners << v + n
+    return out
 
 
 def _assignment_graph(
@@ -178,7 +226,7 @@ def solve_k1(d: DistanceMatrix) -> SolveOutcome:
     base = solve_k0(d)
     if base.answer:
         return base
-    assignment = twosat.solve(build_phi1(d))
+    assignment = twosat.solve_implications(_implications(d, 1, False))
     if assignment is None:
         return _NO
     return _outcome(_assignment_graph(d, assignment, 1, False), d, 1)
@@ -189,15 +237,14 @@ def solve_k2(d: DistanceMatrix) -> SolveOutcome:
     base = solve_k1(d)
     if base.answer:
         return base
-    phi2 = build_phi2(d)
-    assignment = twosat.solve(phi2)
+    assignment = twosat.solve_implications(_implications(d, 2, False))
     if assignment is None:
         # The non-adjacent formula is necessary for both cases.
         return _NO
     outcome = _outcome(_assignment_graph(d, assignment, 2, False), d, 2)
     if outcome.answer:
         return outcome
-    assignment2 = twosat.solve(_extend_phi2(d, phi2))
+    assignment2 = twosat.solve_implications(_implications(d, 2, True))
     if assignment2 is None:
         return _NO
     return _outcome(_assignment_graph(d, assignment2, 2, True), d, 2)
@@ -235,17 +282,12 @@ def solve_exact(
     candidates = _candidate_edges(n, k)
     for mask in range(1 << free):
         adj = base_adj[:]
-        mm = mask
-        while mm:
-            low = mm & -mm
-            u, v = candidates[low.bit_length() - 1]
+        for b in _bits(mask):
+            u, v = candidates[b]
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            mm ^= low
         if _levels_match(adj, d):
-            extra_edges = [
-                candidates[b] for b in range(free) if mask >> b & 1
-            ]
+            extra_edges = [candidates[b] for b in _bits(mask)]
             g = SimpleGraph(total, n, base.edges | frozenset(extra_edges))
             return SolveOutcome(True, Realisation(g, d), k)
     return _NO

@@ -1,12 +1,14 @@
-"""2-CNF instances and a linear-time implication-graph solver.
+"""2-CNF instances and the implication-graph solver of every 2-SAT question.
 
 Literals are non-zero ints in DIMACS style: ``v`` stands for x_v and ``-v``
 for its negation.  Clauses are pairs of literals; unit constraints are
 written as a literal repeated, so builders never need a special case.
-Satisfiability is decided via strongly connected components of the
-implication graph, and the model extracted from the component order is
-deterministic: for a fixed clause list the same assignment always comes
-back, and variables that are not constrained at all come out false.
+:func:`solve_implications` decides satisfiability by Kosaraju's algorithm
+over successor bitmasks of the implication graph.  :func:`solve` builds
+those masks from a clause instance; the k = 1 and k = 2 deciders read them
+off a distance matrix.  The model extracted from the component order is
+deterministic: for a fixed graph the same assignment always comes back, and
+variables that are not constrained at all come out false.
 """
 
 from __future__ import annotations
@@ -29,74 +31,66 @@ class TwoSatInstance:
                     raise ValueError(f"literal {lit} over undeclared variable")
 
 
-def _node(lit: int) -> int:
-    # Negation at the even index: unconstrained variables then resolve false.
-    return 2 * abs(lit) - (2 if lit < 0 else 1)
+def solve_implications(out: list[int]) -> Assignment | None:
+    """A model of a 2-CNF formula given by its implication graph, or None.
 
+    Node v - 1 is the literal -v and node len(out) // 2 + v - 1 is v; bit u
+    of ``out[w]`` is the edge w -> u.  Such a graph is skew-symmetric
+    (w -> u iff -u -> -w), so Kosaraju's reverse pass reads the predecessors
+    of w as the negations of the successors of -w and stores none.
+    """
+    size = len(out)
+    half = size // 2
+    low = (1 << half) - 1
 
-def _tarjan_components(adj: list[list[int]]) -> list[int]:
-    """Component ids in reverse topological order (sinks numbered first)."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comp_count = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, start = work[-1]
-            if start == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbours = adj[v]
-            for i in range(start, len(neighbours)):
-                w = neighbours[i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    if w == v:
-                        break
-                comp_count += 1
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return comp
+    def negate(mask: int) -> int:
+        return mask >> half | (mask & low) << half
+
+    def searches(roots, successors):
+        # Per root not reached before, its search's nodes in finishing order.
+        unvisited = (1 << size) - 1
+        for root in roots:
+            if unvisited >> root & 1:
+                unvisited ^= 1 << root
+                stack, done = [root], []
+                while stack:
+                    nxt = successors(stack[-1]) & unvisited
+                    if nxt:
+                        bit = nxt & -nxt
+                        unvisited ^= bit
+                        stack.append(bit.bit_length() - 1)
+                    else:
+                        done.append(stack.pop())
+                yield done
+
+    # Roots go variable by variable, -v before v; the model depends on this
+    # order, and the graphs the deciders write out depend on the model.
+    roots = (w for v in range(half) for w in (v, half + v))
+    finished = [w for done in searches(roots, out.__getitem__) for w in done]
+    # The reverse searches find the components sources first; x_v is true
+    # when the component of -x_v came earlier.
+    seen = true = 0
+    for done in searches(reversed(finished), lambda w: negate(out[(w + half) % size])):
+        component = sum(1 << w for w in done)
+        if component & component >> half:
+            return None
+        true |= component >> half & seen
+        seen |= component
+    return tuple(bool(true >> v & 1) for v in range(half))
 
 
 def solve(inst: TwoSatInstance) -> Assignment | None:
     """A satisfying assignment, or None when the instance is unsatisfiable."""
     v = inst.variable_count
-    adj: list[list[int]] = [[] for _ in range(2 * v)]
+
+    def node(lit: int) -> int:
+        return abs(lit) - 1 + (v if lit > 0 else 0)
+
+    out = [0] * (2 * v)
     for a, b in inst.clauses:
-        adj[_node(a) ^ 1].append(_node(b))
-        adj[_node(b) ^ 1].append(_node(a))
-    comp = _tarjan_components(adj)
-    for i in range(v):
-        if comp[2 * i] == comp[2 * i + 1]:
-            return None
-    # A literal is true when its component precedes its negation's.
-    return tuple(comp[2 * i + 1] < comp[2 * i] for i in range(v))
+        out[node(-a)] |= 1 << node(b)
+        out[node(-b)] |= 1 << node(a)
+    return solve_implications(out)
 
 
 def check(inst: TwoSatInstance, assignment: Assignment) -> bool:

@@ -427,19 +427,20 @@ def minimal_tree_stream(count, seed0=5000):
     return out
 
 
-def planted_or_tree_rows(seed, n, family):
+def planted_or_tree_rows(seed, n, family, hidden=None):
     """Anchor rows, by the standalone BFS, of a seeded random graph.
 
-    ``"planted"``: a connected graph on n + 0..2 vertices, sparse to dense,
-    with n of them drawn as anchors.  ``"tree"``: a random minimal tree
-    with n anchors.
+    ``"planted"``: a connected graph on n + ``hidden`` vertices (drawn from
+    0..2 when None), sparse to dense, with n of them drawn as anchors, so
+    at most ``hidden`` extra vertices realise the rows.  ``"tree"``: a
+    random minimal tree with n anchors.
     """
     rng = random.Random(seed)
     if family == "tree":
         g = generate.random_minimal_tree(rng, n)
         anchors = list(range(1, n + 1))
     else:
-        h = n + rng.randrange(0, 3)
+        h = n + (rng.randrange(0, 3) if hidden is None else hidden)
         g = generate.random_connected_graph(rng, h, rng.choice((0.03, 0.1, 0.3)))
         anchors = sorted(rng.sample(range(1, h + 1), n))
     return [

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from combdmr import solvers, tree
+from combdmr import solvers, tree, twosat
 from combdmr.graph import Realisation, SimpleGraph
 from combdmr.cli import main
 from combdmr.textio import parse_colouring, parse_graph, parse_matrix
@@ -249,6 +249,32 @@ def test_solve_k2_dumps_both_formulas(tmp_path, capsys):
     assert main(["solve", "--k", "2", str(p), "--dump-cnf", str(cnf)]) == 0
     text = cnf.read_text()
     assert text.count("p cnf") == 3  # one-extra formula plus both two-extra ones
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_solve_builds_clause_lists_only_to_dump_them(tmp_path, capsys, monkeypatch, dump):
+    # The deciders solve implication masks; clause lists are written only
+    # for --dump-cnf, and the clause solver is never called.
+    calls = []
+    for module, name in (
+        (solvers, "build_phi1"),
+        (solvers, "build_phi2"),
+        (solvers, "build_phi2_prime"),
+        (twosat, "solve"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    p = tmp_path / "pair.mat"
+    p.write_text("0 3\n3 0\n")  # needs phi1, phi2 and phi2'
+    dump_args = ["--dump-cnf", str(tmp_path / "phi.cnf")] if dump else []
+    assert main(["solve", "--k", "2", str(p)] + dump_args) == 0
+    if dump:
+        # phi2' extends phi2, so phi2 is built twice.
+        assert sorted(calls) == ["build_phi1", "build_phi2", "build_phi2", "build_phi2_prime"]
+    else:
+        assert calls == []
 
 
 def test_missing_file_is_invalid_input(capsys):

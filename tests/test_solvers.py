@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from combdmr import (
@@ -19,9 +22,9 @@ from combdmr import (
     unit_graph,
     verify_realisation,
 )
-from combdmr import twosat
+from combdmr import generate, twosat
 from combdmr.matrix import distance_matrix
-from combdmr.solvers import _assignment_graph
+from combdmr.solvers import _assignment_graph, _implications
 
 ALL_TWOS = distance_matrix(helpers.ALL_TWOS_3)
 ALL_ONES = distance_matrix(helpers.ALL_ONES_3)
@@ -321,3 +324,71 @@ def test_monotonicity_and_realisation_invariants():
                 assert verify_realisation(g, d)
                 assert g.vertex_count <= d.n + 2
                 assert induced_anchor_edges(g) == unit_graph(d).edges
+
+
+def _gadget_rows(seed, n_c):
+    g = generate.random_connected_graph(random.Random(seed), n_c, 0.4)
+    return [list(row) for row in reduce(g).matrix.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        helpers.metric_cases(),
+        st.builds(_gadget_rows, st.integers(0, 2**32), st.integers(1, 7)),
+    )
+)
+def test_implication_masks_solve_like_the_clause_lists(rows):
+    # The deciders solve masks read off the matrix; the builders write the
+    # same formulas as clauses.  Both must agree on satisfiability, and a
+    # mask model must satisfy the clauses.
+    assume(helpers.first_violation_oracle(rows) is None)
+    d = distance_matrix(rows)
+    for extras, adjacent, build in (
+        (1, False, build_phi1),
+        (2, False, build_phi2),
+        (2, True, build_phi2_prime),
+    ):
+        inst = build(d)
+        model = twosat.solve_implications(_implications(d, extras, adjacent))
+        assert (model is None) == (twosat.solve(inst) is None)
+        assert model is None or twosat.check(inst, model)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planted_matrices_beyond_brute_force_are_yes_at_their_hidden_count(seed):
+    hidden = seed % 3
+    rows = helpers.planted_or_tree_rows(seed, (40, 80, 120, 200)[seed // 3], "planted", hidden)
+    out = (solve_k0, solve_k1, solve_k2)[hidden](distance_matrix(rows))
+    assert out.answer and out.extra_vertices_used <= hidden
+    assert helpers.graph_realises(out.realisation.graph, rows)
+
+
+def _cycle(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "n_c, edges, bipartite",
+    [
+        (5, _cycle(5), False),
+        (7, _cycle(7), False),
+        (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)], False),
+        (6, _cycle(5) + [(i, 6) for i in range(1, 6)], False),  # wheel
+        (6, _cycle(6), True),
+        (8, _cycle(8), True),
+        (6, [(i, j) for i in range(1, 4) for j in range(4, 7)], True),  # K3,3
+        (9, [(i, i + 1) for i in range(1, 9) if i % 3] + [(i, i + 3) for i in range(1, 7)],
+         True),  # 3 x 3 grid
+    ],
+)
+def test_gadgets_beyond_brute_force_are_yes_exactly_for_bipartite_sources(
+    n_c, edges, bipartite
+):
+    # chi(source) <= 2 iff the gadget needs at most two extra vertices.
+    inst = reduce(SimpleGraph.make(n_c, n_c, edges))
+    out = solve_k2(inst.matrix)
+    assert out.answer == bipartite
+    if bipartite:
+        rows = [list(r) for r in inst.matrix.entries]
+        assert helpers.graph_realises(out.realisation.graph, rows)

@@ -10,21 +10,29 @@ from combdmr.twosat import TwoSatInstance, check, dimacs, solve
 
 
 def test_simple_satisfiable():
-    inst = TwoSatInstance(2, ((1, 2), (-1, 2)))
-    a = solve(inst)
-    assert a is not None
-    assert a[1] is True
-    assert check(inst, a)
+    # The second instance is all units, so its model is the units.
+    for inst, forced in (
+        (TwoSatInstance(2, ((1, 2), (-1, 2))), {1: True}),
+        (TwoSatInstance(3, ((1, 1), (-2, -2), (3, 3))), {0: True, 1: False, 2: True}),
+    ):
+        a = solve(inst)
+        assert a is not None
+        assert all(a[i] is value for i, value in forced.items())
+        assert check(inst, a)
 
 
 def test_forced_contradiction():
-    inst = TwoSatInstance(1, ((1, 1), (-1, -1)))
-    assert solve(inst) is None
+    for v, clauses in (
+        (1, ((1, 1), (-1, -1))),
+        (2, ((2, 2), (1, 1), (-2, -2))),
+        (2, ((1, 1), (-1, 2), (-2, -2))),
+    ):
+        assert solve(TwoSatInstance(v, clauses)) is None
 
 
 def test_empty_instance_defaults_false():
-    inst = TwoSatInstance(3, ())
-    assert solve(inst) == (False, False, False)
+    for v in (0, 1, 3):
+        assert solve(TwoSatInstance(v, ())) == (False,) * v
 
 
 def test_check_examples():
