@@ -10,6 +10,7 @@ machine-readable summary ``verdict=<YES|NO> vertices=<m> extra=<e>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -225,7 +226,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls.
     p = argparse.ArgumentParser(
         prog="combdmr",
         description="Realise integer distance matrices by unweighted graphs.",

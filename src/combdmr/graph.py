@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .matrix import DistanceMatrix
+from .matrix import DistanceMatrix, _bits
 
 INF = math.inf
 
@@ -203,8 +203,11 @@ def unit_graph(d: DistanceMatrix) -> SimpleGraph:
     which is what makes it the fixed starting point of every solver.
     """
     n = d.n
+    # Bit b of row i's distance-1 mask, shifted past columns 1..i, is j = i + 1 + b.
     edges = frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if d.dist(i, j) == 1
+        (i, i + 1 + b)
+        for i, level in enumerate(d.levels, 1)
+        for b in _bits(level.at.get(1, 0) >> i)
     )
     return SimpleGraph(n, n, edges)
 

@@ -65,6 +65,14 @@ class RawMatrix:
         return RawMatrix(tuple(tuple(int(x) for x in row) for row in rows))
 
 
+def _bits(m: int):
+    """Indices of the set bits of m, ascending."""
+    while m:
+        bit = m & -m
+        yield bit.bit_length() - 1
+        m ^= bit
+
+
 class LevelMasks(NamedTuple):
     """Row i's distance levels as bitmasks; bit w stands for index w + 1.
 

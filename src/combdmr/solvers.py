@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import twosat
 from .graph import NotARealisation, Realisation, SimpleGraph, q_zero, unit_graph
 from .graph import _adjacency_masks, _levels_match
-from .matrix import DistanceMatrix
+from .matrix import DistanceMatrix, _bits
 from .twosat import TwoSatInstance
 
 
@@ -84,14 +84,6 @@ def _outcome(g: SimpleGraph, d: DistanceMatrix, extra: int) -> SolveOutcome:
 def solve_k0(d: DistanceMatrix) -> SolveOutcome:
     """Realisable on exactly the anchors iff the unit graph already works."""
     return _outcome(unit_graph(d), d, 0)
-
-
-def _bits(m: int):
-    """Indices of the set bits of m, ascending."""
-    while m:
-        bit = m & -m
-        yield bit.bit_length() - 1
-        m ^= bit
 
 
 def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
@@ -174,17 +166,18 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     return TwoSatInstance(2 * n, tuple(clauses))
 
 
-def _implications(d: DistanceMatrix, extras: int, adjacent: bool) -> list[int]:
-    """The implication graph of phi1 (one extra), phi2 (two) or phi2' (two
-    adjacent), read off the row masks: the graph of the builders' clauses.
+def _implications(n: int, rows2: list, extras: int, rows3: list | None = None) -> list[int]:
+    """The implication graph of phi1 (one extra), phi2 (two) or, given
+    ``rows3``, phi2' (two adjacent), read off the row masks
+    ``rows2 = _row_masks(d, 2)`` and ``rows3 = _row_masks(d, 3)``: the graph
+    of the builders' clauses.
 
     Row i (0-based) has x_i of extra t at nodes t*n + i (negated) and
     V + t*n + i, for V = extras * n variables; below, y is the other extra.
     """
-    n = d.n
     v = extras * n
     out = [0] * (2 * v)
-    for i, (beyond, partners) in enumerate(_row_masks(d, 2)):
+    for i, (beyond, partners) in enumerate(rows2):
         # x_i -> -x_j for far j; if i is forced, -x_i -> x_i (one extra) or
         # -x_i -> y_i, y_j for its partners j (two).
         own = 1 << i if partners else 0
@@ -192,14 +185,13 @@ def _implications(d: DistanceMatrix, extras: int, adjacent: bool) -> list[int]:
         for t in range(extras):
             out[v + t * n + i] = beyond << t * n
             out[t * n + i] = forced << v + (extras - 1 - t) * n
-    if adjacent:
-        for i, (beyond, partners) in enumerate(_row_masks(d, 3)):
-            own = 1 << i if partners else 0
-            # x_i -> -y_j for far j, and -x_i -> y_i, x_j for partners j.
-            out[v + i] |= beyond << n
-            out[v + n + i] |= beyond
-            out[i] |= own << v + n | partners << v
-            out[n + i] |= own << v | partners << v + n
+    for i, (beyond, partners) in enumerate(rows3 or ()):
+        own = 1 << i if partners else 0
+        # x_i -> -y_j for far j, and -x_i -> y_i, x_j for partners j.
+        out[v + i] |= beyond << n
+        out[v + n + i] |= beyond
+        out[i] |= own << v + n | partners << v
+        out[n + i] |= own << v | partners << v + n
     return out
 
 
@@ -226,7 +218,7 @@ def solve_k1(d: DistanceMatrix) -> SolveOutcome:
     base = solve_k0(d)
     if base.answer:
         return base
-    assignment = twosat.solve_implications(_implications(d, 1, False))
+    assignment = twosat.solve_implications(_implications(d.n, _row_masks(d, 2), 1))
     if assignment is None:
         return _NO
     return _outcome(_assignment_graph(d, assignment, 1, False), d, 1)
@@ -237,14 +229,17 @@ def solve_k2(d: DistanceMatrix) -> SolveOutcome:
     base = solve_k1(d)
     if base.answer:
         return base
-    assignment = twosat.solve_implications(_implications(d, 2, False))
+    rows2 = _row_masks(d, 2)
+    assignment = twosat.solve_implications(_implications(d.n, rows2, 2))
     if assignment is None:
         # The non-adjacent formula is necessary for both cases.
         return _NO
     outcome = _outcome(_assignment_graph(d, assignment, 2, False), d, 2)
     if outcome.answer:
         return outcome
-    assignment2 = twosat.solve_implications(_implications(d, 2, True))
+    assignment2 = twosat.solve_implications(
+        _implications(d.n, rows2, 2, _row_masks(d, 3))
+    )
     if assignment2 is None:
         return _NO
     return _outcome(_assignment_graph(d, assignment2, 2, True), d, 2)

@@ -74,15 +74,22 @@ def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
     scan of all triples for even perimeter and then of all quadruples for
     "the maximum of the three pairing sums is attained at least twice".
     Tuples with repeated indices satisfy the conditions automatically for a
-    validated matrix.  Only the tuples that start with anchor 1 are scanned,
-    in O(n^3): they come first in that order, and if any tuple violates a
-    condition then one of them does.
+    validated matrix.  Only the tuples that start with anchor 1 matter: they
+    come first in that order, and if any tuple violates a condition then one
+    of them does.
 
     - Parity: the perimeters of (1, i, j), (1, i, k) and (1, j, k) sum to
       that of (i, j, k) mod 2, so if (i, j, k) is odd one of them is odd.
+      The scan of the pairs (j, k) is O(n^2).
     - Four-point: a metric that satisfies the condition on every quadruple
       containing one base point satisfies it on every quadruple (Gromov's
-      base-point lemma with delta = 0).
+      base-point lemma with delta = 0).  In the doubled Gromov products
+      G_jk = D_1j + D_1k - D_jk, (1, j, k, l) holds iff the smallest of
+      G_jk, G_jl and G_kl is attained twice.  That holds for all j, k, l
+      iff every G_jk is the smallest weight on the j-k path of a maximum
+      spanning tree of G over anchors 2..n, which :func:`_four_point_holds`
+      checks in O(n^2).  The O(n^3) scan runs only when it fails, to name
+      the first violating quadruple.
     """
     e = d.entries
     n = d.n
@@ -93,15 +100,48 @@ def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
                 return ZareckiiReport(
                     False, (ZViolationKind.PARITY_TRIPLE, (1, j + 1, k + 1))
                 )
+    if _four_point_holds(e):
+        return ZareckiiReport(True, None)
+    return ZareckiiReport(False, (ZViolationKind.FOUR_POINT, _four_point_witness(e)))
+
+
+def _four_point_holds(e: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether G_jl >= min(G_jk, G_kl) for all anchors j, k, l >= 2.
+
+    Anchors join a tree in order from anchor 2, each through the earlier
+    anchor p with the largest G_vp = w, and the check is G_vu = min(w, G_pu)
+    for every earlier u.  By induction G_pu is the smallest weight on the
+    tree path from p to u, so a full pass makes every G_jk the smallest
+    weight on its tree path: the tree is then a maximum spanning tree of G,
+    and G satisfies the inequality because the j-l path lies in the union
+    of the j-k and k-l paths.  A mismatch exhibits a violating triple:
+    either G_vu is below both G_vp and G_pu, or, as G_vu <= w by the choice
+    of p, G_pu is below both G_vp and G_vu.
+    """
+    e1 = e[0]
+    g = [[a + b - c for b, c in zip(e1, row)] for a, row in zip(e1, e)]
+    for v in range(2, len(e)):
+        gv = g[v]
+        p = max(range(1, v), key=gv.__getitem__)
+        w = gv[p]
+        # G_vu against min(w, G_pu), for the earlier anchors u.
+        if gv[1:v] != [b if b < w else w for b in g[p][1:v]]:
+            return False
+    return True
+
+
+def _four_point_witness(e: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int]:
+    """The lexicographically first quadruple (1, j, k, l) whose largest
+    pairing sum is attained once, by an O(n^3) scan; one must exist."""
+    n = len(e)
+    e1 = e[0]
     for j in range(1, n):
         for k in range(j + 1, n):
             for l in range(k + 1, n):
                 sums = sorted((e1[j] + e[k][l], e1[k] + e[j][l], e1[l] + e[j][k]))
                 if sums[1] != sums[2]:
-                    return ZareckiiReport(
-                        False, (ZViolationKind.FOUR_POINT, (1, j + 1, k + 1, l + 1))
-                    )
-    return ZareckiiReport(True, None)
+                    return (1, j + 1, k + 1, l + 1)
+    raise AssertionError("four-point check failed on no quadruple")
 
 
 def _add_edge(adj: dict[int, dict[int, int]], a: int, b: int, w: int) -> None:

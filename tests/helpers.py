@@ -449,6 +449,52 @@ def planted_or_tree_rows(seed, n, family, hidden=None):
     ]
 
 
+def bipartite_rows(seed, n, family):
+    """Anchor rows, by the standalone BFS, of a seeded bipartite graph.
+
+    Every cycle is even, so these metrics pass the parity condition and
+    reach the four-point stage of the tree certificate.  ``"bipartite"``: a
+    random tree on n + 0..2 vertices plus random edges across its two
+    colour classes, with n vertices drawn as anchors.  ``"tree+edge"``: a
+    random minimal tree with n anchors and one edge added between two
+    vertices at odd distance >= 3, closing a single even cycle.
+    """
+    rng = random.Random(seed)
+    if family == "tree+edge":
+        t = generate.random_minimal_tree(rng, n)
+        h, edges = t.vertex_count, set(t.edges)
+        dist = [None] + [bfs_distances(h, edges, u) for u in range(1, h + 1)]
+        chords = [
+            (u, v)
+            for u in range(1, h + 1)
+            for v in range(u + 1, h + 1)
+            if dist[u][v] >= 3 and dist[u][v] % 2
+        ]
+        if chords:
+            edges.add(chords[rng.randrange(len(chords))])
+        anchors = list(range(1, n + 1))
+    else:
+        h = n + rng.randrange(0, 3)
+        p = rng.choice((0.05, 0.15, 0.4))
+        side = [0, 0]
+        edges = set()
+        for v in range(2, h + 1):
+            u = rng.randrange(1, v)
+            edges.add((u, v))
+            side.append(1 - side[u])
+        edges |= {
+            (u, v)
+            for u in range(1, h + 1)
+            for v in range(u + 1, h + 1)
+            if side[u] != side[v] and rng.random() < p
+        }
+        anchors = sorted(rng.sample(range(1, h + 1), n))
+    return [
+        [int(dist[b]) for b in anchors]
+        for dist in (bfs_distances(h, edges, a) for a in anchors)
+    ]
+
+
 @st.composite
 def metric_cases(draw, max_n=40):
     """Planted and tree metrics up to ``max_n`` anchors, and single-entry

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from combdmr import solvers, tree, twosat
+from combdmr import cli, solvers, tree, twosat
 from combdmr.graph import Realisation, SimpleGraph
 from combdmr.cli import main
 from combdmr.textio import parse_colouring, parse_graph, parse_matrix
@@ -283,6 +283,46 @@ def test_missing_file_is_invalid_input(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_one_process_answers_interleaved_argvs_like_fresh_ones(tmp_path, capsys):
+    # The parser is built once per process, so nothing of one call (an
+    # option, a default, an output path) may reach the next.
+    data = Path(__file__).parent / "data"
+    pair = tmp_path / "pair.mat"
+    pair.write_text("0 3\n3 0\n")
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    argvs = [
+        ["tree", str(data / "twos.mat"), "--certify"],
+        ["tree", str(data / "twos.mat")],
+        ["solve", "--k", "2", str(pair), "--dump-cnf", str(outputs / "phi.cnf")],
+        ["solve", "--k", "1", str(pair)],
+        ["solve", "--k", "5", str(pair)],
+        ["tree", str(data / "ones.mat"), "--certify", "--out", str(outputs / "t.graph")],
+        ["tree", str(data / "eight.mat")],
+        ["bounds", str(data / "eight.mat")],
+        ["validate", str(data / "bad.mat")],
+        ["frobnicate"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        written = sorted(p.name for p in outputs.iterdir())
+        for p in outputs.iterdir():
+            p.unlink()
+        return code, capsys.readouterr(), written
+
+    interleaved = [run(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert interleaved == fresh
+    codes = [code for code, _, _ in interleaved]
+    assert codes == [0, 0, 0, 1, 2, 1, 1, 0, 2, 2]
+    assert "zareckii=" not in interleaved[1][1].out
+    assert [written for _, _, written in interleaved[2:4]] == [["phi.cnf"], []]
 
 
 def _disagreeing_certificate(d):

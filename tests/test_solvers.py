@@ -22,9 +22,9 @@ from combdmr import (
     unit_graph,
     verify_realisation,
 )
-from combdmr import generate, twosat
+from combdmr import generate, solvers, twosat
 from combdmr.matrix import distance_matrix
-from combdmr.solvers import _assignment_graph, _implications
+from combdmr.solvers import _assignment_graph, _implications, _row_masks
 
 ALL_TWOS = distance_matrix(helpers.ALL_TWOS_3)
 ALL_ONES = distance_matrix(helpers.ALL_ONES_3)
@@ -253,6 +253,21 @@ def test_k2_adjacent_extras_branch():
     assert (3, 4) in g.edges
 
 
+def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
+    # A planted matrix whose two hidden extras are adjacent: phi1 and phi2
+    # give no realisation, phi2' does.  solve_k1 builds the a = 2 row masks
+    # for phi1, and phi2 and phi2' share a second build.
+    calls = []
+    row_masks = solvers._row_masks
+    monkeypatch.setattr(solvers, "_row_masks", lambda d, a: calls.append(a) or row_masks(d, a))
+    rows = helpers.planted_or_tree_rows(200, 60, "planted", 2)
+    out = solve_k2(distance_matrix(rows))
+    assert out.answer and out.extra_vertices_used == 2
+    assert (61, 62) in out.realisation.graph.edges
+    assert helpers.graph_realises(out.realisation.graph, rows)
+    assert calls == [2, 2, 3]
+
+
 # -- exhaustive search ------------------------------------------------------------
 
 def test_exact_all_twos_first_witness_is_star():
@@ -350,7 +365,8 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
         (2, True, build_phi2_prime),
     ):
         inst = build(d)
-        model = twosat.solve_implications(_implications(d, extras, adjacent))
+        rows3 = _row_masks(d, 3) if adjacent else None
+        model = twosat.solve_implications(_implications(d.n, _row_masks(d, 2), extras, rows3))
         assert (model is None) == (twosat.solve(inst) is None)
         assert model is None or twosat.check(inst, model)
 

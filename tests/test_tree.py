@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from combdmr import (
@@ -14,7 +15,8 @@ from combdmr import (
     solve_tree,
     verify_realisation,
 )
-from combdmr.matrix import ValidationError, distance_matrix
+from combdmr import tree
+from combdmr.matrix import DistanceMatrix, ValidationError, distance_matrix
 
 
 def anchor_rows(g: SimpleGraph):
@@ -58,16 +60,24 @@ def test_zareckii_four_point_witness():
 
 
 def test_zareckii_matches_the_all_tuple_oracle():
-    # Random draws rarely reach the four-point scan: most non-tree metrics
-    # already fail parity.  The explicit examples are bipartite, or have
-    # their odd cycle away from anchor 1.
+    # Planted and tree draws rarely reach the four-point stage: most non-tree
+    # metrics already fail parity.  Bipartite-graph metrics and trees with
+    # one even cycle always pass parity, so they exercise it; so do the
+    # explicit examples, which are bipartite or have their odd cycle away
+    # from anchor 1.
     kinds = set()
     six_cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
     square_on_a_stem = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6)]
     triangle_on_a_stem = [(1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
+    even_cycle_draws = st.builds(
+        helpers.bipartite_rows,
+        st.integers(0, 2**32),
+        st.integers(1, 25),
+        st.sampled_from(("bipartite", "tree+edge")),
+    )
 
-    @settings(max_examples=150, deadline=None)
-    @given(helpers.metric_cases(max_n=25))
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(helpers.metric_cases(max_n=25), even_cycle_draws))
     @example(anchor_rows(SimpleGraph.make(6, 6, six_cycle)))
     @example(anchor_rows(SimpleGraph.make(6, 6, square_on_a_stem)))
     @example(anchor_rows(SimpleGraph.make(5, 5, triangle_on_a_stem)))
@@ -82,6 +92,20 @@ def test_zareckii_matches_the_all_tuple_oracle():
 
     check()
     assert {ZViolationKind.PARITY_TRIPLE, ZViolationKind.FOUR_POINT} <= kinds
+
+
+def test_zareckii_decides_yes_without_the_witness_scan(monkeypatch):
+    # A metric that passes is decided by the spanning-tree check alone; the
+    # O(n^3) quadruple scan runs only to name a witness.
+    def no_scan(e):
+        raise AssertionError("witness scan ran on a passing metric")
+
+    monkeypatch.setattr(tree, "_four_point_witness", no_scan)
+    assert check_zareckii(distance_matrix(helpers.planted_or_tree_rows(3, 150, "tree"))).holds
+    # The path metric is a metric by construction; validating it at n = 300
+    # would cost far more than the check.
+    path = tuple(tuple(abs(i - j) for j in range(300)) for i in range(300))
+    assert check_zareckii(DistanceMatrix(path)).holds
 
 
 # -- weighted tree construction ---------------------------------------------------
