@@ -137,7 +137,7 @@ def _zareckii_line(report: ZareckiiReport) -> str:
 def cmd_tree(args: argparse.Namespace) -> int:
     d = _load_matrix(args.input)
     wt = tree.build_weighted_tree(d)
-    result = tree._expand_tree(d, wt)
+    result = tree.expand_tree(d, wt)
     if args.certify:
         report = tree.check_zareckii(d)
         print(_zareckii_line(report))

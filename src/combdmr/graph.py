@@ -78,10 +78,6 @@ class ExtendedDistances:
     def dist(self, i: int, j: int) -> int | float:
         return self.entries[i - 1][j - 1]
 
-    def matches(self, d: DistanceMatrix) -> bool:
-        """True when every entry is finite and equals the matrix entry."""
-        return self.n == d.n and self.entries == d.entries
-
 
 @dataclass(frozen=True)
 class WeightedSkeleton:

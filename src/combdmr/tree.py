@@ -2,13 +2,20 @@
 
 A matrix has an unweighted tree realisation iff it passes the classical
 four-point and parity conditions, iff its unique minimum weighted tree
-realisation exists and has integer edge weights.  The builder here inserts
-anchors one at a time into a growing weighted tree, working throughout in
-*doubled* integer weights so that half-integer branch points are exact and
-no floating point ever appears.  Correctness does not rest on the insertion:
-the result is verified against the matrix, and since the minimal tree
-realisation is unique, a verified output is the answer and any verification
-failure is a sound "no tree".
+realisation exists and has integer edge weights.  Both the certificate and
+the builder read the doubled Gromov products at anchor 1,
+G_jk = D_1j + D_1k - D_jk, in one pass that gives each anchor v a parent p
+among the earlier anchors and a doubled attach depth w = G_vp, or stops at
+the first violation of the four-point condition.  The builder hangs v at
+doubled depth w on the path from anchor 1 to p, in doubled integer weights
+so that half-integer branch points are exact and no floating point ever
+appears.  The pass has checked G_vu = min(w, G_pu) for every earlier anchor
+u, so by induction on the anchors, if p meets u at doubled depth G_pu then
+v meets u at doubled depth G_vu, and their doubled tree distance is
+2 D_1v + 2 D_1u - 2 G_vu = 2 D_vu.  Two anchors on one point would be at
+distance 0, which ``validate`` rejects.  The weighted tree therefore needs
+no check of its own; ``Realisation`` checks the expanded unweighted tree of
+a YES, once.
 """
 
 from __future__ import annotations
@@ -87,7 +94,7 @@ def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
       G_jk = D_1j + D_1k - D_jk, (1, j, k, l) holds iff the smallest of
       G_jk, G_jl and G_kl is attained twice.  That holds for all j, k, l
       iff every G_jk is the smallest weight on the j-k path of a maximum
-      spanning tree of G over anchors 2..n, which :func:`_four_point_holds`
+      spanning tree of G over anchors 2..n, which :func:`_four_point_parents`
       checks in O(n^2).  The O(n^3) scan runs only when it fails, to name
       the first violating quadruple.
     """
@@ -100,15 +107,18 @@ def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
                 return ZareckiiReport(
                     False, (ZViolationKind.PARITY_TRIPLE, (1, j + 1, k + 1))
                 )
-    if _four_point_holds(e):
+    if _four_point_parents(e) is not None:
         return ZareckiiReport(True, None)
     return ZareckiiReport(False, (ZViolationKind.FOUR_POINT, _four_point_witness(e)))
 
 
-def _four_point_holds(e: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether G_jl >= min(G_jk, G_kl) for all anchors j, k, l >= 2.
+def _four_point_parents(
+    e: tuple[tuple[int, ...], ...]
+) -> list[tuple[int, int]] | None:
+    """Each anchor's parent and doubled attach depth, or None unless
+    G_jl >= min(G_jk, G_kl) for all anchors j, k, l >= 2.
 
-    Anchors join a tree in order from anchor 2, each through the earlier
+    Anchors 2..n join a tree in index order, each through the earlier
     anchor p with the largest G_vp = w, and the check is G_vu = min(w, G_pu)
     for every earlier u.  By induction G_pu is the smallest weight on the
     tree path from p to u, so a full pass makes every G_jk the smallest
@@ -117,17 +127,23 @@ def _four_point_holds(e: tuple[tuple[int, ...], ...]) -> bool:
     of the j-k and k-l paths.  A mismatch exhibits a violating triple:
     either G_vu is below both G_vp and G_pu, or, as G_vu <= w by the choice
     of p, G_pu is below both G_vp and G_vu.
+
+    Entry v - 2 of the list is (p, w) for anchor v, with p numbered from 1.
+    Anchor 1 is a candidate parent too; as G_v1 = 0 it is chosen only when
+    every earlier G_vu is 0, and then every candidate gives the same check.
     """
     e1 = e[0]
     g = [[a + b - c for b, c in zip(e1, row)] for a, row in zip(e1, e)]
-    for v in range(2, len(e)):
+    parents = []
+    for v in range(1, len(e)):
         gv = g[v]
-        p = max(range(1, v), key=gv.__getitem__)
+        p = max(range(v), key=gv.__getitem__)
         w = gv[p]
         # G_vu against min(w, G_pu), for the earlier anchors u.
-        if gv[1:v] != [b if b < w else w for b in g[p][1:v]]:
-            return False
-    return True
+        if gv[:v] != [b if b < w else w for b in g[p][:v]]:
+            return None
+        parents.append((p + 1, w))
+    return parents
 
 
 def _four_point_witness(e: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, int]:
@@ -168,49 +184,6 @@ def _tree_path(adj: dict[int, dict[int, int]], src: int, dst: int) -> list[int]:
     return path
 
 
-def _doubled_distances_from(
-    adj: dict[int, dict[int, int]], src: int
-) -> dict[int, int]:
-    dist = {src: 0}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        dv = dist[v]
-        for u, w in adj[v].items():
-            if u not in dist:
-                dist[u] = dv + w
-                stack.append(u)
-    return dist
-
-
-def _canonical_adj(
-    adj: dict[int, dict[int, int]], anchor_count: int
-) -> dict[int, dict[int, int]]:
-    adj = {v: dict(nbrs) for v, nbrs in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(adj):
-            if v in adj and v > anchor_count and len(adj[v]) == 1:
-                (nb,) = adj[v]
-                del adj[nb][v]
-                del adj[v]
-                changed = True
-    while True:
-        v = next(
-            (u for u in sorted(adj) if u > anchor_count and len(adj[u]) == 2),
-            None,
-        )
-        if v is None:
-            break
-        (a, wa), (b, wb) = sorted(adj[v].items())
-        del adj[a][v]
-        del adj[b][v]
-        del adj[v]
-        _add_edge(adj, a, b, wa + wb)
-    return adj
-
-
 def _freeze(adj: dict[int, dict[int, int]], anchor_count: int) -> WeightedTree:
     """Renumber Steiner vertices contiguously after the anchors."""
     steiner = sorted(v for v in adj if v > anchor_count)
@@ -228,38 +201,28 @@ def _freeze(adj: dict[int, dict[int, int]], anchor_count: int) -> WeightedTree:
     return WeightedTree(anchor_count + len(steiner), anchor_count, edges)
 
 
-def canonical_transform(t: WeightedTree) -> WeightedTree:
-    """Drop non-anchor leaves, then merge through non-anchor degree-2 vertices.
-
-    Anchor-pair path lengths are preserved and the operation is idempotent;
-    the result has no non-anchor vertex of degree two or less.
-    """
-    return _freeze(_canonical_adj(t.adjacency(), t.anchor_count), t.anchor_count)
-
-
 def build_weighted_tree(d: DistanceMatrix) -> WeightedTree | None:
     """The minimum weighted tree realisation of d, or None if none exists.
 
-    Anchors are inserted in order into a tree rooted at anchor 1.  Anchor i
-    attaches on the path from 1 to the placed anchor k with the largest
-    doubled Gromov product t = D_1i + D_1k - D_ik, at doubled distance t
-    from 1 and with doubled pendant weight 2 D_1i - t, splitting an edge
-    with a fresh Steiner vertex when the point is interior.  Every placed
-    anchor k sits at doubled distance 2 D_1k from 1, so the point lies on
-    the path by the triangle inequality.  A Steiner vertex is born with
-    degree three or renamed to the anchor that lands on it, so the tree
-    needs no canonicalisation.  The finished tree is verified pair by pair;
-    by uniqueness of the minimal realisation a verified tree is the answer,
-    and two anchors on one point or any verification mismatch means no
-    tree realisation exists.
+    None exactly when the four-point pass of :func:`_four_point_parents`
+    fails.  Otherwise anchors are inserted in order into a tree rooted at
+    anchor 1: anchor i attaches on the path from 1 to its parent anchor k at
+    doubled distance t = G_ik from 1 and with doubled pendant weight
+    2 D_1i - t, splitting an edge with a fresh Steiner vertex when the point
+    is interior.  Every placed anchor k sits at doubled distance 2 D_1k
+    from 1, so the point lies on the path by the triangle inequality.  A
+    Steiner vertex is born with degree three or renamed to the anchor that
+    lands on it, so the tree needs no canonicalisation, and the pass makes
+    every anchor distance right (see the module docstring).
     """
+    parents = _four_point_parents(d.entries)
+    if parents is None:
+        return None
     n = d.n
     e1 = d.entries[0]
     adj: dict[int, dict[int, int]] = {1: {}}
     next_steiner = n + 1
-    for i in range(2, n + 1):
-        row = d.entries[i - 1]
-        t, k = max((e1[i - 1] + e1[j - 1] - row[j - 1], j) for j in range(1, i))
+    for i, (k, t) in enumerate(parents, start=2):
         pendant = 2 * e1[i - 1] - t
         path = _tree_path(adj, 1, k)
         pos = [0]
@@ -282,19 +245,12 @@ def build_weighted_tree(d: DistanceMatrix) -> WeightedTree | None:
                 break
         assert p is not None
         if pendant == 0:
-            if p <= n:
-                # Two distinct anchors cannot occupy the same point.
-                return None
+            # Only a Steiner vertex: an anchor there would be at distance 0.
             adj[i] = adj.pop(p)
             for u in adj[i]:
                 adj[u][i] = adj[u].pop(p)
         else:
             _add_edge(adj, p, i, pendant)
-    for i in range(1, n + 1):
-        reach = _doubled_distances_from(adj, i)
-        for j in range(1, n + 1):
-            if reach.get(j) != 2 * d.dist(i, j):
-                return None
     return _freeze(adj, n)
 
 
@@ -306,10 +262,10 @@ def solve_tree(d: DistanceMatrix) -> Realisation | None:
     into a path of w - 1 fresh auxiliary vertices.  All leaves of the result
     are anchors, so the returned tree is the unique minimal realisation.
     """
-    return _expand_tree(d, build_weighted_tree(d))
+    return expand_tree(d, build_weighted_tree(d))
 
 
-def _expand_tree(d: DistanceMatrix, wt: WeightedTree | None) -> Realisation | None:
+def expand_tree(d: DistanceMatrix, wt: WeightedTree | None) -> Realisation | None:
     """``solve_tree`` from an already built ``build_weighted_tree(d)``."""
     if wt is None or any(w % 2 for _, _, w in wt.edges):
         return None

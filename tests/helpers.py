@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from combdmr import SimpleGraph, generate
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
-from combdmr.tree import ZareckiiReport, ZViolationKind
+from combdmr.tree import WeightedTree, ZareckiiReport, ZViolationKind, _add_edge, _freeze
 from combdmr.twosat import TwoSatInstance
 
 INF = float("inf")
@@ -91,6 +91,28 @@ def first_violation_oracle(rows):
     return None
 
 
+def four_point_oracle(rows):
+    """The lexicographically first quadruple (i, j, k, l) of a validated
+    matrix whose largest pairing sum is attained once, or None, by the full
+    O(n^4) scan."""
+    e = rows
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    sums = sorted(
+                        (
+                            e[i][j] + e[k][l],
+                            e[i][k] + e[j][l],
+                            e[i][l] + e[j][k],
+                        )
+                    )
+                    if sums[1] != sums[2]:
+                        return (i + 1, j + 1, k + 1, l + 1)
+    return None
+
+
 def zareckii_oracle(rows) -> ZareckiiReport:
     """The tree certificate of a validated matrix by the full scans: every
     triple for odd perimeter, then every quadruple for a pairing-sum maximum
@@ -105,26 +127,47 @@ def zareckii_oracle(rows) -> ZareckiiReport:
                     return ZareckiiReport(
                         False, (ZViolationKind.PARITY_TRIPLE, (i + 1, j + 1, k + 1))
                     )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    sums = sorted(
-                        (
-                            e[i][j] + e[k][l],
-                            e[i][k] + e[j][l],
-                            e[i][l] + e[j][k],
-                        )
-                    )
-                    if sums[1] != sums[2]:
-                        return ZareckiiReport(
-                            False,
-                            (
-                                ZViolationKind.FOUR_POINT,
-                                (i + 1, j + 1, k + 1, l + 1),
-                            ),
-                        )
+    quadruple = four_point_oracle(rows)
+    if quadruple is not None:
+        return ZareckiiReport(False, (ZViolationKind.FOUR_POINT, quadruple))
     return ZareckiiReport(True, None)
+
+
+# -- weighted tree canonical form ----------------------------------------------
+
+def _canonical_adj(adj, anchor_count):
+    adj = {v: dict(nbrs) for v, nbrs in adj.items()}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if v in adj and v > anchor_count and len(adj[v]) == 1:
+                (nb,) = adj[v]
+                del adj[nb][v]
+                del adj[v]
+                changed = True
+    while True:
+        v = next(
+            (u for u in sorted(adj) if u > anchor_count and len(adj[u]) == 2),
+            None,
+        )
+        if v is None:
+            break
+        (a, wa), (b, wb) = sorted(adj[v].items())
+        del adj[a][v]
+        del adj[b][v]
+        del adj[v]
+        _add_edge(adj, a, b, wa + wb)
+    return adj
+
+
+def canonical_transform(t: WeightedTree) -> WeightedTree:
+    """Drop non-anchor leaves, then merge through non-anchor degree-2 vertices.
+
+    Anchor-pair path lengths are preserved and the operation is idempotent;
+    the result has no non-anchor vertex of degree two or less.
+    """
+    return _freeze(_canonical_adj(t.adjacency(), t.anchor_count), t.anchor_count)
 
 
 # -- independent BFS ---------------------------------------------------------

@@ -344,7 +344,7 @@ def _three_path(d, *_):
          "AssertionError: tree deciders disagree"),
         (["solve", "--k", "0"], solvers, "solve_k0", _too_deep,
          "RecursionError: maximum recursion depth exceeded"),
-        (["tree"], tree, "_expand_tree", _three_path,
+        (["tree"], tree, "expand_tree", _three_path,
          "NotARealisation: graph does not realise the matrix"),
     ],
 )

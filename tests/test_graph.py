@@ -119,7 +119,7 @@ def test_skeleton_ordering_chain():
                     if prev is not None:
                         assert prev.entries[i][j] >= cur.entries[i][j]
             prev = cur
-        assert prev is not None and prev.matches(d)
+        assert prev is not None and prev.entries == d.entries
 
 
 def test_expand_all_twos_gives_six_cycle():

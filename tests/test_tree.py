@@ -10,13 +10,22 @@ from combdmr import (
     WeightedTree,
     ZViolationKind,
     build_weighted_tree,
-    canonical_transform,
     check_zareckii,
     solve_tree,
     verify_realisation,
 )
-from combdmr import tree
+from combdmr import generate, tree
 from combdmr.matrix import DistanceMatrix, ValidationError, distance_matrix
+
+
+# Bipartite-graph metrics and trees with one even cycle pass parity, so they
+# reach the four-point stage of the certificate and of the builder.
+even_cycle_draws = st.builds(
+    helpers.bipartite_rows,
+    st.integers(0, 2**32),
+    st.integers(1, 25),
+    st.sampled_from(("bipartite", "tree+edge")),
+)
 
 
 def anchor_rows(g: SimpleGraph):
@@ -61,20 +70,13 @@ def test_zareckii_four_point_witness():
 
 def test_zareckii_matches_the_all_tuple_oracle():
     # Planted and tree draws rarely reach the four-point stage: most non-tree
-    # metrics already fail parity.  Bipartite-graph metrics and trees with
-    # one even cycle always pass parity, so they exercise it; so do the
-    # explicit examples, which are bipartite or have their odd cycle away
-    # from anchor 1.
+    # metrics already fail parity.  The even-cycle draws always pass parity,
+    # so they exercise it; so do the explicit examples, which are bipartite
+    # or have their odd cycle away from anchor 1.
     kinds = set()
     six_cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
     square_on_a_stem = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5), (5, 6)]
     triangle_on_a_stem = [(1, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
-    even_cycle_draws = st.builds(
-        helpers.bipartite_rows,
-        st.integers(0, 2**32),
-        st.integers(1, 25),
-        st.sampled_from(("bipartite", "tree+edge")),
-    )
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(helpers.metric_cases(max_n=25), even_cycle_draws))
@@ -110,6 +112,17 @@ def test_zareckii_decides_yes_without_the_witness_scan(monkeypatch):
 
 # -- weighted tree construction ---------------------------------------------------
 
+def _weighted_anchor_distances(t: WeightedTree):
+    n = t.anchor_count
+    edges = [(u, v, w) for u, v, w in t.edges]
+    closure = helpers.dijkstra_apsp(t.vertex_count, edges)
+    return tuple(tuple(closure[i][j] for j in range(n)) for i in range(n))
+
+
+def _doubled(rows):
+    return tuple(tuple(2 * x for x in row) for row in rows)
+
+
 def test_single_edge_tree():
     wt = build_weighted_tree(distance_matrix([[0, 2], [2, 0]]))
     assert wt == WeightedTree(2, 2, frozenset({(1, 2, 4)}))
@@ -142,6 +155,58 @@ def test_star_is_the_unique_minimal_tree_by_enumeration():
     assert minimal_realising == [(5, ((1, 5), (2, 5), (3, 5), (4, 5)))]
 
 
+def half_weighted_tree(seed):
+    """A random minimal tree with integer and half-integer weights, as its
+    vertex count, its doubled edges and its (integer) anchor metric.
+
+    Edge uv gets doubled weight 2r + (s(u) xor s(v)), with r >= 1 when the
+    xor is 0.  s is 1 on every anchor and random on Steiner vertices, so each
+    anchor path has an even doubled length.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(1, 26)
+    t = generate.random_minimal_tree(rng, n)
+    s = [1] * (n + 1) + [rng.randrange(2) for _ in range(n, t.vertex_count)]
+    edges = []
+    for u, v in sorted(t.edges):
+        odd = s[u] ^ s[v]
+        edges.append((u, v, 2 * rng.randrange(1 - odd, 3) + odd))
+    closure = helpers.dijkstra_apsp(t.vertex_count, edges)
+    return t.vertex_count, edges, [[closure[i][j] // 2 for j in range(n)] for i in range(n)]
+
+
+def test_builder_realises_half_integer_weighted_trees():
+    # The builder has no check of its own: its tree must realise the matrix
+    # by construction, half-integer branch points included.
+    odd_anchor_edges = 0
+    for seed in range(9000, 9200):
+        vertex_count, edges, rows = half_weighted_tree(seed)
+        wt = build_weighted_tree(distance_matrix(rows))
+        assert wt is not None
+        assert wt.vertex_count == vertex_count
+        assert _weighted_anchor_distances(wt) == _doubled(rows)
+        odd_anchor_edges += sum(1 for u, _, w in edges if w % 2 and u <= len(rows))
+    assert odd_anchor_edges >= 100
+
+
+def test_builder_fails_exactly_on_a_four_point_violation():
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(helpers.metric_cases(max_n=25), even_cycle_draws))
+    @example(helpers.FOUR_CYCLE_METRIC)
+    @example(helpers.ALL_ONES_3)
+    def check(rows):
+        try:
+            d = distance_matrix(rows)
+        except ValidationError:
+            return
+        wt = build_weighted_tree(d)
+        assert (wt is None) == (helpers.four_point_oracle(rows) is not None)
+        if wt is not None:
+            assert _weighted_anchor_distances(wt) == _doubled(rows)
+
+    check()
+
+
 def test_four_cycle_metric_has_no_tree():
     assert build_weighted_tree(distance_matrix(helpers.FOUR_CYCLE_METRIC)) is None
 
@@ -160,7 +225,7 @@ def test_half_integer_weights_are_built_then_rejected():
 
 def test_canonical_suppresses_degree_two():
     t = WeightedTree(3, 2, frozenset({(1, 3, 2), (2, 3, 2)}))
-    out = canonical_transform(t)
+    out = helpers.canonical_transform(t)
     assert out == WeightedTree(2, 2, frozenset({(1, 2, 4)}))
 
 
@@ -172,7 +237,7 @@ def test_canonical_removes_leaf_then_reexamines():
         3,
         frozenset({(1, 4, 2), (2, 4, 2), (3, 4, 2), (4, 5, 2)}),
     )
-    out = canonical_transform(t)
+    out = helpers.canonical_transform(t)
     assert out == WeightedTree(4, 3, frozenset({(1, 4, 2), (2, 4, 2), (3, 4, 2)}))
 
 
@@ -184,7 +249,7 @@ def test_canonical_leaf_removal_cascades_into_merge():
         4,
         frozenset({(1, 5, 2), (2, 5, 2), (5, 6, 2), (3, 4, 2), (2, 3, 2)}),
     )
-    out = canonical_transform(t)
+    out = helpers.canonical_transform(t)
     assert out == WeightedTree(
         4, 4, frozenset({(1, 2, 4), (2, 3, 2), (3, 4, 2)})
     )
@@ -194,15 +259,8 @@ def test_canonical_idempotent_and_length_preserving():
     for _, d in helpers.minimal_tree_stream(20, seed0=6100):
         wt = build_weighted_tree(d)
         assert wt is not None
-        again = canonical_transform(wt)
+        again = helpers.canonical_transform(wt)
         assert again == wt
-
-
-def _weighted_anchor_distances(t: WeightedTree):
-    n = t.anchor_count
-    edges = [(u, v, w) for u, v, w in t.edges]
-    closure = helpers.dijkstra_apsp(t.vertex_count, edges)
-    return tuple(tuple(closure[i][j] for j in range(n)) for i in range(n))
 
 
 def test_canonical_preserves_anchor_distances_on_messy_trees():
@@ -222,9 +280,9 @@ def test_canonical_preserves_anchor_distances_on_messy_trees():
         edges.add((min(mid, v), max(mid, v), 1))
         edges.add((mid, leaf, 3))
         messy = WeightedTree(wt.vertex_count + 2, wt.anchor_count, frozenset(edges))
-        out = canonical_transform(messy)
+        out = helpers.canonical_transform(messy)
         assert _weighted_anchor_distances(out) == before
-        assert canonical_transform(out) == out
+        assert helpers.canonical_transform(out) == out
 
 
 # -- full decider -------------------------------------------------------------------
