@@ -88,23 +88,34 @@ class WeightedSkeleton:
     weighted_edges: tuple[tuple[int, int, int], ...]
 
 
+def _bfs(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
+    s: int,
+    vertex_count: int,
+) -> list[int | float]:
+    """Hop distances from s over ``adj[v]``, indexed by vertex; slot 0 unused."""
+    dist: list[int | float] = [INF] * (vertex_count + 1)
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        for w in adj[u]:
+            if dist[w] is INF:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist
+
+
 def _bfs_rows(g: SimpleGraph, sources: int) -> ExtendedDistances:
     """Hop distances among vertices 1..sources, by one BFS from each."""
     adj = g.adjacency()
-    rows = []
-    for s in range(1, sources + 1):
-        dist: list[int | float] = [INF] * (g.vertex_count + 1)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] is INF:
-                    dist[w] = du + 1
-                    queue.append(w)
-        rows.append(tuple(dist[1 : sources + 1]))
-    return ExtendedDistances(tuple(rows))
+    return ExtendedDistances(
+        tuple(
+            tuple(_bfs(adj, s, g.vertex_count)[1 : sources + 1])
+            for s in range(1, sources + 1)
+        )
+    )
 
 
 def bfs_apsp(g: SimpleGraph) -> ExtendedDistances:
@@ -181,15 +192,7 @@ def _is_connected(
     adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], vertex_count: int
 ) -> bool:
     """True when a walk from vertex 1 over ``adj[v]`` reaches every vertex."""
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == vertex_count
+    return INF not in _bfs(adj, 1, vertex_count)[1:]
 
 
 def unit_graph(d: DistanceMatrix) -> SimpleGraph:

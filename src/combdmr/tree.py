@@ -30,7 +30,6 @@ from .matrix import DistanceMatrix
 class ZViolationKind(enum.Enum):
     PARITY_TRIPLE = "parity-triple"
     FOUR_POINT = "four-point"
-    METRIC = "metric"
 
 
 @dataclass(frozen=True)
@@ -160,98 +159,65 @@ def _four_point_witness(e: tuple[tuple[int, ...], ...]) -> tuple[int, int, int, 
     raise AssertionError("four-point check failed on no quadruple")
 
 
-def _add_edge(adj: dict[int, dict[int, int]], a: int, b: int, w: int) -> None:
-    assert b not in adj.setdefault(a, {})
-    adj[a][b] = w
-    adj.setdefault(b, {})[a] = w
-
-
-def _tree_path(adj: dict[int, dict[int, int]], src: int, dst: int) -> list[int]:
-    parent: dict[int, int] = {src: 0}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        if v == dst:
-            break
-        for u in adj[v]:
-            if u not in parent:
-                parent[u] = v
-                stack.append(u)
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _freeze(adj: dict[int, dict[int, int]], anchor_count: int) -> WeightedTree:
-    """Renumber Steiner vertices contiguously after the anchors."""
-    steiner = sorted(v for v in adj if v > anchor_count)
-    rename = {v: anchor_count + 1 + i for i, v in enumerate(steiner)}
-
-    def nm(v: int) -> int:
-        return v if v <= anchor_count else rename[v]
-
-    edges = frozenset(
-        (nm(v), nm(u), w)
-        for v, nbrs in adj.items()
-        for u, w in nbrs.items()
-        if nm(v) < nm(u)
-    )
-    return WeightedTree(anchor_count + len(steiner), anchor_count, edges)
-
-
 def build_weighted_tree(d: DistanceMatrix) -> WeightedTree | None:
     """The minimum weighted tree realisation of d, or None if none exists.
 
     None exactly when the four-point pass of :func:`_four_point_parents`
-    fails.  Otherwise anchors are inserted in order into a tree rooted at
-    anchor 1: anchor i attaches on the path from 1 to its parent anchor k at
-    doubled distance t = G_ik from 1 and with doubled pendant weight
-    2 D_1i - t, splitting an edge with a fresh Steiner vertex when the point
-    is interior.  Every placed anchor k sits at doubled distance 2 D_1k
-    from 1, so the point lies on the path by the triangle inequality.  A
-    Steiner vertex is born with degree three or renamed to the anchor that
-    lands on it, so the tree needs no canonicalisation, and the pass makes
-    every anchor distance right (see the module docstring).
+    fails.  Otherwise the tree is rooted at anchor 1 and kept as parent
+    pointers ``up`` and doubled depths ``depth``, with ``point[k]`` the point
+    where anchor k sits; the root's parent is a sentinel of depth -1.
+    Anchor i with parent anchor k attaches at doubled depth t = G_ik on the
+    path from the root to ``point[k]``, which lies there because
+    t <= 2 D_1k.  The walk goes up from ``point[k]`` while the parent's
+    depth is at least t: the point reached has depth t, or a fresh Steiner
+    point of depth t is made between it and its parent.  With a doubled
+    pendant 2 D_1i - t of 0 the attach point is a Steiner point (an anchor
+    there would be at distance 0), and anchor i takes it over by name;
+    otherwise i hangs below it.  Every Steiner point that is not taken over
+    has degree at least three, so the tree needs no canonicalisation, and
+    the pass makes every anchor distance right (see the module docstring).
+    The surviving Steiner points are numbered n + 1, ... in the order they
+    were made.
     """
     parents = _four_point_parents(d.entries)
     if parents is None:
         return None
     n = d.n
     e1 = d.entries[0]
-    adj: dict[int, dict[int, int]] = {1: {}}
-    next_steiner = n + 1
+    # Point 0 is the sentinel, points 1..n the anchors, and Steiner points
+    # are appended from n + 1.
+    up = [0] * (n + 1)
+    depth = [-1] + [0] * n
+    point = list(range(n + 1))
     for i, (k, t) in enumerate(parents, start=2):
-        pendant = 2 * e1[i - 1] - t
-        path = _tree_path(adj, 1, k)
-        pos = [0]
-        for a, b in zip(path, path[1:]):
-            pos.append(pos[-1] + adj[a][b])
-        p = None
-        for s in range(len(path)):
-            if pos[s] == t:
-                p = path[s]
-                break
-            if pos[s] > t:
-                a, b = path[s - 1], path[s]
-                w = next_steiner
-                next_steiner += 1
-                del adj[a][b]
-                del adj[b][a]
-                _add_edge(adj, a, w, t - pos[s - 1])
-                _add_edge(adj, w, b, pos[s] - t)
-                p = w
-                break
-        assert p is not None
-        if pendant == 0:
-            # Only a Steiner vertex: an anchor there would be at distance 0.
-            adj[i] = adj.pop(p)
-            for u in adj[i]:
-                adj[u][i] = adj[u].pop(p)
+        x = point[k]
+        while depth[up[x]] >= t:
+            x = up[x]
+        if depth[x] > t:
+            s = len(up)
+            up.append(up[x])
+            depth.append(t)
+            up[x] = s
+            x = s
+        if 2 * e1[i - 1] == t:
+            point[i] = x
         else:
-            _add_edge(adj, p, i, pendant)
-    return _freeze(adj, n)
+            up[i] = x
+            depth[i] = 2 * e1[i - 1]
+    name = [0] * len(up)
+    for i in range(1, n + 1):
+        name[point[i]] = i
+    v = n
+    for s in range(n + 1, len(up)):
+        if not name[s]:
+            v += 1
+            name[s] = v
+    edges = []
+    for x in range(2, len(up)):
+        if name[x]:
+            a, b = sorted((name[x], name[up[x]]))
+            edges.append((a, b, depth[x] - depth[up[x]]))
+    return WeightedTree(v, n, frozenset(edges))
 
 
 def solve_tree(d: DistanceMatrix) -> Realisation | None:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from combdmr import SimpleGraph, generate
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
-from combdmr.tree import WeightedTree, ZareckiiReport, ZViolationKind, _add_edge, _freeze
+from combdmr.tree import WeightedTree, ZareckiiReport, ZViolationKind
 from combdmr.twosat import TwoSatInstance
 
 INF = float("inf")
@@ -134,6 +134,29 @@ def zareckii_oracle(rows) -> ZareckiiReport:
 
 
 # -- weighted tree canonical form ----------------------------------------------
+
+def _add_edge(adj: dict[int, dict[int, int]], a: int, b: int, w: int) -> None:
+    assert b not in adj.setdefault(a, {})
+    adj[a][b] = w
+    adj.setdefault(b, {})[a] = w
+
+
+def _freeze(adj: dict[int, dict[int, int]], anchor_count: int) -> WeightedTree:
+    """Renumber Steiner vertices contiguously after the anchors."""
+    steiner = sorted(v for v in adj if v > anchor_count)
+    rename = {v: anchor_count + 1 + i for i, v in enumerate(steiner)}
+
+    def nm(v: int) -> int:
+        return v if v <= anchor_count else rename[v]
+
+    edges = frozenset(
+        (nm(v), nm(u), w)
+        for v, nbrs in adj.items()
+        for u, w in nbrs.items()
+        if nm(v) < nm(u)
+    )
+    return WeightedTree(anchor_count + len(steiner), anchor_count, edges)
+
 
 def _canonical_adj(adj, anchor_count):
     adj = {v: dict(nbrs) for v, nbrs in adj.items()}

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from combdmr import (
     verify_realisation,
 )
 from combdmr import generate, tree
+from combdmr.cli import main
 from combdmr.matrix import DistanceMatrix, ValidationError, distance_matrix
 
 
@@ -178,15 +180,52 @@ def half_weighted_tree(seed):
 def test_builder_realises_half_integer_weighted_trees():
     # The builder has no check of its own: its tree must realise the matrix
     # by construction, half-integer branch points included.
+    # The generator numbers ancestors first, so no anchor would land on a
+    # Steiner point made for an earlier anchor; shuffling the anchor labels
+    # on every other seed makes that common.
     odd_anchor_edges = 0
     for seed in range(9000, 9200):
         vertex_count, edges, rows = half_weighted_tree(seed)
+        if seed % 2:
+            perm = random.Random(seed).sample(range(len(rows)), len(rows))
+            rows = [[rows[a][b] for b in perm] for a in perm]
         wt = build_weighted_tree(distance_matrix(rows))
         assert wt is not None
         assert wt.vertex_count == vertex_count
         assert _weighted_anchor_distances(wt) == _doubled(rows)
         odd_anchor_edges += sum(1 for u, _, w in edges if w % 2 and u <= len(rows))
     assert odd_anchor_edges >= 100
+
+
+def test_steiner_points_are_numbered_in_the_order_they_were_made(tmp_path):
+    # Anchors 3, 4 and 6 make Steiner points 7, 8 and 9 in turn; anchor 5
+    # takes over 8, and the survivors 7 and 9 become 7 and 8.
+    rows = [
+        [0, 3, 3, 3, 1, 3],
+        [3, 0, 2, 4, 2, 4],
+        [3, 2, 0, 4, 2, 4],
+        [3, 4, 4, 0, 2, 2],
+        [1, 2, 2, 2, 0, 2],
+        [3, 4, 4, 2, 2, 0],
+    ]
+    edges = {
+        (1, 5, 2), (2, 7, 2), (3, 7, 2), (4, 8, 2), (5, 7, 2), (5, 8, 2), (6, 8, 2)
+    }
+    assert build_weighted_tree(distance_matrix(rows)) == WeightedTree(
+        8, 6, frozenset(edges)
+    )
+    matrix = tmp_path / "six.mat"
+    matrix.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    weighted = tmp_path / "six.wtree"
+    graph = tmp_path / "six.graph"
+    argv = ["tree", str(matrix), "--weighted-out", str(weighted), "--out", str(graph)]
+    assert main(argv) == 0
+    assert weighted.read_text() == (
+        "1 5 2\n2 7 2\n3 7 2\n4 8 2\n5 7 2\n5 8 2\n6 8 2\n"
+    )
+    assert graph.read_text() == (
+        "graph 8 6\n1 5\n2 7\n3 7\n4 8\n5 7\n5 8\n6 8\n"
+    )
 
 
 def test_builder_fails_exactly_on_a_four_point_violation():
@@ -410,3 +449,23 @@ def test_weighted_tree_invariants():
         WeightedTree(2, 2, frozenset({(1, 3, 2)}))
     with pytest.raises(ValueError):
         WeightedTree(2, 2, frozenset({(0, 2, 2)}))
+
+
+@pytest.mark.parametrize(
+    "vertex_count, anchor_count, edges, message",
+    [
+        (4, 4, {(1, 2, 2), (2, 3, 2), (1, 3, 2)}, "tree is not connected"),
+        (3, 3, {(1, 2, 2)}, "edge count does not match a tree"),
+        (2, 2, {(1, 2, 0)}, "zero-weight edge"),
+        (2, 2, {(2, 1, 2)}, "bad edge (2, 1)"),
+        (2, 2, {(1, 1, 2)}, "bad edge (1, 1)"),
+        (2, 2, {(1, 3, 2)}, "bad edge (1, 3)"),
+        (2, 0, {(1, 2, 2)}, "anchor_count out of range"),
+        (2, 3, {(1, 2, 2)}, "anchor_count out of range"),
+    ],
+)
+def test_weighted_tree_rejects_malformed_input(
+    vertex_count, anchor_count, edges, message
+):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        WeightedTree(vertex_count, anchor_count, frozenset(edges))
