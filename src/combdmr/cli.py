@@ -4,7 +4,9 @@ Exit codes: 0 = YES / valid / success, 1 = NO (including "no tree
 realisation"), 2 = invalid input, 3 = a search guard was exceeded, 4 = an
 internal error (a failed self-check or a crash, never an answer).  All
 human-readable output goes to stdout, and the last line is always the
-machine-readable summary ``verdict=<YES|NO> vertices=<m> extra=<e>``.
+machine-readable summary ``verdict=<YES|NO> vertices=<m> extra=<e>``, on
+usage errors too; only ``--help`` prints nothing but the help.  Subcommands
+return their verdict and :func:`main` prints the summary and picks the code.
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ def _load_graph(path: str) -> SimpleGraph:
     return parse_graph(_read_text(path))
 
 
-def _summary(verdict: str, vertices: int, extra: int) -> None:
-    print(f"verdict={verdict} vertices={vertices} extra={extra}")
+# What a subcommand answers: (YES?, vertices, extra) for the summary line.
+Verdict = tuple[bool, int, int]
+
+
+def _graph_verdict(yes: bool, g: SimpleGraph) -> Verdict:
+    return yes, g.vertex_count, g.vertex_count - g.anchor_count
 
 
 def _emit_payload(payload: str, out: str | None) -> None:
@@ -59,40 +65,38 @@ def _emit_payload(payload: str, out: str | None) -> None:
 
 
 def _write_graph_outputs(args: argparse.Namespace, g: SimpleGraph) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(emit_graph(g))
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(to_dot(g))
 
 
-def _finish_yes(args: argparse.Namespace, r: Realisation, extra: int) -> int:
+def _finish_yes(args: argparse.Namespace, r: Realisation) -> Verdict:
     # A Realisation verified its graph when it was constructed.
     _write_graph_outputs(args, r.graph)
+    yes, vertices, extra = _graph_verdict(True, r.graph)
     print(
         f"YES: realisable with {extra} extra "
         f"vert{'ex' if extra == 1 else 'ices'} "
-        f"({r.graph.vertex_count} vertices total)"
+        f"({vertices} vertices total)"
     )
-    _summary("YES", r.graph.vertex_count, extra)
-    return 0
+    return yes, vertices, extra
 
 
-def _finish(args: argparse.Namespace, outcome: solvers.SolveOutcome) -> int:
+def _finish(args: argparse.Namespace, outcome: solvers.SolveOutcome) -> Verdict:
     if outcome.realisation is not None:
-        return _finish_yes(args, outcome.realisation, outcome.extra_vertices_used)
+        return _finish_yes(args, outcome.realisation)
     print(f"NO: not realisable with at most {args.k} extra vertices")
-    _summary("NO", 0, 0)
-    return 1
+    return False, 0, 0
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> Verdict:
     d = _load_matrix(args.input)
     print(f"valid distance matrix (n={d.n})")
-    _summary("YES", d.n, 0)
-    return 0
+    return True, d.n, 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> Verdict:
     d = _load_matrix(args.input)
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}
     outcome = solver[args.k](d)
@@ -111,19 +115,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return _finish(args, outcome)
 
 
-def cmd_solve_exact(args: argparse.Namespace) -> int:
+def cmd_solve_exact(args: argparse.Namespace) -> Verdict:
     d = _load_matrix(args.input)
     return _finish(args, solvers.solve_exact(d, args.k, args.max_free_edges))
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_bounds(args: argparse.Namespace) -> Verdict:
     d = _load_matrix(args.input)
     b = solvers.bounds(d)
     print(f"q0={b.q0}")
     print(f"lower={b.lower}")
     print(f"upper={b.upper}")
-    _summary("YES", b.lower, b.q0 - 1)
-    return 0
+    return True, b.lower, b.q0 - 1
 
 
 def _zareckii_line(report: ZareckiiReport) -> str:
@@ -134,7 +137,7 @@ def _zareckii_line(report: ZareckiiReport) -> str:
     return f"zareckii=violated {kind.value} at {witness}"
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
+def cmd_tree(args: argparse.Namespace) -> Verdict:
     d = _load_matrix(args.input)
     wt = tree.build_weighted_tree(d)
     result = tree.expand_tree(d, wt)
@@ -146,28 +149,24 @@ def cmd_tree(args: argparse.Namespace) -> int:
         print("certify: condition check and construction agree")
     if result is None:
         print("NO: no tree realisation exists")
-        _summary("NO", 0, 0)
-        return 1
+        return False, 0, 0
     if args.weighted_out:
         assert wt is not None
         Path(args.weighted_out).write_text(emit_weighted_tree(wt))
     _write_graph_outputs(args, result.graph)
-    vc = result.graph.vertex_count
-    print(f"YES: tree realisation with {vc} vertices")
-    _summary("YES", vc, vc - d.n)
-    return 0
+    print(f"YES: tree realisation with {result.graph.vertex_count} vertices")
+    return _graph_verdict(True, result.graph)
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
+def cmd_reduce(args: argparse.Namespace) -> Verdict:
     g = _load_graph(args.input)
     inst = reduction.reduce(g)
     print(f"reduced: n_c={inst.n_c} n_g={inst.n_g} n={inst.n}")
     _emit_payload(emit_matrix(inst.matrix), args.out)
-    _summary("YES", inst.n, 0)
-    return 0
+    return True, inst.n, 0
 
 
-def cmd_colour_realise(args: argparse.Namespace) -> int:
+def cmd_colour_realise(args: argparse.Namespace) -> Verdict:
     g = _load_graph(args.graph)
     c = parse_colouring(_read_text(args.colouring))
     if args.k is not None:
@@ -176,10 +175,10 @@ def cmd_colour_realise(args: argparse.Namespace) -> int:
         c = Colouring(args.k, c.colours)
     inst = reduction.reduce(g)
     r = reduction.realise_from_colouring(inst, c)
-    return _finish_yes(args, r, c.k)
+    return _finish_yes(args, r)
 
 
-def cmd_extract_colouring(args: argparse.Namespace) -> int:
+def cmd_extract_colouring(args: argparse.Namespace) -> Verdict:
     g = _load_graph(args.graph)
     inst = reduction.reduce(g)
     rg = _load_graph(args.realisation)
@@ -190,24 +189,21 @@ def cmd_extract_colouring(args: argparse.Namespace) -> int:
         raise reduction.MalformedRealisation(str(exc)) from exc
     c = reduction.extract_colouring(inst, r, args.k)
     _emit_payload(emit_colouring(c), args.out)
-    _summary("YES", inst.n_c, args.k)
-    return 0
+    return True, inst.n_c, args.k
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Verdict:
     g = _load_graph(args.graph)
     d = _load_matrix(args.matrix)
-    extra = g.vertex_count - g.anchor_count
-    if verify_realisation(g, d):
+    ok = verify_realisation(g, d)
+    if ok:
         print("YES: the graph realises the matrix")
-        _summary("YES", g.vertex_count, extra)
-        return 0
-    print("NO: the graph does not realise the matrix")
-    _summary("NO", g.vertex_count, extra)
-    return 1
+    else:
+        print("NO: the graph does not realise the matrix")
+    return _graph_verdict(ok, g)
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> Verdict:
     if args.mode == "random-metric":
         if args.vertices is None:
             raise ValueError("--vertices is required for random-metric")
@@ -222,8 +218,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("--input is required for reduction mode")
         d = reduction.reduce(_load_graph(args.input)).matrix
     _emit_payload(emit_matrix(d), args.out)
-    _summary("YES", d.n, 0)
-    return 0
+    return True, d.n, 0
 
 
 @functools.cache
@@ -317,31 +312,35 @@ def _internal_error(exc: Exception) -> int:
     # as NO.
     traceback.print_exc()
     print(f"error: internal: {type(exc).__name__}: {exc}")
-    _summary("NO", 0, 0)
     return 4
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # The only code that prints the summary line and picks the exit code.
+    yes, vertices, extra = False, 0, 0
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except solvers.SearchSpaceTooLarge as exc:
-        print(f"error: {exc}")
-        _summary("NO", 0, 0)
-        return 3
-    except NotARealisation as exc:
-        # A decider emitted a graph that fails its own check: not bad input.
-        return _internal_error(exc)
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        _summary("NO", 0, 0)
-        return 2
-    except Exception as exc:
-        return _internal_error(exc)
+        if exc.code in (0, None):
+            return 0  # --help prints only the help
+        code = 2
+    else:
+        try:
+            yes, vertices, extra = args.func(args)
+            code = 0 if yes else 1
+        except solvers.SearchSpaceTooLarge as exc:
+            print(f"error: {exc}")
+            code = 3
+        except NotARealisation as exc:
+            # A decider emitted a graph that fails its own check: not bad input.
+            code = _internal_error(exc)
+        except (ParseError, ValidationError, ValueError, OSError) as exc:
+            print(f"error: {exc}")
+            code = 2
+        except Exception as exc:
+            code = _internal_error(exc)
+    print(f"verdict={'YES' if yes else 'NO'} vertices={vertices} extra={extra}")
+    return code
 
 
 if __name__ == "__main__":

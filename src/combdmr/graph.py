@@ -142,9 +142,9 @@ def _levels_match(adj: Sequence[int], d: DistanceMatrix) -> bool:
 
     From each anchor s the walk grows one BFS level at a time up to the
     row's largest entry, and each level must hold exactly the anchors the
-    matrix puts at that distance from s.  Those levels cover every anchor,
-    so an anchor the walk has not reached by then (its frontier emptied)
-    fails the check at its own level.
+    matrix puts at that distance from s.  An empty frontier fails at once,
+    without stepping through the empty levels after it: the row's largest
+    level holds an anchor, which the walk can then never reach.
     """
     anchors = ((1 << d.n) - 1) << 1
     for s, row in enumerate(d.levels, 1):
@@ -157,7 +157,7 @@ def _levels_match(adj: Sequence[int], d: DistanceMatrix) -> bool:
                 frontier ^= low
             frontier = reached & ~seen
             # Level masks put anchor w at bit w - 1; here it is at bit w.
-            if frontier & anchors != row.at.get(level, 0) << 1:
+            if not frontier or frontier & anchors != row.at.get(level, 0) << 1:
                 return False
             seen |= frontier
     return True

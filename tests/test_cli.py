@@ -4,6 +4,10 @@ Byte-level golden comparisons for the fixed instances live in the
 acceptance suite; these tests cover behaviour and error paths.
 """
 
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -323,6 +327,90 @@ def test_one_process_answers_interleaved_argvs_like_fresh_ones(tmp_path, capsys)
     assert codes == [0, 0, 0, 1, 2, 1, 1, 0, 2, 2]
     assert "zareckii=" not in interleaved[1][1].out
     assert [written for _, _, written in interleaved[2:4]] == [["phi.cnf"], []]
+
+
+SUMMARY = re.compile(r"^verdict=(YES|NO) vertices=\d+ extra=\d+$")
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (["validate", "twos.mat"], 0),
+        (["validate"], 2),
+        (["solve", "--k", "1", "twos.mat"], 0),
+        (["solve", "--k", "0", "twos.mat"], 1),
+        (["solve", "--k", "5", "twos.mat"], 2),
+        (["solve", "twos.mat"], 2),
+        (["solve-exact", "--k", "1", "twos.mat"], 0),
+        (["solve-exact", "--k", "0", "twos.mat"], 1),
+        (["solve-exact", "twos.mat"], 2),
+        (["solve-exact", "--k", "1", "--max-free-edges", "0", "twos.mat"], 3),
+        (["bounds", "eight.mat"], 0),
+        (["bounds", "eight.mat", "--out", "x"], 2),
+        (["tree", "twos.mat"], 0),
+        (["tree", "ones.mat"], 1),
+        (["tree"], 2),
+        (["reduce", "k2.graph"], 0),
+        (["reduce"], 2),
+        (["colour-realise", "k2.graph", "k2.col"], 0),
+        (["colour-realise", "k2.graph"], 2),
+        (["extract-colouring", "k2.graph", "k2_real.graph", "--k", "2"], 0),
+        (["extract-colouring", "k2.graph", "k2_real.graph"], 2),
+        (["verify", "k2_real.graph", "k2_reduced.mat"], 0),
+        (["verify", "path3.graph", "twos.mat"], 1),
+        (["verify", "k2_real.graph"], 2),
+        (["gen", "--mode", "random-metric", "--vertices", "4"], 0),
+        (["gen", "--mode", "bogus"], 2),
+        (["validate", "bad.mat"], 2),
+        (["frobnicate"], 2),
+        ([], 2),
+    ],
+)
+def test_every_subcommand_ends_with_the_summary_line(tmp_path, capsys, argv, expected_code):
+    data = Path(__file__).parent / "data"
+    (tmp_path / "path3.graph").write_text("graph 3 3\n1 2\n2 3\n")
+    argv = [
+        str(tmp_path / a if a == "path3.graph" else data / a) if "." in a else a
+        for a in argv
+    ]
+    code = main(argv)
+    captured = capsys.readouterr()
+    last = captured.out.splitlines()[-1]
+    assert SUMMARY.match(last), last
+    assert code == expected_code
+    assert (code == 0) == last.startswith("verdict=YES")
+    if code > 1:
+        assert last == "verdict=NO vertices=0 extra=0"
+    if "usage:" in captured.err:
+        assert captured.out == last + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_prints_only_the_help(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: combdmr")
+    assert "verdict=" not in out
+
+
+def test_large_entries_answer_no_without_walking_every_level(tmp_path):
+    # The realisation check stops at the first empty BFS frontier; stepping
+    # through all 2**32 - 1 empty levels of this matrix would take hours.
+    far = tmp_path / "far.mat"
+    far.write_text("0 4294967295\n4294967295 0\n")
+    empty = tmp_path / "empty.graph"
+    empty.write_text("graph 2 2\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv, summary in (
+        (["solve", "--k", "2", str(far)], "verdict=NO vertices=0 extra=0"),
+        (["verify", str(empty), str(far)], "verdict=NO vertices=2 extra=0"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "combdmr.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines()[-1] == summary
 
 
 def _disagreeing_certificate(d):

@@ -338,6 +338,7 @@ def test_monotonicity_and_realisation_invariants():
                 g = out.realisation.graph
                 assert verify_realisation(g, d)
                 assert g.vertex_count <= d.n + 2
+                assert out.extra_vertices_used == g.vertex_count - d.n
                 assert induced_anchor_edges(g) == unit_graph(d).edges
 
 
