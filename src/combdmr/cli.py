@@ -16,10 +16,18 @@ import functools
 import sys
 import traceback
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import generate, reduction, solvers, tree, twosat
 from .graph import NotARealisation, Realisation, SimpleGraph, verify_realisation
-from .matrix import DistanceMatrix, ValidationError, validate
+from .matrix import (
+    DistanceMatrix,
+    RawMatrix,
+    ValidationError,
+    check_structure,
+    check_triangles,
+    validate,
+)
 from .reduction import Colouring
 from .textio import (
     ParseError,
@@ -41,8 +49,8 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_matrix(path: str) -> DistanceMatrix:
-    return validate(parse_matrix(_read_text(path)))
+def _read_matrix(path: str) -> RawMatrix:
+    return parse_matrix(_read_text(path))
 
 
 def _load_graph(path: str) -> SimpleGraph:
@@ -51,6 +59,30 @@ def _load_graph(path: str) -> SimpleGraph:
 
 # What a subcommand answers: (YES?, vertices, extra) for the summary line.
 Verdict = tuple[bool, int, int]
+
+T = TypeVar("T")
+
+
+def _decided(
+    d: DistanceMatrix, decide: Callable[[], T], proven: Callable[[T], bool]
+) -> T:
+    """``decide()``, with the triangle scan of d first unless ``proven``
+    finds a verified YES in its answer.
+
+    The deciders need only the structural check.  A graph whose anchor
+    distances equal d proves d a metric, so a verified YES needs no scan.
+    A NO or an exception may stem from a triangle violation instead; the
+    scan then raises ``validate``'s error in its place, before anything of
+    the decider's is printed or written.
+    """
+    try:
+        answer = decide()
+    except Exception:
+        check_triangles(d)
+        raise
+    if not proven(answer):
+        check_triangles(d)
+    return answer
 
 
 def _graph_verdict(yes: bool, g: SimpleGraph) -> Verdict:
@@ -91,15 +123,15 @@ def _finish(args: argparse.Namespace, outcome: solvers.SolveOutcome) -> Verdict:
 
 
 def cmd_validate(args: argparse.Namespace) -> Verdict:
-    d = _load_matrix(args.input)
+    d = validate(_read_matrix(args.input))
     print(f"valid distance matrix (n={d.n})")
     return True, d.n, 0
 
 
 def cmd_solve(args: argparse.Namespace) -> Verdict:
-    d = _load_matrix(args.input)
-    solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}
-    outcome = solver[args.k](d)
+    d = check_structure(_read_matrix(args.input))
+    solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
+    outcome = _decided(d, lambda: solver(d), lambda o: o.realisation is not None)
     if args.dump_cnf:
         parts = []
         if args.k >= 1:
@@ -116,12 +148,14 @@ def cmd_solve(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_solve_exact(args: argparse.Namespace) -> Verdict:
-    d = _load_matrix(args.input)
+    # The search is exponential, so a non-metric must not wait for it: the
+    # scan runs first, and its cost is lost in the search's.
+    d = validate(_read_matrix(args.input))
     return _finish(args, solvers.solve_exact(d, args.k, args.max_free_edges))
 
 
 def cmd_bounds(args: argparse.Namespace) -> Verdict:
-    d = _load_matrix(args.input)
+    d = validate(_read_matrix(args.input))
     b = solvers.bounds(d)
     print(f"q0={b.q0}")
     print(f"lower={b.lower}")
@@ -138,9 +172,14 @@ def _zareckii_line(report: ZareckiiReport) -> str:
 
 
 def cmd_tree(args: argparse.Namespace) -> Verdict:
-    d = _load_matrix(args.input)
-    wt = tree.build_weighted_tree(d)
-    result = tree.expand_tree(d, wt)
+    d = check_structure(_read_matrix(args.input))
+
+    def build():
+        wt = tree.build_weighted_tree(d)
+        return wt, tree.expand_tree(d, wt)
+
+    wt, result = _decided(d, build, lambda built: built[1] is not None)
+    # d is a metric now: the tree realises it, or the scan passed.
     if args.certify:
         report = tree.check_zareckii(d)
         print(_zareckii_line(report))
@@ -194,8 +233,8 @@ def cmd_extract_colouring(args: argparse.Namespace) -> Verdict:
 
 def cmd_verify(args: argparse.Namespace) -> Verdict:
     g = _load_graph(args.graph)
-    d = _load_matrix(args.matrix)
-    ok = verify_realisation(g, d)
+    d = check_structure(_read_matrix(args.matrix))
+    ok = _decided(d, lambda: verify_realisation(g, d), bool)
     if ok:
         print("YES: the graph realises the matrix")
     else:

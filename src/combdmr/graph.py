@@ -169,7 +169,10 @@ def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
         raise ValueError(
             f"graph has {g.anchor_count} anchors but the matrix has dimension {d.n}"
         )
-    return _levels_match(_adjacency_masks(g.vertex_count, g.edges), d)
+    # The walk from the anchors never reaches a vertex above every edge
+    # endpoint, so masks for those would only cost memory.
+    top = max((v for _, v in g.edges), default=0)
+    return _levels_match(_adjacency_masks(max(g.anchor_count, top), g.edges), d)
 
 
 class NotARealisation(ValueError):

@@ -4,7 +4,11 @@ A distance matrix is a square symmetric matrix of non-negative integers with
 zero diagonal, strictly positive off-diagonal entries, and the triangle
 inequality.  These are exactly the matrices that arise as pairwise
 shortest-path hop counts among a set of anchor vertices in some unweighted
-graph, so validation is the entry gate for every solver in this package.
+graph.  Validation has two parts: :func:`check_structure` covers everything
+but the triangle inequality in O(n^2), and :func:`check_triangles` scans for
+a violating triple.  :func:`validate` runs both.  A graph whose anchor
+distances equal the matrix proves the triangle inequality on its own, so a
+caller holding a verified realisation may skip the scan.
 """
 
 from __future__ import annotations
@@ -98,7 +102,13 @@ def _row_levels(row: Sequence[int]) -> LevelMasks:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """A matrix that passed :func:`validate`.  Construct via ``validate``."""
+    """A matrix that passed :func:`check_structure`, or one built where its
+    axioms hold by construction (the gadget of ``reduction.reduce``).
+
+    The triangle inequality holds once :func:`check_triangles` passed on it
+    (as in :func:`validate`) or a graph was verified to realise it; the
+    deciders need no more than the structure to run.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -161,14 +171,19 @@ def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
     return None
 
 
-def validate(m: RawMatrix) -> DistanceMatrix:
-    """Check the distance-matrix axioms and return the validated matrix.
+def check_structure(m: RawMatrix) -> DistanceMatrix:
+    """Check every axiom but the triangle inequality; return the matrix.
 
     Raises :class:`ValidationError` carrying the first violation found, in a
     fixed scan order: diagonal, then symmetry, then off-diagonal positivity,
-    then the triangle inequality, each in row-major index order.
+    each in row-major index order.  A matrix that passes is recognised by
+    whole-row comparisons; the ordered loops run only to name a witness.
     """
     e = m.entries
+    if tuple(zip(*e)) == e and all(
+        row[i] == 0 and row.count(0) == 1 for i, row in enumerate(e)
+    ):
+        return DistanceMatrix(e)
     n = m.n
     for i in range(n):
         if e[i][i] != 0:
@@ -181,11 +196,26 @@ def validate(m: RawMatrix) -> DistanceMatrix:
         for j in range(n):
             if i != j and e[i][j] == 0:
                 raise ValidationError(ViolationKind.OFF_DIAGONAL_ZERO, (i + 1, j + 1))
-    d = DistanceMatrix(e)
+    return DistanceMatrix(e)
+
+
+def check_triangles(d: DistanceMatrix) -> DistanceMatrix:
+    """Raise :class:`ValidationError` at the first triangle violation of d,
+    in row-major (i, j, w) order; return d when there is none."""
     witness = _first_triangle_violation(d)
     if witness is not None:
         raise ValidationError(ViolationKind.TRIANGLE_VIOLATION, witness)
     return d
+
+
+def validate(m: RawMatrix) -> DistanceMatrix:
+    """Check the distance-matrix axioms and return the validated matrix.
+
+    Raises :class:`ValidationError` carrying the first violation found, in a
+    fixed scan order: diagonal, then symmetry, then off-diagonal positivity,
+    then the triangle inequality, each in row-major index order.
+    """
+    return check_triangles(check_structure(m))
 
 
 def distance_matrix(rows: Iterable[Sequence[int]]) -> DistanceMatrix:

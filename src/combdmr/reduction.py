@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Realisation, SimpleGraph, _is_connected, bfs_apsp
-from .matrix import DistanceMatrix, RawMatrix, validate
+from .matrix import DistanceMatrix
 from .solvers import SearchSpaceTooLarge
 
 
@@ -77,10 +77,25 @@ class GadgetInstance:
 
 
 def reduce(g: SimpleGraph) -> GadgetInstance:
-    """Build the gadget graph and its distance matrix for an input graph."""
+    """Build the gadget graph and its distance matrix for an input graph.
+
+    The matrix is a metric by construction, so it is not scanned.  Its first
+    n_g rows and columns are the gadget graph's BFS distances, a
+    shortest-path metric, finite because the gadget of a connected graph is
+    connected.  The last row, the hub, holds 2 for an original vertex and 3
+    for a new one.  Every new vertex is adjacent to an original, so D_uv is
+    at most 3 between originals, 4 from an original to a new vertex and 5
+    between new vertices: at most the sum of the hub entries of u and v.
+    And a hub entry, 2 or 3, is at most the other hub entry (at least 2)
+    plus D_uv (at least 1).  So every triangle through the hub holds too.
+    """
     if g.anchor_count != g.vertex_count:
         raise ValueError("every vertex of the input graph must be colourable")
-    if not _is_connected(g.adjacency(), g.vertex_count):
+    # A connected graph has at least vertex_count - 1 edges; checking that
+    # first keeps a huge declared vertex count from sizing the adjacency.
+    if len(g.edges) < g.vertex_count - 1 or not _is_connected(
+        g.adjacency(), g.vertex_count
+    ):
         raise DisconnectedInput("input graph must be connected")
     nc = g.vertex_count
     nxt = nc + 1
@@ -106,7 +121,7 @@ def reduce(g: SimpleGraph) -> GadgetInstance:
         tuple(gd[i]) + (2 if i < nc else 3,) for i in range(ng)
     ]
     rows.append(tuple(2 if i < nc else 3 for i in range(ng)) + (0,))
-    matrix = validate(RawMatrix(tuple(rows)))
+    matrix = DistanceMatrix(tuple(rows))
     return GadgetInstance(g, gadget, matrix, subdivision, nonadjacent)
 
 

@@ -13,9 +13,9 @@ appears.  The pass has checked G_vu = min(w, G_pu) for every earlier anchor
 u, so by induction on the anchors, if p meets u at doubled depth G_pu then
 v meets u at doubled depth G_vu, and their doubled tree distance is
 2 D_1v + 2 D_1u - 2 G_vu = 2 D_vu.  Two anchors on one point would be at
-distance 0, which ``validate`` rejects.  The weighted tree therefore needs
-no check of its own; ``Realisation`` checks the expanded unweighted tree of
-a YES, once.
+distance 0, which ``matrix.check_structure`` rejects.  The weighted tree
+therefore needs no check of its own; ``Realisation`` checks the expanded
+unweighted tree of a YES, once.
 """
 
 from __future__ import annotations

@@ -4,18 +4,23 @@ Byte-level golden comparisons for the fixed instances live in the
 acceptance suite; these tests cover behaviour and error paths.
 """
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 import helpers
-from combdmr import cli, solvers, tree, twosat
+from combdmr import cli, matrix, solvers, tree, twosat
 from combdmr.graph import Realisation, SimpleGraph
 from combdmr.cli import main
+from combdmr.matrix import RawMatrix, ValidationError, validate
 from combdmr.textio import parse_colouring, parse_graph, parse_matrix
 
 
@@ -444,3 +449,115 @@ def test_internal_error_exits_4_not_no(
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-2] == f"error: internal: {message}"
     assert lines[-1] == "verdict=NO vertices=0 extra=0"
+
+
+# -- the triangle scan runs only on the way to a NO ------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(helpers.metric_cases(max_n=10))
+# The tree builder raises "zero-weight edge" on this one.
+@example([[0, 4, 1], [4, 0, 2], [1, 2, 0]])
+# check_zareckii raises "four-point check failed on no quadruple" on this one.
+@example([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+def test_non_metrics_exit_2_with_the_validate_message_and_write_nothing(rows):
+    # The deciders run on the structurally checked matrix; anything but a
+    # verified YES, an exception included, goes through the scan before a
+    # line or file is emitted.
+    try:
+        validate(RawMatrix.from_rows(rows))
+    except ValidationError as err:
+        message = f"error: {err}\nverdict=NO vertices=0 extra=0\n"
+    else:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        mat = work / "m.mat"
+        mat.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+        graph = work / "g.graph"
+        graph.write_text(f"graph {len(rows)} {len(rows)}\n")
+        outs = work / "outs"
+        outs.mkdir()
+        files = ["--out", str(outs / "r.graph"), "--dot", str(outs / "r.dot")]
+        tree_files = files + ["--weighted-out", str(outs / "r.wt")]
+        argvs = [
+            *(["solve", "--k", str(k), str(mat), *files, "--dump-cnf", str(outs / "phi.cnf")]
+              for k in (0, 1, 2)),
+            ["solve-exact", "--k", "1", str(mat), *files],
+            ["solve-exact", "--k", "1", "--max-free-edges", "0", str(mat), *files],
+            ["tree", str(mat), *tree_files],
+            ["tree", "--certify", str(mat), *tree_files],
+            ["verify", str(graph), str(mat)],
+        ]
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert (code, out.getvalue()) == (2, message), argv
+            assert not list(outs.iterdir()), argv
+
+
+def _scan_raises(d):
+    raise RuntimeError("triangle scan ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--k", "0", "ones.mat"],
+        ["solve", "--k", "1", "eight.mat"],
+        ["solve", "--k", "2", "twos.mat"],
+        ["tree", "twos.mat", "--certify"],
+        ["verify", "k2_real.graph", "k2_reduced.mat"],
+        ["reduce", "k2.graph"],
+        ["colour-realise", "k2.graph", "k2.col"],
+        ["extract-colouring", "k2.graph", "k2_real.graph", "--k", "2"],
+    ],
+)
+def test_a_verified_yes_runs_no_triangle_scan(capsys, monkeypatch, argv):
+    # A graph whose anchor distances equal the matrix proves the triangle
+    # inequality, and a gadget matrix is a metric by construction.
+    monkeypatch.setattr(matrix, "_first_triangle_violation", _scan_raises)
+    data = Path(__file__).parent / "data"
+    assert main([str(data / a) if "." in a else a for a in argv]) == 0
+    assert "verdict=YES" in capsys.readouterr().out
+
+
+def test_solve_exact_scans_before_its_exponential_search(tmp_path, capsys, monkeypatch):
+    # 2**16 edge subsets at k = 1: a bad matrix must not wait for them.
+    rows = [[abs(i - j) for j in range(16)] for i in range(16)]
+    rows[0][15] = rows[15][0] = 21
+    mat = tmp_path / "stretched.mat"
+    mat.write_text("".join(" ".join(map(str, row)) + "\n" for row in rows))
+    searched = []
+    monkeypatch.setattr(solvers, "solve_exact", lambda *args: searched.append(args))
+    assert main(["solve-exact", "--k", "1", str(mat)]) == 2
+    assert capsys.readouterr().out == (
+        "error: triangle-violation at (1, 16, 2)\nverdict=NO vertices=0 extra=0\n"
+    )
+    assert not searched
+
+
+@pytest.mark.parametrize("edges, bipartite, scans", [
+    ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], True, 0),
+    ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)], False, 1),
+])
+def test_the_gadget_pipeline_scans_only_on_its_no(
+    tmp_path, capsys, monkeypatch, edges, bipartite, scans
+):
+    # The benchmark's gadget pipeline: reduce, decide with two extra
+    # vertices, read the colouring back off the realisation.
+    calls = []
+    scan = matrix._first_triangle_violation
+    monkeypatch.setattr(
+        matrix, "_first_triangle_violation", lambda d: calls.append(d) or scan(d)
+    )
+    src = tmp_path / "src.graph"
+    src.write_text("graph 6 6\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    mat, real, col = tmp_path / "g.mat", tmp_path / "g.real", tmp_path / "g.col"
+    codes = [
+        main(["reduce", str(src), "--out", str(mat)]),
+        main(["solve", "--k", "2", str(mat), "--out", str(real)]),
+        main(["extract-colouring", str(src), str(real), "--k", "2", "--out", str(col)]),
+    ]
+    assert codes == ([0, 0, 0] if bipartite else [0, 1, 2])
+    assert len(calls) == scans

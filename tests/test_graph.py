@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, example, given, settings
 
@@ -166,6 +168,22 @@ def test_verify_realisation_names_mismatched_anchor_counts():
     d = distance_matrix(helpers.ALL_TWOS_3)
     with pytest.raises(ValueError, match="^graph has 2 anchors but the matrix has dimension 3$"):
         verify_realisation(SimpleGraph.make(3, 2, [(1, 3), (2, 3)]), d)
+
+
+def test_verify_realisation_sizes_its_masks_by_the_edges_not_the_header():
+    # Vertices above every edge endpoint are isolated and never reached, so
+    # a header declaring a million vertices costs nothing to check.
+    d = distance_matrix([[0, 1], [1, 0]])
+    g = SimpleGraph(10**6, 2, frozenset({(1, 2)}))
+    far = SimpleGraph(10**6, 2, frozenset({(1, 3), (2, 3)}))
+    tracemalloc.start()
+    try:
+        assert verify_realisation(g, d)
+        assert not verify_realisation(far, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_realisation_constructor_rejects_mismatch():

@@ -7,6 +7,7 @@ from combdmr.matrix import (
     RawMatrix,
     ValidationError,
     ViolationKind,
+    check_structure,
     distance_matrix,
     max_entry,
     validate,
@@ -123,3 +124,33 @@ def test_validate_matches_the_row_major_scan(rows):
     except ValidationError as err:
         got = (err.kind, err.witness)
     assert got == want
+
+
+@settings(max_examples=250, deadline=None)
+@given(helpers.metric_cases())
+def test_structure_check_matches_the_row_major_scan_but_the_triangles(rows):
+    # Whole-row comparisons pass a well-formed matrix; a malformed one gets
+    # the witness of the ordered loops.
+    want = helpers.first_violation_oracle(rows)
+    if want is not None and want[0] is ViolationKind.TRIANGLE_VIOLATION:
+        want = None
+    try:
+        d = check_structure(RawMatrix.from_rows(rows))
+        got = None
+    except ValidationError as err:
+        got = (err.kind, err.witness)
+    assert got == want
+    if got is None:
+        assert d.entries == tuple(map(tuple, rows))
+
+
+def test_structure_check_reports_the_first_kind_in_scan_order():
+    # Diagonal before symmetry before positivity, whatever the positions.
+    for rows, want in (
+        ([[0, 1, 0], [2, 0, 1], [0, 1, 7]], (ViolationKind.DIAGONAL_NONZERO, (3,))),
+        ([[0, 0, 1], [0, 0, 1], [2, 1, 0]], (ViolationKind.ASYMMETRIC, (1, 3))),
+        ([[0, 1, 1], [1, 0, 0], [1, 0, 0]], (ViolationKind.OFF_DIAGONAL_ZERO, (2, 3))),
+    ):
+        with pytest.raises(ValidationError) as err:
+            check_structure(RawMatrix.from_rows(rows))
+        assert (err.value.kind, err.value.witness) == want

@@ -1,4 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from combdmr import (
@@ -11,6 +16,7 @@ from combdmr import (
     SimpleGraph,
     chromatic_number_bruteforce,
     extract_colouring,
+    generate,
     proper_colouring,
     realise_from_colouring,
     reduce,
@@ -18,6 +24,7 @@ from combdmr import (
     solve_k2,
     verify_realisation,
 )
+from combdmr.matrix import RawMatrix, validate
 
 K1 = SimpleGraph.make(1, 1, [])
 K2 = SimpleGraph.make(2, 2, [(1, 2)])
@@ -65,18 +72,48 @@ def test_reduce_rejects_disconnected():
 
 
 def test_reduction_matrix_always_validates_small_catalogue():
-    # Validation happens inside reduce(); cross-check the result with the
-    # standalone axiom scan for every connected graph on up to 4 vertices.
-    for g in helpers.connected_graphs_up_to(4):
+    # reduce() builds its matrix without a scan, on the proof in its
+    # docstring; check the axioms with the standalone scan and with
+    # validate() for every connected graph on up to 5 vertices.
+    graphs = helpers.connected_graphs_up_to(5)
+    assert len(graphs) == 31
+    for g in graphs:
         inst = reduce(g)
         assert helpers.brute_is_distance_matrix(
             [list(r) for r in inst.matrix.entries]
         )
+        assert validate(RawMatrix(inst.matrix.entries)) == inst.matrix
         nc, e = g.vertex_count, len(g.edges)
         assert inst.n_g == nc + 2 * e + (nc * (nc - 1) // 2 - e)
         assert inst.matrix.entries[-1] == tuple(
             [2] * nc + [3] * (inst.n_g - nc) + [0]
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=10),
+    st.integers(0, 2**32),
+    st.sampled_from((0.0, 0.2, 0.5, 0.9)),
+)
+def test_gadgets_of_random_sources_pass_the_triangle_scan(n_c, seed, p):
+    g = generate.random_connected_graph(random.Random(seed), n_c, p)
+    inst = reduce(g)
+    assert validate(RawMatrix(inst.matrix.entries)) == inst.matrix
+
+
+def test_reduce_rejects_a_huge_declared_vertex_count_without_sizing_it():
+    # Fewer than vertex_count - 1 edges cannot connect the graph, so no
+    # adjacency of a million lists is built to find that out.
+    g = SimpleGraph(10**6, 10**6, frozenset({(1, 2)}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedInput):
+            reduce(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gadget_distance_facts():

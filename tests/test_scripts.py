@@ -40,7 +40,19 @@ def test_bench_tracer_names_exist_in_the_library():
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    modules = {
+        layer: importlib.import_module(f"combdmr.{layer}")
+        for layer in (*tracing.LAYERS, "generate")
+    }
     for layer, fns in tracing.LAYERS.items():
-        module = importlib.import_module(f"combdmr.{layer}")
         for fn in fns:
-            assert callable(getattr(module, fn, None)), f"combdmr.{layer}.{fn}"
+            assert callable(getattr(modules[layer], fn, None)), f"combdmr.{layer}.{fn}"
+    # It also wraps each name another module imported a layer function
+    # under, so that calls between modules are traced.
+    names = tracing.Tracer(modules).patched_names()
+    for name in (
+        "combdmr.cli.validate",
+        "combdmr.solvers.unit_graph",
+        "combdmr.reduction.bfs_apsp",
+    ):
+        assert name in names, name
