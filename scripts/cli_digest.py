@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Print a digest of the CLI's behaviour on a fixed, seeded set of argvs.
+
+Every argv runs through ``combdmr.cli.main`` in this one process: each
+subcommand on the matrices and graphs of ``tests/data`` and on a few small
+planted metrics (0-2 hidden vertices), minimal-tree metrics and
+colourability gadgets, all drawn through ``combdmr.generate``.
+For each argv one line gives a sha256 over the exit code, stdout and every
+file the run wrote, then the argv, with the temporary directory shown as
+``<tmp>`` in both; a line with the sha256 of all those lines comes last.  Two
+checkouts that print the same lines behave byte-identically on the set, so
+running the script at a parent commit and at a change is a byte check of
+the change.  The temporary directory is removed afterwards.
+
+Usage:
+    PYTHONPATH=src python3 scripts/cli_digest.py
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+from combdmr import SimpleGraph, cli, generate, reduction
+from combdmr.graph import anchor_distances
+from combdmr.matrix import RawMatrix
+from combdmr.textio import emit_colouring, emit_graph, emit_matrix, parse_graph
+
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+OUTPUT_FLAGS = ("--out", "--dot", "--dump-cnf", "--weighted-out")
+
+
+def planted(seed, anchors, hidden):
+    """Anchor metric of a random tree, or for odd seeds a sparse random
+    connected graph, whose first ``hidden`` vertices, the ones nearest the
+    spanning tree's root, are hidden."""
+    m = anchors + hidden
+    g = generate.random_connected_graph(random.Random(seed), m, seed % 2 * 0.2)
+    label = {v: v - hidden if v > hidden else anchors + v for v in range(1, m + 1)}
+    g = SimpleGraph.make(m, anchors, [(label[u], label[v]) for u, v in g.edges])
+    return RawMatrix(anchor_distances(g).entries)
+
+
+def write_inputs(tmp):
+    """Copy ``tests/data`` and write the seeded matrices, gadget sources and
+    their 2- and 3-colourings (a dummy line where there is none) into tmp;
+    returns the matrix and graph paths."""
+    shutil.copytree(DATA, tmp / "data")
+    mats = sorted(tmp.glob("data/*.mat"))
+    for seed in range(10):
+        hidden = (0, 1, 2, 2, 2)[seed % 5]
+        mats.append(tmp / f"planted{seed}.mat")
+        mats[-1].write_text(emit_matrix(planted(seed, 4 + seed % 5, hidden)))
+    for seed in range(4):
+        mats.append(tmp / f"tree{seed}.mat")
+        mats[-1].write_text(emit_matrix(generate.random_tree_metric(seed, 4 + seed)))
+    sources = [parse_graph((DATA / "k2.graph").read_text())]
+    for seed in range(4):
+        sources.append(generate.random_connected_graph(random.Random(seed), 3 + seed % 2, 0.5))
+        mats.append(tmp / f"gadget{seed}.mat")
+        mats[-1].write_text(emit_matrix(reduction.reduce(sources[-1]).matrix))
+    graphs = []
+    for i, g in enumerate(sources):
+        graphs.append(tmp / f"g{i}.graph")
+        graphs[-1].write_text(emit_graph(g))
+        for k in (2, 3):
+            c = reduction.proper_colouring(g, k)
+            (tmp / f"g{i}c{k}.col").write_text(emit_colouring(c) if c else "1 1\n")
+    return [str(m) for m in mats], [str(g) for g in graphs]
+
+
+def argvs(tmp, mats, graphs):
+    """The fixed argv list; outputs of earlier argvs feed later ones."""
+    out = []
+    for i, m in enumerate(mats):
+        o = f"{tmp}/m{i}"
+        out += [["validate", m], ["bounds", m]]
+        for k in "012":
+            out.append(["solve", "--k", k, m, "--out", f"{o}k{k}.graph",
+                        "--dot", f"{o}k{k}.dot", "--dump-cnf", f"{o}k{k}.cnf"])
+        for k in "12":
+            out.append(["solve-exact", "--k", k, "--max-free-edges", "14", m,
+                        "--out", f"{o}x{k}.graph", "--dot", f"{o}x{k}.dot"])
+        out.append(["tree", m, "--certify", "--out", f"{o}t.graph",
+                    "--dot", f"{o}t.dot", "--weighted-out", f"{o}t.w"])
+        out += [["tree", m], ["verify", f"{o}k2.graph", m], ["verify", f"{o}t.graph", m]]
+    for i, g in enumerate(graphs):
+        o = f"{tmp}/g{i}"
+        out += [["reduce", g, "--out", f"{o}.mat"], ["gen", "--mode", "reduction", "--input", g]]
+        for k in "23":
+            out += [
+                ["colour-realise", g, f"{o}c{k}.col", "--k", k,
+                 "--out", f"{o}r{k}.graph", "--dot", f"{o}r{k}.dot"],
+                ["extract-colouring", g, f"{o}r{k}.graph", "--k", k, "--out", f"{o}e{k}.col"],
+                ["verify", f"{o}r{k}.graph", f"{o}.mat"],
+            ]
+    for seed in range(3):
+        out.append(["gen", "--mode", "random-metric", "--seed", str(seed),
+                    "--vertices", str(6 + seed), "--anchors", str(4 + seed)])
+        out.append(["gen", "--mode", "random-tree-metric", "--seed", str(seed),
+                    "--anchors", str(5 + seed), "--out", f"{tmp}/gen{seed}.mat"])
+    out += [["solve", "--k", "3", mats[0]], ["solve-exact", "--k", "2", mats[0],
+            "--max-free-edges", "0"], ["gen", "--mode", "reduction"], ["nonsense"]]
+    return out
+
+
+def run(argv, tmp):
+    """sha256 over the exit code, stdout and the files the run wrote.
+
+    Every output flag names a file of its own, so the files a run wrote
+    are the ones its output flags name that exist afterwards.
+    """
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    text = stdout.getvalue().replace(str(tmp), "<tmp>")
+    h = hashlib.sha256(f"{code}\n{text}".encode())
+    for flag, path in zip(argv, argv[1:]):
+        if flag in OUTPUT_FLAGS and Path(path).exists():
+            h.update(f"\n{flag}\n".encode() + Path(path).read_bytes())
+    return h.hexdigest()
+
+
+def main():
+    tmp = Path(tempfile.mkdtemp(prefix="cli_digest_"))
+    try:
+        mats, graphs = write_inputs(tmp)
+        total = hashlib.sha256()
+        for argv in argvs(tmp, mats, graphs):
+            line = f"{run(argv, tmp)} {' '.join(argv).replace(str(tmp), '<tmp>')}"
+            total.update(line.encode() + b"\n")
+            print(line)
+        print(f"{total.hexdigest()} total")
+    finally:
+        shutil.rmtree(tmp)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .graph import SimpleGraph, anchor_distances, bfs_apsp
-from .matrix import DistanceMatrix, RawMatrix, validate
+from .matrix import DistanceMatrix
 
 
 def _sample(rng: random.Random, items: list[int], count: int) -> list[int]:
@@ -41,8 +41,10 @@ def random_metric(seed: int, vertices: int, anchors: int) -> DistanceMatrix:
     """Anchor metric of a random connected graph.
 
     Samples a connected graph, picks ``anchors`` of its vertices, and emits
-    their pairwise hop distances.  Shortest-path distances always satisfy
-    the distance-matrix axioms, so the result validates by construction.
+    their pairwise hop distances.  They are a metric by construction, so
+    the matrix is not scanned: hop distances between distinct vertices of a
+    connected graph are finite, positive and symmetric, and a shortest a-w
+    path followed by a shortest w-b path is an a-b walk.
     """
     if not 1 <= anchors <= vertices:
         raise ValueError("anchors must be between 1 and vertices")
@@ -50,10 +52,7 @@ def random_metric(seed: int, vertices: int, anchors: int) -> DistanceMatrix:
     g = random_connected_graph(rng, vertices)
     chosen = sorted(_sample(rng, list(range(1, vertices + 1)), anchors))
     dist = bfs_apsp(g)
-    rows = [
-        tuple(dist.dist(a, b) for b in chosen) for a in chosen
-    ]
-    return validate(RawMatrix(tuple(rows)))
+    return DistanceMatrix(tuple(tuple(dist.dist(a, b) for b in chosen) for a in chosen))
 
 
 def random_minimal_tree(rng: random.Random, anchors: int) -> SimpleGraph:
@@ -92,8 +91,10 @@ def random_minimal_tree(rng: random.Random, anchors: int) -> SimpleGraph:
 
 
 def random_tree_metric(seed: int, anchors: int) -> DistanceMatrix:
-    """Anchor metric of a random minimal tree: always tree-realisable."""
-    rng = random.Random(seed)
-    t = random_minimal_tree(rng, anchors)
-    dist = anchor_distances(t)
-    return validate(RawMatrix(dist.entries))
+    """Anchor metric of a random minimal tree: always tree-realisable.
+
+    The anchors are distinct vertices of a connected graph, so their hop
+    distances are a metric by construction, as in :func:`random_metric`.
+    """
+    t = random_minimal_tree(random.Random(seed), anchors)
+    return DistanceMatrix(anchor_distances(t).entries)

@@ -103,7 +103,8 @@ def _row_levels(row: Sequence[int]) -> LevelMasks:
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A matrix that passed :func:`check_structure`, or one built where its
-    axioms hold by construction (the gadget of ``reduction.reduce``).
+    axioms hold by construction (the gadget of ``reduction.reduce``, the
+    BFS metrics of ``generate``).
 
     The triangle inequality holds once :func:`check_triangles` passed on it
     (as in :func:`validate`) or a graph was verified to realise it; the

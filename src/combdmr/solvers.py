@@ -7,11 +7,13 @@ formula for a single extra vertex, one for two non-adjacent extras, and an
 extended one for two adjacent extras.  Any single satisfying assignment is
 as good as any other (the induced anchor metric is assignment-invariant),
 so each decider solves once, builds the induced graph, and compares anchor
-distances against the target matrix.  The deciders never write a formula
-down: each literal's successors in its implication graph are unions of
-per-row masks read off the matrix's level masks.  ``build_phi1``,
-``build_phi2`` and ``build_phi2_prime`` write the same formulas as clause
-lists, for ``solve --dump-cnf`` and the tests.
+distances against the target matrix.  The variables are the candidate edges
+of ``_candidate_edges``: every graph with extra vertices, here and in
+``solve_exact``, is the unit graph plus some of them.  The deciders never
+write a formula down: each literal's successors in its implication graph
+are unions of per-row masks read off the matrix's level masks.
+``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` write the same
+formulas as clause lists, for ``solve --dump-cnf`` and the tests.
 
 ``solve_exact`` is the independent brute-force oracle: it fixes the anchor
 subgraph to the unit graph (forced in every realisation) and enumerates all
@@ -21,6 +23,7 @@ subsets of the candidate edges touching the extra vertices.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import twosat
@@ -70,20 +73,20 @@ def bounds(d: DistanceMatrix) -> Bounds:
     return Bounds(q0, n + q0 - 1, n + extra)
 
 
-def _outcome(g: SimpleGraph, d: DistanceMatrix, extra: int) -> SolveOutcome:
+def _outcome(g: SimpleGraph, d: DistanceMatrix) -> SolveOutcome:
     """YES with g when g realises d, else NO.
 
     The :class:`Realisation` constructor is the one verification of g.
     """
     try:
-        return SolveOutcome(True, Realisation(g, d), extra)
+        return SolveOutcome(True, Realisation(g, d), g.vertex_count - d.n)
     except NotARealisation:
         return _NO
 
 
 def solve_k0(d: DistanceMatrix) -> SolveOutcome:
     """Realisable on exactly the anchors iff the unit graph already works."""
-    return _outcome(unit_graph(d), d, 0)
+    return _outcome(unit_graph(d), d)
 
 
 def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
@@ -132,10 +135,10 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
 def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     """2-CNF for two non-adjacent extra vertices.
 
-    Variable numbering: attachment of anchor i to the first extra vertex is
-    variable i, to the second is n + i.  The forced pairs now only need one
-    of the two extras to carry both endpoints; expanding that disjunction of
-    conjunctions distributively gives four clauses per pair.
+    The variables are the candidate edges of ``_candidate_edges``: anchor i
+    to the first extra vertex, then to the second.  The forced pairs now
+    only need one of the two extras to carry both endpoints; expanding that
+    disjunction of conjunctions distributively gives four clauses per pair.
     """
     n = d.n
     far, forced = _pairs(d, 2)
@@ -172,8 +175,9 @@ def _implications(n: int, rows2: list, extras: int, rows3: list | None = None) -
     ``rows2 = _row_masks(d, 2)`` and ``rows3 = _row_masks(d, 3)``: the graph
     of the builders' clauses.
 
-    Row i (0-based) has x_i of extra t at nodes t*n + i (negated) and
-    V + t*n + i, for V = extras * n variables; below, y is the other extra.
+    Candidate b of ``_candidate_edges`` is variable b + 1, at node b
+    (negated) and node V + b, for V = extras * n variables; row i (0-based)
+    has x_i of extra t at b = t*n + i, and below, y is the other extra.
     """
     v = extras * n
     out = [0] * (2 * v)
@@ -195,22 +199,33 @@ def _implications(n: int, rows2: list, extras: int, rows3: list | None = None) -
     return out
 
 
-def _assignment_graph(
-    d: DistanceMatrix,
-    assignment: twosat.Assignment,
-    extras: int,
-    adjacent_extras: bool,
-) -> SimpleGraph:
-    """Unit graph plus extra vertices wired up according to an assignment."""
+def _candidate_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The edges that may touch k extra vertices on top of n anchors.
+
+    Candidate b = t*n + i - 1 joins anchor i to extra vertex n + 1 + t and
+    is 2-SAT variable b + 1; the pairs of extras follow, so for k = 2 the
+    edge between the two extras is candidate 2n.
+    """
+    pairs = [(n + 1 + a, n + 1 + b) for a in range(k) for b in range(a + 1, k)]
+    return [(i, n + 1 + t) for t in range(k) for i in range(1, n + 1)] + pairs
+
+
+def _assignment_graph(d: DistanceMatrix, chosen: Sequence[int], extras: int) -> SimpleGraph:
+    """The unit graph plus the candidate edges b with ``chosen[b]`` set."""
     n = d.n
-    edges = set(unit_graph(d).edges)
-    for t in range(extras):
-        for i in range(1, n + 1):
-            if assignment[t * n + i - 1]:
-                edges.add((i, n + 1 + t))
-    if adjacent_extras:
-        edges.add((n + 1, n + 2))
-    return SimpleGraph(n + extras, n, frozenset(edges))
+    picked = {e for e, on in zip(_candidate_edges(n, extras), chosen) if on}
+    return SimpleGraph(n + extras, n, unit_graph(d).edges | picked)
+
+
+def _attach(
+    d: DistanceMatrix, extras: int, rows2: list, rows3: list | None = None
+) -> SolveOutcome | None:
+    """Solve phi1, phi2 or, given ``rows3``, phi2' and check its model's
+    graph, whose extras are adjacent exactly for phi2'; None if unsatisfiable."""
+    model = twosat.solve_implications(_implications(d.n, rows2, extras, rows3))
+    if model is None:
+        return None
+    return _outcome(_assignment_graph(d, (*model, rows3 is not None), extras), d)
 
 
 def solve_k1(d: DistanceMatrix) -> SolveOutcome:
@@ -218,10 +233,7 @@ def solve_k1(d: DistanceMatrix) -> SolveOutcome:
     base = solve_k0(d)
     if base.answer:
         return base
-    assignment = twosat.solve_implications(_implications(d.n, _row_masks(d, 2), 1))
-    if assignment is None:
-        return _NO
-    return _outcome(_assignment_graph(d, assignment, 1, False), d, 1)
+    return _attach(d, 1, _row_masks(d, 2)) or _NO
 
 
 def solve_k2(d: DistanceMatrix) -> SolveOutcome:
@@ -230,27 +242,13 @@ def solve_k2(d: DistanceMatrix) -> SolveOutcome:
     if base.answer:
         return base
     rows2 = _row_masks(d, 2)
-    assignment = twosat.solve_implications(_implications(d.n, rows2, 2))
-    if assignment is None:
+    outcome = _attach(d, 2, rows2)
+    if outcome is None:
         # The non-adjacent formula is necessary for both cases.
         return _NO
-    outcome = _outcome(_assignment_graph(d, assignment, 2, False), d, 2)
     if outcome.answer:
         return outcome
-    assignment2 = twosat.solve_implications(
-        _implications(d.n, rows2, 2, _row_masks(d, 3))
-    )
-    if assignment2 is None:
-        return _NO
-    return _outcome(_assignment_graph(d, assignment2, 2, True), d, 2)
-
-
-def _candidate_edges(n: int, k: int) -> list[tuple[int, int]]:
-    cands = [(i, n + 1 + t) for t in range(k) for i in range(1, n + 1)]
-    cands.extend(
-        (n + 1 + a, n + 1 + b) for a in range(k) for b in range(a + 1, k)
-    )
-    return cands
+    return _attach(d, 2, rows2, _row_masks(d, 3)) or _NO
 
 
 def solve_exact(
@@ -271,9 +269,7 @@ def solve_exact(
         raise SearchSpaceTooLarge(
             f"{free} free edges exceeds the guard of {max_free_edges}"
         )
-    total = n + k
-    base = unit_graph(d)
-    base_adj = _adjacency_masks(total, base.edges)
+    base_adj = _adjacency_masks(n + k, unit_graph(d).edges)
     candidates = _candidate_edges(n, k)
     for mask in range(1 << free):
         adj = base_adj[:]
@@ -282,7 +278,6 @@ def solve_exact(
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         if _levels_match(adj, d):
-            extra_edges = [candidates[b] for b in _bits(mask)]
-            g = SimpleGraph(total, n, base.edges | frozenset(extra_edges))
+            g = _assignment_graph(d, [mask >> b & 1 for b in range(free)], k)
             return SolveOutcome(True, Realisation(g, d), k)
     return _NO

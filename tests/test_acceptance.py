@@ -168,7 +168,7 @@ def test_c06_assignment_invariance(metric_cases):
             if models == 0 or models > 1024:
                 continue
             metrics = {
-                _anchor_metric(_assignment_graph(d, m, extras, joined), d.n)
+                _anchor_metric(_assignment_graph(d, (*m, joined), extras), d.n)
                 for m in helpers.enumerate_models(inst)
             }
             assert len(metrics) == 1, (name, d.entries)

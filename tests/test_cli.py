@@ -430,6 +430,10 @@ def _three_path(d, *_):
     return Realisation(SimpleGraph(3, 3, frozenset({(1, 2), (2, 3)})), d)
 
 
+def _always_matches(adj, d):
+    return True
+
+
 @pytest.mark.parametrize(
     "argv, module, name, fake, message",
     [
@@ -438,6 +442,8 @@ def _three_path(d, *_):
         (["solve", "--k", "0"], solvers, "solve_k0", _too_deep,
          "RecursionError: maximum recursion depth exceeded"),
         (["tree"], tree, "expand_tree", _three_path,
+         "NotARealisation: graph does not realise the matrix"),
+        (["solve-exact", "--k", "1"], solvers, "_levels_match", _always_matches,
          "NotARealisation: graph does not realise the matrix"),
     ],
 )
@@ -511,11 +517,14 @@ def _scan_raises(d):
         ["reduce", "k2.graph"],
         ["colour-realise", "k2.graph", "k2.col"],
         ["extract-colouring", "k2.graph", "k2_real.graph", "--k", "2"],
+        ["gen", "--mode", "random-metric", "--seed", "3", "--vertices", "12", "--anchors", "7"],
+        ["gen", "--mode", "random-tree-metric", "--seed", "3", "--anchors", "9"],
     ],
 )
 def test_a_verified_yes_runs_no_triangle_scan(capsys, monkeypatch, argv):
     # A graph whose anchor distances equal the matrix proves the triangle
-    # inequality, and a gadget matrix is a metric by construction.
+    # inequality, and a gadget matrix or a generated BFS metric is a metric
+    # by construction.
     monkeypatch.setattr(matrix, "_first_triangle_violation", _scan_raises)
     data = Path(__file__).parent / "data"
     assert main([str(data / a) if "." in a else a for a in argv]) == 0

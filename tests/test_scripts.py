@@ -4,13 +4,14 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(*args, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     return subprocess.run(
         [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
@@ -31,6 +32,23 @@ def test_reduction_demo_round_trips_colourings():
         "k=2: realisation on 7 vertices, recovered colouring (1, 2)",
         "k=3: realisation on 8 vertices, recovered colouring (1, 2)",
     ]
+
+
+def test_cli_digest_prints_the_same_lines_under_two_hash_seeds():
+    leftovers = set(Path(tempfile.gettempdir()).glob("cli_digest_*"))
+    runs = [run_script("scripts/cli_digest.py", PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) > 100 and lines[-1].endswith(" total")
+    assert all(len(line.split(" ", 1)[0]) == 64 for line in lines)
+    assert {line.split()[1] for line in lines[:-1]} == {
+        "validate", "solve", "solve-exact", "bounds", "tree", "reduce",
+        "colour-realise", "extract-colouring", "verify", "gen", "nonsense",
+    }
+    assert "<tmp>" in runs[0].stdout and tempfile.gettempdir() not in runs[0].stdout
+    assert set(Path(tempfile.gettempdir()).glob("cli_digest_*")) == leftovers
 
 
 def test_bench_tracer_names_exist_in_the_library():

@@ -24,7 +24,7 @@ from combdmr import (
 )
 from combdmr import generate, solvers, twosat
 from combdmr.matrix import distance_matrix
-from combdmr.solvers import _assignment_graph, _implications, _row_masks
+from combdmr.solvers import _assignment_graph, _candidate_edges, _implications, _row_masks
 
 ALL_TWOS = distance_matrix(helpers.ALL_TWOS_3)
 ALL_ONES = distance_matrix(helpers.ALL_ONES_3)
@@ -308,7 +308,7 @@ def test_assignment_invariance_small():
     for d in (ALL_TWOS, EIGHT, k2_gadget_matrix()):
         phi1 = build_phi1(d)
         metrics = {
-            _anchor_metric(_assignment_graph(d, m, 1, False), d.n)
+            _anchor_metric(_assignment_graph(d, (*m, False), 1), d.n)
             for m in helpers.enumerate_models(phi1)
         }
         if not metrics:
@@ -340,6 +340,30 @@ def test_monotonicity_and_realisation_invariants():
                 assert g.vertex_count <= d.n + 2
                 assert out.extra_vertices_used == g.vertex_count - d.n
                 assert induced_anchor_edges(g) == unit_graph(d).edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(helpers.metric_cases())
+def test_every_yes_is_the_unit_graph_plus_candidate_edges(rows):
+    # The deciders and the brute-force oracle (k <= 2, under a guard of 12
+    # free edges) build every graph with extra vertices from one list of
+    # candidate edges on top of the unit graph.
+    assume(helpers.first_violation_oracle(rows) is None)
+    d = distance_matrix(rows)
+    outcomes = [solve_k0(d), solve_k1(d), solve_k2(d)]
+    for k in (0, 1, 2):
+        try:
+            outcomes.append(solve_exact(d, k, max_free_edges=12))
+        except SearchSpaceTooLarge:
+            pass
+    base = unit_graph(d).edges
+    for out in outcomes:
+        if out.answer:
+            g = out.realisation.graph
+            extra = out.extra_vertices_used
+            assert extra == g.vertex_count - d.n
+            assert induced_anchor_edges(g) == base
+            assert g.edges - base <= set(_candidate_edges(d.n, extra))
 
 
 def _gadget_rows(seed, n_c):
