@@ -4,7 +4,9 @@
 Every argv runs through ``combdmr.cli.main`` in this one process: each
 subcommand on the matrices and graphs of ``tests/data`` and on a few small
 planted metrics (0-2 hidden vertices), minimal-tree metrics and
-colourability gadgets, all drawn through ``combdmr.generate``.
+colourability gadgets, all drawn through ``combdmr.generate``; and
+``verify`` on seeded host graphs changed in the ways that steer the
+realisation check.
 For each argv one line gives a sha256 over the exit code, stdout and every
 file the run wrote, then the argv, with the temporary directory shown as
 ``<tmp>`` in both; a line with the sha256 of all those lines comes last.  Two
@@ -70,10 +72,38 @@ def write_inputs(tmp):
         for k in (2, 3):
             c = reduction.proper_colouring(g, k)
             (tmp / f"g{i}c{k}.col").write_text(emit_colouring(c) if c else "1 1\n")
-    return [str(m) for m in mats], [str(g) for g in graphs]
+    return [str(m) for m in mats], [str(g) for g in graphs], write_verify_cases(tmp)
 
 
-def argvs(tmp, mats, graphs):
+def write_verify_cases(tmp):
+    """Seeded host graphs on 5-7 vertices, anchors first, their anchor
+    matrices, and graphs for ``verify`` to check against them: the host;
+    the host with a pendant trail that outgrows the largest entry; the host
+    with its last anchor cut off; and the host under a header that declares
+    more vertices than its largest edge endpoint.  Returns (graph, matrix)
+    path pairs."""
+    pairs = []
+    for seed in range(3):
+        host = generate.random_connected_graph(random.Random(100 + seed), 5 + seed, 0.3)
+        n = 3 + seed
+        d = anchor_distances(SimpleGraph(host.vertex_count, n, host.edges))
+        mat = tmp / f"host{seed}.mat"
+        mat.write_text(emit_matrix(RawMatrix(d.entries)))
+        m, top = host.vertex_count, max(map(max, d.entries))
+        trail = [(1, m + 1)] + [(v, v + 1) for v in range(m + 1, m + top + 2)]
+        variants = {
+            "host": (m, host.edges),
+            "trail": (m + top + 2, host.edges | set(trail)),
+            "cut": (m, {e for e in host.edges if n not in e}),
+            "header": (m + 1, host.edges),
+        }
+        for name, (size, edges) in variants.items():
+            pairs.append((tmp / f"host{seed}{name}.graph", mat))
+            pairs[-1][0].write_text(emit_graph(SimpleGraph(size, n, frozenset(edges))))
+    return [(str(g), str(m)) for g, m in pairs]
+
+
+def argvs(tmp, mats, graphs, verify_cases):
     """The fixed argv list; outputs of earlier argvs feed later ones."""
     out = []
     for i, m in enumerate(mats):
@@ -105,6 +135,7 @@ def argvs(tmp, mats, graphs):
                     "--anchors", str(5 + seed), "--out", f"{tmp}/gen{seed}.mat"])
     out += [["solve", "--k", "3", mats[0]], ["solve-exact", "--k", "2", mats[0],
             "--max-free-edges", "0"], ["gen", "--mode", "reduction"], ["nonsense"]]
+    out += [["verify", g, m] for g, m in verify_cases]
     return out
 
 
@@ -128,9 +159,8 @@ def run(argv, tmp):
 def main():
     tmp = Path(tempfile.mkdtemp(prefix="cli_digest_"))
     try:
-        mats, graphs = write_inputs(tmp)
         total = hashlib.sha256()
-        for argv in argvs(tmp, mats, graphs):
+        for argv in argvs(tmp, *write_inputs(tmp)):
             line = f"{run(argv, tmp)} {' '.join(argv).replace(str(tmp), '<tmp>')}"
             total.update(line.encode() + b"\n")
             print(line)

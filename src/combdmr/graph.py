@@ -57,12 +57,17 @@ class SimpleGraph:
         return sorted(self.edges)
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbour lists indexed by vertex; slot 0 unused."""
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for u, v in self.sorted_edges():
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
+        """Neighbour lists indexed by vertex, ascending; slot 0 unused."""
+        return _neighbour_lists(self.vertex_count, self.sorted_edges())
+
+
+def _neighbour_lists(size: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Neighbour lists of vertices 1..size, in edge order; slot 0 unused."""
+    adj: list[list[int]] = [[] for _ in range(size + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -128,51 +133,67 @@ def anchor_distances(g: SimpleGraph) -> ExtendedDistances:
     return _bfs_rows(g, g.anchor_count)
 
 
-def _adjacency_masks(vertex_count: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Neighbour bitmasks indexed by vertex: bit u of entry v marks edge uv."""
-    adj = [0] * (vertex_count + 1)
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def _levels_match(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
+    """True iff hop distances from anchors 1..d.n over ``adj[v]`` equal d.
 
+    One breadth-first search runs from all anchors at once (Then et al.,
+    "The More the Merrier", PVLDB 2014).  Each vertex holds the mask of the
+    anchors that have reached it, bit s - 1 for anchor s, and each level
+    pushes only the anchors new to a vertex on to its neighbours.  The
+    anchors new to anchor w at level l must be exactly row w's level mask
+    at l.  An anchor s that does not reach w at D_ws reaches it at a level
+    whose mask lacks s, or never, and then w's mask misses s at the end.  A
+    vertex meets new anchors on at most min(n, diameter + 1) levels, so a
+    check costs O(n + E * min(n, diameter)) operations on n-bit integers
+    plus one step per level, and O(V * n) bits of memory.
 
-def _levels_match(adj: Sequence[int], d: DistanceMatrix) -> bool:
-    """True iff hop distances from anchors 1..d.n over ``adj`` equal d.
-
-    From each anchor s the walk grows one BFS level at a time up to the
-    row's largest entry, and each level must hold exactly the anchors the
-    matrix puts at that distance from s.  An empty frontier fails at once,
-    without stepping through the empty levels after it: the row's largest
-    level holds an anchor, which the walk can then never reach.
+    The search stops at the first mismatch, and at the first level that
+    reaches nothing new: the pair at the largest entry can then never be
+    reached, and the empty levels after it are not stepped through.  It
+    ends after the largest entry's level, since vertices still growing
+    beyond it cannot change the answer.
     """
-    anchors = ((1 << d.n) - 1) << 1
-    for s, row in enumerate(d.levels, 1):
-        seen = frontier = 1 << s
-        for level in range(1, row.values[-1] + 1):
-            reached = 0
-            while frontier:
-                low = frontier & -frontier
-                reached |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reached & ~seen
-            # Level masks put anchor w at bit w - 1; here it is at bit w.
-            if not frontier or frontier & anchors != row.at.get(level, 0) << 1:
-                return False
-            seen |= frontier
-    return True
+    n, levels = d.n, d.levels
+    seen = [0] * len(adj)
+    new = {}
+    for s in range(1, n + 1):
+        seen[s] = new[s] = 1 << s - 1
+    for level in range(1, max(row.values[-1] for row in levels) + 1):
+        reached: dict[int, int] = {}
+        get = reached.get
+        for v, bits in new.items():
+            for w in adj[v]:
+                reached[w] = get(w, 0) | bits
+        new = {}
+        for w, bits in reached.items():
+            bits &= ~seen[w]
+            if bits:
+                if w <= n and bits != levels[w - 1].at.get(level):
+                    return False
+                seen[w] |= bits
+                new[w] = bits
+        if not new:
+            return False
+    return seen[1 : n + 1].count((1 << n) - 1) == n
 
 
 def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
-    """True iff anchor-to-anchor hop distances in g equal d exactly."""
+    """True iff anchor-to-anchor hop distances in g equal d exactly.
+
+    The check is :func:`_levels_match`, one breadth-first search from all
+    anchors at once: O(n + E * min(n, diameter)) operations on n-bit
+    integers plus one step per level, and O(V * n) bits.  It stops at the
+    first mismatch, at the first level that reaches nothing new, and after
+    the largest entry's level.
+    """
     if g.anchor_count != d.n:
         raise ValueError(
             f"graph has {g.anchor_count} anchors but the matrix has dimension {d.n}"
         )
-    # The walk from the anchors never reaches a vertex above every edge
-    # endpoint, so masks for those would only cost memory.
+    # The search from the anchors never reaches a vertex above every edge
+    # endpoint, so lists for those would only cost memory.
     top = max((v for _, v in g.edges), default=0)
-    return _levels_match(_adjacency_masks(max(g.anchor_count, top), g.edges), d)
+    return _levels_match(_neighbour_lists(max(g.anchor_count, top), g.edges), d)
 
 
 class NotARealisation(ValueError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SimpleGraph, q_zero, unit_graph
-from .graph import _adjacency_masks, _levels_match
+from .graph import _levels_match, _neighbour_lists
 from .matrix import DistanceMatrix, _bits
 from .twosat import TwoSatInstance
 
@@ -269,14 +269,15 @@ def solve_exact(
         raise SearchSpaceTooLarge(
             f"{free} free edges exceeds the guard of {max_free_edges}"
         )
-    base_adj = _adjacency_masks(n + k, unit_graph(d).edges)
+    base_adj = _neighbour_lists(n + k, unit_graph(d).edges)
     candidates = _candidate_edges(n, k)
     for mask in range(1 << free):
+        # New lists only for the endpoints of the chosen edges.
         adj = base_adj[:]
         for b in _bits(mask):
             u, v = candidates[b]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] = [*adj[u], v]
+            adj[v] = [*adj[v], u]
         if _levels_match(adj, d):
             g = _assignment_graph(d, [mask >> b & 1 for b in range(free)], k)
             return SolveOutcome(True, Realisation(g, d), k)

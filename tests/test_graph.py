@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -17,7 +18,9 @@ from combdmr import (
     unit_graph,
     verify_realisation,
 )
+from combdmr import generate, reduction, tree
 from combdmr.matrix import distance_matrix
+from combdmr.solvers import solve_k2
 
 
 def test_bfs_triangle():
@@ -184,6 +187,58 @@ def test_verify_realisation_sizes_its_masks_by_the_edges_not_the_header():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_verify_realisation_memory_grows_with_vertices_times_anchors():
+    # The search from both ends of a path of 10 001 vertices keeps two bits
+    # per vertex, not a neighbour mask as wide as the graph.
+    d = distance_matrix([[0, 10000], [10000, 0]])
+    path = [1, *range(3, 10002), 2]
+    g = SimpleGraph.make(10001, 2, zip(path, path[1:]))
+    tracemalloc.start()
+    try:
+        assert verify_realisation(g, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def _yes_case(family, seed):
+    """Rows with n = 40..120 anchors and the deciders' YES graph for them."""
+    n = 40 + 80 * seed // 3
+    if family == "gadget":
+        # A tree source is bipartite, so its gadget (n = 44..119) takes two extras.
+        source = generate.random_connected_graph(random.Random(seed), 8 + 2 * seed, 0.0)
+        d = reduction.reduce(source).matrix
+        return [list(row) for row in d.entries], solve_k2(d).realisation.graph
+    rows = helpers.planted_or_tree_rows(seed, n, family)
+    d = distance_matrix(rows)
+    r = tree.solve_tree(d) if family == "tree" else solve_k2(d).realisation
+    return rows, r.graph
+
+
+@pytest.mark.parametrize("family", ["planted", "gadget", "tree"])
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_realisation_matches_the_standalone_bfs_at_larger_n(family, seed):
+    rows, g = _yes_case(family, seed)
+    rng = random.Random(seed)
+    n, m, edges = g.anchor_count, g.vertex_count, sorted(g.edges)
+    cut = rng.randrange(1, n + 1)
+    at = rng.randrange(1, m + 1)
+    # Longer than the largest entry: its far end is still being reached
+    # after the last level the matrix asks about.
+    trail = [at, *range(m + 1, m + max(map(max, rows)) + 3)]
+    variants = [
+        g,
+        SimpleGraph(m, n, frozenset(edges[:-1] if seed % 2 else edges[1:])),
+        SimpleGraph(m, n, frozenset(e for e in edges if cut not in e)),
+        SimpleGraph.make(trail[-1], n, edges + list(zip(trail, trail[1:]))),
+    ]
+    d = distance_matrix(rows)
+    answers = [verify_realisation(h, d) for h in variants]
+    assert answers == [helpers.graph_realises(h, rows) for h in variants]
+    assert answers[0] and not answers[2] and answers[3]
 
 
 def test_realisation_constructor_rejects_mismatch():
