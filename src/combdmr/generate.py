@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import SimpleGraph, anchor_distances, bfs_apsp
+from .graph import SimpleGraph, _bfs, anchor_distances
 from .matrix import DistanceMatrix
 
 
@@ -51,8 +51,9 @@ def random_metric(seed: int, vertices: int, anchors: int) -> DistanceMatrix:
     rng = random.Random(seed)
     g = random_connected_graph(rng, vertices)
     chosen = sorted(_sample(rng, list(range(1, vertices + 1)), anchors))
-    dist = bfs_apsp(g)
-    return DistanceMatrix(tuple(tuple(dist.dist(a, b) for b in chosen) for a in chosen))
+    adj = g.adjacency()
+    rows = (_bfs(adj, a, vertices) for a in chosen)
+    return DistanceMatrix(tuple(tuple(row[b] for b in chosen) for row in rows))
 
 
 def random_minimal_tree(rng: random.Random, anchors: int) -> SimpleGraph:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .matrix import DistanceMatrix, _bits
 
@@ -93,12 +93,8 @@ class WeightedSkeleton:
     weighted_edges: tuple[tuple[int, int, int], ...]
 
 
-def _bfs(
-    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
-    s: int,
-    vertex_count: int,
-) -> list[int | float]:
-    """Hop distances from s over ``adj[v]``, indexed by vertex; slot 0 unused."""
+def _bfs(adj: Sequence[Sequence[int]], s: int, vertex_count: int) -> list[int | float]:
+    """Hop distances from s over neighbour lists, by vertex; slot 0 unused."""
     dist: list[int | float] = [INF] * (vertex_count + 1)
     dist[s] = 0
     queue = deque([s])
@@ -212,10 +208,8 @@ class Realisation:
             raise NotARealisation("graph does not realise the matrix")
 
 
-def _is_connected(
-    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], vertex_count: int
-) -> bool:
-    """True when a walk from vertex 1 over ``adj[v]`` reaches every vertex."""
+def _is_connected(adj: Sequence[Sequence[int]], vertex_count: int) -> bool:
+    """True when a walk from vertex 1 over neighbour lists reaches every vertex."""
     return INF not in _bfs(adj, 1, vertex_count)[1:]
 
 

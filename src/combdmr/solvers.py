@@ -15,9 +15,12 @@ are unions of per-row masks read off the matrix's level masks.
 ``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` write the same
 formulas as clause lists, for ``solve --dump-cnf`` and the tests.
 
-``solve_exact`` is the independent brute-force oracle: it fixes the anchor
-subgraph to the unit graph (forced in every realisation) and enumerates all
-subsets of the candidate edges touching the extra vertices.
+``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
+the unit graph (forced in every realisation), enumerates all subsets of the
+candidate edges touching the extra vertices, and checks each by one
+breadth-first search per anchor.  That check is independent of
+``verify_realisation``, which the winning graph then passes through
+``Realisation``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SimpleGraph, q_zero, unit_graph
-from .graph import _levels_match, _neighbour_lists
+from .graph import _bfs, _neighbour_lists
 from .matrix import DistanceMatrix, _bits
 from .twosat import TwoSatInstance
 
@@ -258,8 +261,9 @@ def solve_exact(
 
     Enumerates every subset of the candidate edges touching the k extra
     vertices (the anchor subgraph is forced) in increasing bitmask order and
-    returns the first subset whose graph reproduces the matrix.  Isolated
-    extras are allowed, so a YES means "at most n + k vertices".
+    returns the first subset whose graph reproduces the matrix, row by row
+    from one search per anchor.  Isolated extras are allowed, so a YES means
+    "at most n + k vertices".
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -269,16 +273,13 @@ def solve_exact(
         raise SearchSpaceTooLarge(
             f"{free} free edges exceeds the guard of {max_free_edges}"
         )
-    base_adj = _neighbour_lists(n + k, unit_graph(d).edges)
+    base = list(unit_graph(d).edges)
     candidates = _candidate_edges(n, k)
+    rows = [list(row) for row in d.entries]
     for mask in range(1 << free):
-        # New lists only for the endpoints of the chosen edges.
-        adj = base_adj[:]
-        for b in _bits(mask):
-            u, v = candidates[b]
-            adj[u] = [*adj[u], v]
-            adj[v] = [*adj[v], u]
-        if _levels_match(adj, d):
+        adj = _neighbour_lists(n + k, base + [candidates[b] for b in _bits(mask)])
+        # One search per anchor, so almost every mask fails at anchor 1.
+        if all(_bfs(adj, s, n + k)[1 : n + 1] == row for s, row in enumerate(rows, 1)):
             g = _assignment_graph(d, [mask >> b & 1 for b in range(free)], k)
             return SolveOutcome(True, Realisation(g, d), k)
     return _NO

@@ -3,9 +3,10 @@
 Matrix files are n lines of n whitespace-separated integers; the dimension
 is inferred from the line count.  Graph files start with a header line
 ``graph <vertex_count> <anchor_count>`` followed by one ``u v`` edge per
-line with u < v, lexicographically sorted.  Blank lines and lines starting
-with ``#`` are ignored everywhere.  All emitters produce byte-identical
-output for equal inputs, and ``parse(emit(x)) == x``.
+line with u < v; the emitters sort the edges lexicographically, and the
+parser takes them in any order.  Blank lines and lines starting with ``#``
+are ignored everywhere.  All emitters produce byte-identical output for
+equal inputs, and ``parse(emit(x)) == x``.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Realisation, _expand_paths, _is_connected
+from .graph import Realisation, _expand_paths, _is_connected, _neighbour_lists
 from .matrix import DistanceMatrix
 
 
@@ -60,17 +60,9 @@ class WeightedTree:
                 raise ValueError(f"bad edge ({u}, {v})")
             if w < 1:
                 raise ValueError("zero-weight edge")
-        if not _is_connected(self.adjacency(), self.vertex_count):
+        adj = _neighbour_lists(self.vertex_count, ((u, v) for u, v, _ in self.edges))
+        if not _is_connected(adj, self.vertex_count):
             raise ValueError("tree is not connected")
-
-    def adjacency(self) -> dict[int, dict[int, int]]:
-        adj: dict[int, dict[int, int]] = {
-            v: {} for v in range(1, self.vertex_count + 1)
-        }
-        for u, v, w in self.edges:
-            adj[u][v] = w
-            adj[v][u] = w
-        return adj
 
 
 def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:

@@ -16,8 +16,9 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from combdmr import SimpleGraph, generate
+from combdmr import SimpleGraph, generate, verify_realisation
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
+from combdmr.solvers import _assignment_graph
 from combdmr.tree import WeightedTree, ZareckiiReport, ZViolationKind
 from combdmr.twosat import TwoSatInstance
 
@@ -184,13 +185,22 @@ def _canonical_adj(adj, anchor_count):
     return adj
 
 
+def weighted_adjacency(t: WeightedTree) -> dict[int, dict[int, int]]:
+    """Vertex -> {neighbour: doubled weight}, for every vertex of t."""
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(1, t.vertex_count + 1)}
+    for u, v, w in t.edges:
+        adj[u][v] = w
+        adj[v][u] = w
+    return adj
+
+
 def canonical_transform(t: WeightedTree) -> WeightedTree:
     """Drop non-anchor leaves, then merge through non-anchor degree-2 vertices.
 
     Anchor-pair path lengths are preserved and the operation is idempotent;
     the result has no non-anchor vertex of degree two or less.
     """
-    return _freeze(_canonical_adj(t.adjacency(), t.anchor_count), t.anchor_count)
+    return _freeze(_canonical_adj(weighted_adjacency(t), t.anchor_count), t.anchor_count)
 
 
 # -- independent BFS ---------------------------------------------------------
@@ -210,6 +220,21 @@ def bfs_distances(vertex_count, edges, source):
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def first_verified_assignment(d: DistanceMatrix, k: int):
+    """The graph of the first candidate-edge mask, in increasing order, that
+    ``verify_realisation`` accepts for k extra vertices; None if none does.
+
+    ``solve_exact`` checks its masks by one BFS per anchor instead, so this
+    holds that check against the verifier.
+    """
+    free = d.n * k + k * (k - 1) // 2
+    for mask in range(1 << free):
+        g = _assignment_graph(d, [mask >> b & 1 for b in range(free)], k)
+        if verify_realisation(g, d):
+            return g
+    return None
 
 
 def graph_realises(g: SimpleGraph, rows) -> bool:

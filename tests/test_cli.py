@@ -430,8 +430,9 @@ def _three_path(d, *_):
     return Realisation(SimpleGraph(3, 3, frozenset({(1, 2), (2, 3)})), d)
 
 
-def _always_matches(adj, d):
-    return True
+def _twos_row(adj, s, vertex_count):
+    # The row of anchor s in the all-2 matrix, whatever the graph.
+    return [0] + [0 if v == s else 2 for v in range(1, vertex_count + 1)]
 
 
 @pytest.mark.parametrize(
@@ -443,7 +444,7 @@ def _always_matches(adj, d):
          "RecursionError: maximum recursion depth exceeded"),
         (["tree"], tree, "expand_tree", _three_path,
          "NotARealisation: graph does not realise the matrix"),
-        (["solve-exact", "--k", "1"], solvers, "_levels_match", _always_matches,
+        (["solve-exact", "--k", "1"], solvers, "_bfs", _twos_row,
          "NotARealisation: graph does not realise the matrix"),
     ],
 )

@@ -63,6 +63,14 @@ def test_ragged_rejected():
     assert err.value.kind is ViolationKind.NOT_SQUARE
 
 
+def test_raw_matrix_checks_each_row_for_length_then_entries():
+    with pytest.raises(ValueError, match="^negative entry in row 1$"):
+        RawMatrix.from_rows([[0, -1], [1]])
+    with pytest.raises(ValidationError) as err:
+        RawMatrix.from_rows([[0], [1, -1]])
+    assert (err.value.kind, err.value.witness) == (ViolationKind.NOT_SQUARE, (1,))
+
+
 def test_max_entry_reference_matrices():
     assert max_entry(distance_matrix(helpers.ALL_TWOS_3)) == 2
     assert max_entry(distance_matrix(helpers.EIGHT_BY_EIGHT)) == 4

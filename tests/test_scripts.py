@@ -35,11 +35,17 @@ def test_reduction_demo_round_trips_colourings():
 
 
 def test_cli_digest_prints_the_same_lines_under_two_hash_seeds():
+    # The lines must also match the committed digest; COMBDMR_REGEN_GOLDENS=1
+    # rewrites it, as it does the CLI goldens.
     leftovers = set(Path(tempfile.gettempdir()).glob("cli_digest_*"))
     runs = [run_script("scripts/cli_digest.py", PYTHONHASHSEED=seed) for seed in ("0", "1")]
     for proc in runs:
         assert proc.returncode == 0, proc.stdout + proc.stderr
     assert runs[0].stdout == runs[1].stdout
+    golden = ROOT / "tests" / "golden" / "cli_digest.txt"
+    if os.environ.get("COMBDMR_REGEN_GOLDENS") == "1":
+        golden.write_text(runs[0].stdout)
+    assert runs[0].stdout == golden.read_text(), "the CLI's behaviour changed"
     lines = runs[0].stdout.splitlines()
     assert len(lines) > 100 and lines[-1].endswith(" total")
     assert all(len(line.split(" ", 1)[0]) == 64 for line in lines)

@@ -396,6 +396,30 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
         assert model is None or twosat.check(inst, model)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        helpers.metric_cases(max_n=12),
+        st.builds(helpers.planted_or_tree_rows, st.integers(0, 2**32), st.integers(1, 5),
+                  st.just("planted")),
+        st.builds(_gadget_rows, st.integers(0, 2**32), st.integers(1, 3)),
+    ),
+    st.integers(0, 2),
+)
+def test_solve_exact_finds_the_first_mask_the_verifier_accepts(rows, k):
+    # solve_exact checks each mask by one BFS per anchor, not by the
+    # verifier; both must pick the same first mask, or none.
+    assume(helpers.first_violation_oracle(rows) is None)
+    d = distance_matrix(rows)
+    try:
+        out = solve_exact(d, k, max_free_edges=12)
+    except SearchSpaceTooLarge:
+        assume(False)
+    expected = helpers.first_verified_assignment(d, k)
+    assert out.answer == (expected is not None)
+    assert out.realisation is None or out.realisation.graph == expected
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_planted_matrices_beyond_brute_force_are_yes_at_their_hidden_count(seed):
     hidden = seed % 3
