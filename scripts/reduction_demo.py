@@ -35,8 +35,8 @@ def main():
 
     chi = chromatic_number_bruteforce(g)
     print(f"chromatic number (brute force): {chi}")
-    print(f"matrix solvable with 1 extra vertex:  {solve_k1(inst.matrix).answer}")
-    print(f"matrix solvable with 2 extra vertices: {solve_k2(inst.matrix).answer}")
+    print(f"matrix solvable with 1 extra vertex:  {solve_k1(inst.matrix) is not None}")
+    print(f"matrix solvable with 2 extra vertices: {solve_k2(inst.matrix) is not None}")
 
     for k in range(chi, args.max_k + 1):
         base = proper_colouring(g, chi)

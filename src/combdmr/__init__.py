@@ -12,11 +12,9 @@ from .matrix import (
     ValidationError,
     ViolationKind,
     distance_matrix,
-    max_entry,
     validate,
 )
 from .graph import (
-    ExtendedDistances,
     INF,
     Realisation,
     SimpleGraph,
@@ -31,9 +29,7 @@ from .graph import (
     verify_realisation,
 )
 from .solvers import (
-    Bounds,
     SearchSpaceTooLarge,
-    SolveOutcome,
     bounds,
     build_phi1,
     build_phi2,
@@ -45,7 +41,6 @@ from .solvers import (
 )
 from .tree import (
     WeightedTree,
-    ZareckiiReport,
     ZViolationKind,
     build_weighted_tree,
     check_zareckii,
@@ -54,7 +49,6 @@ from .tree import (
 from .reduction import (
     Colouring,
     DisconnectedInput,
-    GadgetInstance,
     ImproperColouring,
     MalformedRealisation,
     chromatic_number_bruteforce,
@@ -65,12 +59,9 @@ from .reduction import (
 )
 
 __all__ = [
-    "Bounds",
     "Colouring",
     "DisconnectedInput",
     "DistanceMatrix",
-    "ExtendedDistances",
-    "GadgetInstance",
     "INF",
     "ImproperColouring",
     "MalformedRealisation",
@@ -78,13 +69,11 @@ __all__ = [
     "Realisation",
     "SearchSpaceTooLarge",
     "SimpleGraph",
-    "SolveOutcome",
     "ValidationError",
     "ViolationKind",
     "WeightedSkeleton",
     "WeightedTree",
     "ZViolationKind",
-    "ZareckiiReport",
     "anchor_distances",
     "bfs_apsp",
     "bounds",
@@ -97,7 +86,6 @@ __all__ = [
     "distance_matrix",
     "expand_elementary_paths",
     "extract_colouring",
-    "max_entry",
     "proper_colouring",
     "q_skeleton",
     "q_zero",

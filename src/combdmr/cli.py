@@ -115,9 +115,9 @@ def _finish_yes(args: argparse.Namespace, r: Realisation) -> Verdict:
     return yes, vertices, extra
 
 
-def _finish(args: argparse.Namespace, outcome: solvers.SolveOutcome) -> Verdict:
-    if outcome.realisation is not None:
-        return _finish_yes(args, outcome.realisation)
+def _finish(args: argparse.Namespace, r: Realisation | None) -> Verdict:
+    if r is not None:
+        return _finish_yes(args, r)
     print(f"NO: not realisable with at most {args.k} extra vertices")
     return False, 0, 0
 
@@ -131,7 +131,7 @@ def cmd_validate(args: argparse.Namespace) -> Verdict:
 def cmd_solve(args: argparse.Namespace) -> Verdict:
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
-    outcome = _decided(d, lambda: solver(d), lambda o: o.realisation is not None)
+    r = _decided(d, lambda: solver(d), lambda r: r is not None)
     if args.dump_cnf:
         parts = []
         if args.k >= 1:
@@ -144,7 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> Verdict:
         if not parts:
             parts.append("c no formula involved for k=0\n")
         Path(args.dump_cnf).write_text("".join(parts))
-    return _finish(args, outcome)
+    return _finish(args, r)
 
 
 def cmd_solve_exact(args: argparse.Namespace) -> Verdict:

@@ -222,8 +222,3 @@ def validate(m: RawMatrix) -> DistanceMatrix:
 def distance_matrix(rows: Iterable[Sequence[int]]) -> DistanceMatrix:
     """Convenience: build and validate in one step."""
     return validate(RawMatrix.from_rows(rows))
-
-
-def max_entry(d: DistanceMatrix) -> int:
-    """Largest entry of the matrix; 0 exactly when n = 1."""
-    return max(max(row) for row in d.entries)

@@ -1,19 +1,19 @@
 """Deciders for realisability with at most k extra vertices.
 
-For k = 0 the unit graph either works or nothing does.  For k = 1 and k = 2
-the free choices are exactly which anchors the extra vertices attach to, and
-those choices are captured by 2-CNF formulas over edge variables: one
-formula for a single extra vertex, one for two non-adjacent extras, and an
-extended one for two adjacent extras.  Any single satisfying assignment is
-as good as any other (the induced anchor metric is assignment-invariant),
-so each decider solves once, builds the induced graph, and compares anchor
-distances against the target matrix.  The variables are the candidate edges
-of ``_candidate_edges``: every graph with extra vertices, here and in
-``solve_exact``, is the unit graph plus some of them.  The deciders never
-write a formula down: each literal's successors in its implication graph
-are unions of per-row masks read off the matrix's level masks.
-``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` write the same
-formulas as clause lists, for ``solve --dump-cnf`` and the tests.
+Every decider answers with a verified :class:`Realisation` or None.  For
+k <= 2 they walk one ladder as far as k allows: the unit graph, then one
+model each of the 2-CNF formulas for a single extra vertex (phi1), two
+non-adjacent extras (phi2) and two adjacent extras (phi2'); the first graph
+that realises the matrix wins.  The unit graph is in every realisation, so
+the free choices are which anchors the extras attach to, and any model is as
+good as any other (the induced anchor metric is assignment-invariant).
+phi2' contains phi2, so an unsatisfiable phi2 ends the walk.  The variables
+are the candidate edges of ``_candidate_edges``: every graph with extra
+vertices, here and in ``solve_exact``, is the unit graph plus some of them.
+The ladder never writes a formula down: each literal's successors in its
+implication graph are unions of per-row masks read off the matrix's level
+masks.  ``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` write the
+same formulas as clause lists, for ``solve --dump-cnf`` and the tests.
 
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
@@ -41,13 +41,6 @@ class SearchSpaceTooLarge(Exception):
 
 
 @dataclass(frozen=True)
-class SolveOutcome:
-    answer: bool
-    realisation: Realisation | None
-    extra_vertices_used: int
-
-
-@dataclass(frozen=True)
 class Bounds:
     """Vertex-count bounds for any realisation of a matrix.
 
@@ -61,9 +54,6 @@ class Bounds:
     upper: int
 
 
-_NO = SolveOutcome(False, None, 0)
-
-
 def bounds(d: DistanceMatrix) -> Bounds:
     q0 = q_zero(d)
     n = d.n
@@ -74,22 +64,6 @@ def bounds(d: DistanceMatrix) -> Bounds:
         if 2 <= d.dist(i, j) <= q0
     )
     return Bounds(q0, n + q0 - 1, n + extra)
-
-
-def _outcome(g: SimpleGraph, d: DistanceMatrix) -> SolveOutcome:
-    """YES with g when g realises d, else NO.
-
-    The :class:`Realisation` constructor is the one verification of g.
-    """
-    try:
-        return SolveOutcome(True, Realisation(g, d), g.vertex_count - d.n)
-    except NotARealisation:
-        return _NO
-
-
-def solve_k0(d: DistanceMatrix) -> SolveOutcome:
-    """Realisable on exactly the anchors iff the unit graph already works."""
-    return _outcome(unit_graph(d), d)
 
 
 def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
@@ -213,50 +187,62 @@ def _candidate_edges(n: int, k: int) -> list[tuple[int, int]]:
     return [(i, n + 1 + t) for t in range(k) for i in range(1, n + 1)] + pairs
 
 
-def _assignment_graph(d: DistanceMatrix, chosen: Sequence[int], extras: int) -> SimpleGraph:
+def _assignment_graph(unit: SimpleGraph, chosen: Sequence[int], extras: int) -> SimpleGraph:
     """The unit graph plus the candidate edges b with ``chosen[b]`` set."""
-    n = d.n
+    n = unit.vertex_count
     picked = {e for e, on in zip(_candidate_edges(n, extras), chosen) if on}
-    return SimpleGraph(n + extras, n, unit_graph(d).edges | picked)
+    return SimpleGraph(n + extras, n, unit.edges | picked)
 
 
-def _attach(
-    d: DistanceMatrix, extras: int, rows2: list, rows3: list | None = None
-) -> SolveOutcome | None:
-    """Solve phi1, phi2 or, given ``rows3``, phi2' and check its model's
-    graph, whose extras are adjacent exactly for phi2'; None if unsatisfiable."""
-    model = twosat.solve_implications(_implications(d.n, rows2, extras, rows3))
-    if model is None:
-        return None
-    return _outcome(_assignment_graph(d, (*model, rows3 is not None), extras), d)
+def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:
+    """The first graph of the k <= 2 ladder that realises d, or None.
+
+    The rungs are the unit graph, then one model each of phi1, phi2 and
+    phi2', as far as k allows.  The a = 2 row masks are built at the first
+    formula and the a = 3 masks only at phi2'.  The :class:`Realisation`
+    constructor is the one check of each graph.
+    """
+    unit = unit_graph(d)
+    rows2 = None
+    for extras, adjacent in ((0, False), (1, False), (2, False), (2, True)):
+        if extras > k:
+            break
+        graph = unit
+        if extras:
+            if rows2 is None:
+                rows2 = _row_masks(d, 2)
+            rows3 = _row_masks(d, 3) if adjacent else None
+            model = twosat.solve_implications(_implications(d.n, rows2, extras, rows3))
+            if model is None:
+                if extras == 2:
+                    return None  # phi2' contains phi2
+                continue
+            graph = _assignment_graph(unit, (*model, adjacent), extras)
+        try:
+            return Realisation(graph, d)
+        except NotARealisation:
+            pass
+    return None
 
 
-def solve_k1(d: DistanceMatrix) -> SolveOutcome:
+def solve_k0(d: DistanceMatrix) -> Realisation | None:
+    """Realisable on exactly the anchors iff the unit graph already works."""
+    return _ladder(d, 0)
+
+
+def solve_k1(d: DistanceMatrix) -> Realisation | None:
     """Decide realisability with at most one extra vertex."""
-    base = solve_k0(d)
-    if base.answer:
-        return base
-    return _attach(d, 1, _row_masks(d, 2)) or _NO
+    return _ladder(d, 1)
 
 
-def solve_k2(d: DistanceMatrix) -> SolveOutcome:
+def solve_k2(d: DistanceMatrix) -> Realisation | None:
     """Decide realisability with at most two extra vertices."""
-    base = solve_k1(d)
-    if base.answer:
-        return base
-    rows2 = _row_masks(d, 2)
-    outcome = _attach(d, 2, rows2)
-    if outcome is None:
-        # The non-adjacent formula is necessary for both cases.
-        return _NO
-    if outcome.answer:
-        return outcome
-    return _attach(d, 2, rows2, _row_masks(d, 3)) or _NO
+    return _ladder(d, 2)
 
 
 def solve_exact(
     d: DistanceMatrix, k: int, max_free_edges: int = 30
-) -> SolveOutcome:
+) -> Realisation | None:
     """Brute-force decision for at most k extra vertices.
 
     Enumerates every subset of the candidate edges touching the k extra
@@ -267,19 +253,21 @@ def solve_exact(
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    if max_free_edges < 0:
+        raise ValueError("max_free_edges must be non-negative")
     n = d.n
     free = n * k + k * (k - 1) // 2
     if free > max_free_edges:
         raise SearchSpaceTooLarge(
             f"{free} free edges exceeds the guard of {max_free_edges}"
         )
-    base = list(unit_graph(d).edges)
+    unit = unit_graph(d)
+    base = list(unit.edges)
     candidates = _candidate_edges(n, k)
     rows = [list(row) for row in d.entries]
     for mask in range(1 << free):
         adj = _neighbour_lists(n + k, base + [candidates[b] for b in _bits(mask)])
         # One search per anchor, so almost every mask fails at anchor 1.
         if all(_bfs(adj, s, n + k)[1 : n + 1] == row for s, row in enumerate(rows, 1)):
-            g = _assignment_graph(d, [mask >> b & 1 for b in range(free)], k)
-            return SolveOutcome(True, Realisation(g, d), k)
-    return _NO
+            return Realisation(_assignment_graph(unit, [mask >> b & 1 for b in range(free)], k), d)
+    return None

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from combdmr import SimpleGraph, generate, verify_realisation
+from combdmr import SimpleGraph, generate, unit_graph, verify_realisation
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
 from combdmr.solvers import _assignment_graph
 from combdmr.tree import WeightedTree, ZareckiiReport, ZViolationKind
@@ -230,8 +230,9 @@ def first_verified_assignment(d: DistanceMatrix, k: int):
     holds that check against the verifier.
     """
     free = d.n * k + k * (k - 1) // 2
+    unit = unit_graph(d)
     for mask in range(1 << free):
-        g = _assignment_graph(d, [mask >> b & 1 for b in range(free)], k)
+        g = _assignment_graph(unit, [mask >> b & 1 for b in range(free)], k)
         if verify_realisation(g, d):
             return g
     return None

@@ -369,6 +369,7 @@ SUMMARY = re.compile(r"^verdict=(YES|NO) vertices=\d+ extra=\d+$")
         (["validate", "bad.mat"], 2),
         (["frobnicate"], 2),
         ([], 2),
+        (["solve-exact", "--k", "0", "--max-free-edges", "-1", "twos.mat"], 2),
     ],
 )
 def test_every_subcommand_ends_with_the_summary_line(tmp_path, capsys, argv, expected_code):

@@ -211,10 +211,10 @@ def _yes_case(family, seed):
         # A tree source is bipartite, so its gadget (n = 44..119) takes two extras.
         source = generate.random_connected_graph(random.Random(seed), 8 + 2 * seed, 0.0)
         d = reduction.reduce(source).matrix
-        return [list(row) for row in d.entries], solve_k2(d).realisation.graph
+        return [list(row) for row in d.entries], solve_k2(d).graph
     rows = helpers.planted_or_tree_rows(seed, n, family)
     d = distance_matrix(rows)
-    r = tree.solve_tree(d) if family == "tree" else solve_k2(d).realisation
+    r = tree.solve_tree(d) if family == "tree" else solve_k2(d)
     return rows, r.graph
 
 

@@ -9,7 +9,6 @@ from combdmr.matrix import (
     ViolationKind,
     check_structure,
     distance_matrix,
-    max_entry,
     validate,
 )
 
@@ -23,7 +22,6 @@ def test_all_twos_validates():
 def test_single_vertex_validates():
     d = distance_matrix([[0]])
     assert d.n == 1
-    assert max_entry(d) == 0
 
 
 def test_triangle_violation_witness():
@@ -69,11 +67,6 @@ def test_raw_matrix_checks_each_row_for_length_then_entries():
     with pytest.raises(ValidationError) as err:
         RawMatrix.from_rows([[0], [1, -1]])
     assert (err.value.kind, err.value.witness) == (ViolationKind.NOT_SQUARE, (1,))
-
-
-def test_max_entry_reference_matrices():
-    assert max_entry(distance_matrix(helpers.ALL_TWOS_3)) == 2
-    assert max_entry(distance_matrix(helpers.EIGHT_BY_EIGHT)) == 4
 
 
 def test_validate_idempotent():

@@ -212,8 +212,8 @@ def test_solver_equivalence_small_graphs():
     for g in helpers.connected_graphs_up_to(4):
         inst = reduce(g)
         chi = helpers.brute_chromatic(g)
-        assert solve_k1(inst.matrix).answer == (chi <= 1)
-        assert solve_k2(inst.matrix).answer == (chi <= 2)
+        assert (solve_k1(inst.matrix) is not None) == (chi <= 1)
+        assert (solve_k2(inst.matrix) is not None) == (chi <= 2)
 
 
 def test_roundtrip_never_needs_more_colours():

@@ -68,14 +68,14 @@ def test_bounds_eight_matrix():
 # -- k = 0 ---------------------------------------------------------------------
 
 def test_k0_all_ones_is_triangle():
-    out = solve_k0(ALL_ONES)
-    assert out.answer and out.extra_vertices_used == 0
-    assert out.realisation.graph.edges == frozenset({(1, 2), (1, 3), (2, 3)})
+    g = solve_k0(ALL_ONES).graph
+    assert g.vertex_count - g.anchor_count == 0
+    assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
 def test_k0_no_cases():
-    assert not solve_k0(ALL_TWOS).answer
-    assert not solve_k0(EIGHT).answer
+    assert solve_k0(ALL_TWOS) is None
+    assert solve_k0(EIGHT) is None
 
 
 # -- formula builders ------------------------------------------------------------
@@ -204,81 +204,95 @@ def test_forced_pairs_match_their_definitions(rows):
 # -- k = 1, k = 2 ----------------------------------------------------------------
 
 def test_k1_all_twos_star():
-    out = solve_k1(ALL_TWOS)
-    assert out.answer and out.extra_vertices_used == 1
-    g = out.realisation.graph
+    g = solve_k1(ALL_TWOS).graph
+    assert g.vertex_count - g.anchor_count == 1
     assert g.vertex_count == 4
     assert g.edges == frozenset({(1, 4), (2, 4), (3, 4)})
 
 
 def test_k1_eight_matrix_nine_vertices():
     out = solve_k1(EIGHT)
-    assert out.answer and out.realisation.graph.vertex_count == 9
-    assert helpers.graph_realises(out.realisation.graph, helpers.EIGHT_BY_EIGHT)
+    assert out is not None and out.graph.vertex_count == 9
+    assert helpers.graph_realises(out.graph, helpers.EIGHT_BY_EIGHT)
 
 
 def test_k1_k2_gadget_no():
     d = k2_gadget_matrix()
-    assert not solve_k1(d).answer
-    assert not solve_exact(d, 1).answer
+    assert solve_k1(d) is None
+    assert solve_exact(d, 1) is None
 
 
 def test_k1_phi1_unsat_matrix_no():
-    assert not solve_k1(PHI1_UNSAT).answer
-    assert not solve_exact(PHI1_UNSAT, 1).answer
+    assert solve_k1(PHI1_UNSAT) is None
+    assert solve_exact(PHI1_UNSAT, 1) is None
 
 
 def test_k2_cascades_to_one_extra():
-    out = solve_k2(ALL_TWOS)
-    assert out.answer and out.extra_vertices_used == 1
-    assert out.realisation.graph.vertex_count == 4
+    g = solve_k2(ALL_TWOS).graph
+    assert g.vertex_count - g.anchor_count == 1
+    assert g.vertex_count == 4
 
 
 def test_k2_k2_gadget_yes():
     d = k2_gadget_matrix()
-    out = solve_k2(d)
-    assert out.answer and out.extra_vertices_used == 2
-    assert helpers.graph_realises(
-        out.realisation.graph, [list(r) for r in d.entries]
-    )
+    g = solve_k2(d).graph
+    assert g.vertex_count - g.anchor_count == 2
+    assert helpers.graph_realises(g, [list(r) for r in d.entries])
 
 
 def test_k2_adjacent_extras_branch():
     d = distance_matrix([[0, 3], [3, 0]])
-    assert not solve_k1(d).answer
+    assert solve_k1(d) is None
     out = solve_k2(d)
-    assert out.answer
-    g = out.realisation.graph
+    assert out is not None
+    g = out.graph
     assert g.vertex_count == 4
     assert (3, 4) in g.edges
 
 
-def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
-    # A planted matrix whose two hidden extras are adjacent: phi1 and phi2
-    # give no realisation, phi2' does.  solve_k1 builds the a = 2 row masks
-    # for phi1, and phi2 and phi2' share a second build.
+def _count_row_masks(monkeypatch):
     calls = []
     row_masks = solvers._row_masks
     monkeypatch.setattr(solvers, "_row_masks", lambda d, a: calls.append(a) or row_masks(d, a))
+    return calls
+
+
+def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
+    # A planted matrix whose two hidden extras are adjacent: phi1 and phi2
+    # give no realisation, phi2' does.  phi1, phi2 and phi2' share one build
+    # of the a = 2 row masks, and only phi2' builds the a = 3 ones; every
+    # rung adds to one build of the unit graph.
+    calls = _count_row_masks(monkeypatch)
+    units = []
+    monkeypatch.setattr(solvers, "unit_graph", lambda d: units.append(d) or unit_graph(d))
     rows = helpers.planted_or_tree_rows(200, 60, "planted", 2)
-    out = solve_k2(distance_matrix(rows))
-    assert out.answer and out.extra_vertices_used == 2
-    assert (61, 62) in out.realisation.graph.edges
-    assert helpers.graph_realises(out.realisation.graph, rows)
-    assert calls == [2, 2, 3]
+    g = solve_k2(distance_matrix(rows)).graph
+    assert g.vertex_count - g.anchor_count == 2
+    assert (61, 62) in g.edges
+    assert helpers.graph_realises(g, rows)
+    assert calls == [2, 3]
+    assert len(units) == 1
+
+
+def test_k2_unsatisfiable_phi2_ends_before_the_distance_3_row_masks(monkeypatch):
+    # The gadget of an odd cycle is a NO whose phi2 is unsatisfiable, so
+    # phi2' (which contains it) is never built.
+    calls = _count_row_masks(monkeypatch)
+    assert solve_k2(reduce(SimpleGraph.make(5, 5, _cycle(5))).matrix) is None
+    assert calls == [2]
 
 
 # -- exhaustive search ------------------------------------------------------------
 
 def test_exact_all_twos_first_witness_is_star():
     out = solve_exact(ALL_TWOS, 1)
-    assert out.answer
-    assert out.realisation.graph.edges == frozenset({(1, 4), (2, 4), (3, 4)})
+    assert out is not None
+    assert out.graph.edges == frozenset({(1, 4), (2, 4), (3, 4)})
 
 
 def test_exact_trivial_cases():
-    assert solve_exact(ALL_ONES, 0).answer
-    assert not solve_exact(ALL_TWOS, 0).answer
+    assert solve_exact(ALL_ONES, 0) is not None
+    assert solve_exact(ALL_TWOS, 0) is None
 
 
 def test_exact_guard():
@@ -288,7 +302,15 @@ def test_exact_guard():
     with pytest.raises(SearchSpaceTooLarge):
         solve_exact(big, 4)
     # The guard is configurable; k=0 has no free edges at all.
-    assert not solve_exact(big, 0, max_free_edges=0).answer
+    assert solve_exact(big, 0, max_free_edges=0) is None
+
+
+def test_exact_rejects_a_negative_guard():
+    # A negative guard is a bad parameter, like a negative k, and not a
+    # search that grew too large.
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="max_free_edges must be non-negative"):
+            solve_exact(ALL_TWOS, k, max_free_edges=-1)
 
 
 # -- cross-cutting properties -----------------------------------------------------
@@ -308,7 +330,7 @@ def test_assignment_invariance_small():
     for d in (ALL_TWOS, EIGHT, k2_gadget_matrix()):
         phi1 = build_phi1(d)
         metrics = {
-            _anchor_metric(_assignment_graph(d, (*m, False), 1), d.n)
+            _anchor_metric(_assignment_graph(unit_graph(d), (*m, False), 1), d.n)
             for m in helpers.enumerate_models(phi1)
         }
         if not metrics:
@@ -323,22 +345,21 @@ def test_oracle_agreement_sample():
         for k in (0, 1, 2):
             poly = (solve_k0, solve_k1, solve_k2)[k](d)
             brute = solve_exact(d, k)
-            assert poly.answer == brute.answer, (d.entries, k)
+            assert (poly is not None) == (brute is not None), (d.entries, k)
 
 
 def test_monotonicity_and_realisation_invariants():
     for d, _ in helpers.metric_stream(25, seed0=9500):
-        answers = [solve_k0(d).answer, solve_k1(d).answer, solve_k2(d).answer]
+        answers = [solve_k0(d) is not None, solve_k1(d) is not None, solve_k2(d) is not None]
         for lo, hi in zip(answers, answers[1:]):
             assert not lo or hi
         outcomes = [solve_k0(d), solve_k1(d), solve_k2(d)]
         outcomes += [solve_exact(d, k) for k in (0, 1, 2)]
         for out in outcomes:
-            if out.answer:
-                g = out.realisation.graph
+            if out is not None:
+                g = out.graph
                 assert verify_realisation(g, d)
                 assert g.vertex_count <= d.n + 2
-                assert out.extra_vertices_used == g.vertex_count - d.n
                 assert induced_anchor_edges(g) == unit_graph(d).edges
 
 
@@ -358,9 +379,9 @@ def test_every_yes_is_the_unit_graph_plus_candidate_edges(rows):
             pass
     base = unit_graph(d).edges
     for out in outcomes:
-        if out.answer:
-            g = out.realisation.graph
-            extra = out.extra_vertices_used
+        if out is not None:
+            g = out.graph
+            extra = g.vertex_count - g.anchor_count
             assert extra == g.vertex_count - d.n
             assert induced_anchor_edges(g) == base
             assert g.edges - base <= set(_candidate_edges(d.n, extra))
@@ -416,17 +437,17 @@ def test_solve_exact_finds_the_first_mask_the_verifier_accepts(rows, k):
     except SearchSpaceTooLarge:
         assume(False)
     expected = helpers.first_verified_assignment(d, k)
-    assert out.answer == (expected is not None)
-    assert out.realisation is None or out.realisation.graph == expected
+    assert (out is not None) == (expected is not None)
+    assert out is None or out.graph == expected
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_planted_matrices_beyond_brute_force_are_yes_at_their_hidden_count(seed):
     hidden = seed % 3
     rows = helpers.planted_or_tree_rows(seed, (40, 80, 120, 200)[seed // 3], "planted", hidden)
-    out = (solve_k0, solve_k1, solve_k2)[hidden](distance_matrix(rows))
-    assert out.answer and out.extra_vertices_used <= hidden
-    assert helpers.graph_realises(out.realisation.graph, rows)
+    g = (solve_k0, solve_k1, solve_k2)[hidden](distance_matrix(rows)).graph
+    assert g.vertex_count - g.anchor_count <= hidden
+    assert helpers.graph_realises(g, rows)
 
 
 def _cycle(n):
@@ -453,7 +474,7 @@ def test_gadgets_beyond_brute_force_are_yes_exactly_for_bipartite_sources(
     # chi(source) <= 2 iff the gadget needs at most two extra vertices.
     inst = reduce(SimpleGraph.make(n_c, n_c, edges))
     out = solve_k2(inst.matrix)
-    assert out.answer == bipartite
+    assert (out is not None) == bipartite
     if bipartite:
         rows = [list(r) for r in inst.matrix.entries]
-        assert helpers.graph_realises(out.realisation.graph, rows)
+        assert helpers.graph_realises(out.graph, rows)
