@@ -41,7 +41,6 @@ from .solvers import (
 )
 from .tree import (
     WeightedTree,
-    ZViolationKind,
     build_weighted_tree,
     check_zareckii,
     solve_tree,
@@ -73,7 +72,6 @@ __all__ = [
     "ViolationKind",
     "WeightedSkeleton",
     "WeightedTree",
-    "ZViolationKind",
     "anchor_distances",
     "bfs_apsp",
     "bounds",

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / valid / success, 1 = NO (including "no tree
-realisation"), 2 = invalid input, 3 = a search guard was exceeded, 4 = an
-internal error (a failed self-check or a crash, never an answer).  All
-human-readable output goes to stdout, and the last line is always the
+realisation"), 2 = invalid input, 3 = a search or size guard was exceeded,
+4 = an internal error (a failed self-check or a crash, never an answer).
+All human-readable output goes to stdout, and the last line is always the
 machine-readable summary ``verdict=<YES|NO> vertices=<m> extra=<e>``, on
 usage errors too; only ``--help`` prints nothing but the help.  Subcommands
 return their verdict and :func:`main` prints the summary and picks the code.
@@ -40,7 +40,6 @@ from .textio import (
     parse_matrix,
     to_dot,
 )
-from .tree import ZareckiiReport
 
 
 def _read_text(path: str) -> str:
@@ -163,14 +162,6 @@ def cmd_bounds(args: argparse.Namespace) -> Verdict:
     return True, b.lower, b.q0 - 1
 
 
-def _zareckii_line(report: ZareckiiReport) -> str:
-    if report.holds:
-        return "zareckii=holds"
-    assert report.violation is not None
-    kind, witness = report.violation
-    return f"zareckii=violated {kind.value} at {witness}"
-
-
 def cmd_tree(args: argparse.Namespace) -> Verdict:
     d = check_structure(_read_matrix(args.input))
 
@@ -181,9 +172,12 @@ def cmd_tree(args: argparse.Namespace) -> Verdict:
     wt, result = _decided(d, build, lambda built: built[1] is not None)
     # d is a metric now: the tree realises it, or the scan passed.
     if args.certify:
-        report = tree.check_zareckii(d)
-        print(_zareckii_line(report))
-        if report.holds != (result is not None):
+        violation = tree.check_zareckii(d)
+        if violation is None:
+            print("zareckii=holds")
+        else:
+            print(f"zareckii=violated {violation[0].value} at {violation[1]}")
+        if (violation is None) != (result is not None):
             raise AssertionError("tree deciders disagree")
         print("certify: condition check and construction agree")
     if result is None:

@@ -27,11 +27,19 @@ MAX_ENTRY = 2**32 - 1
 
 
 class ViolationKind(enum.Enum):
+    """Every condition a matrix can violate, by the name the CLI prints.
+
+    :class:`ValidationError` carries the axioms only, never the tree
+    conditions ``PARITY_TRIPLE`` and ``FOUR_POINT`` of ``tree.check_zareckii``.
+    """
+
     NOT_SQUARE = "not-square"
     DIAGONAL_NONZERO = "diagonal-nonzero"
     OFF_DIAGONAL_ZERO = "off-diagonal-zero"
     ASYMMETRIC = "asymmetric"
     TRIANGLE_VIOLATION = "triangle-violation"
+    PARITY_TRIPLE = "parity-triple"
+    FOUR_POINT = "four-point"
 
 
 class ValidationError(ValueError):

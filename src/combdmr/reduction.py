@@ -203,11 +203,14 @@ def proper_colouring(g: SimpleGraph, k: int) -> Colouring | None:
     return Colouring(k, tuple(assign[1:]))
 
 
-def chromatic_number_bruteforce(g: SimpleGraph, max_vertices: int = 10) -> int:
+_MAX_CHROMATIC_VERTICES = 10
+
+
+def chromatic_number_bruteforce(g: SimpleGraph) -> int:
     """Least k admitting a proper colouring, by exhaustive search."""
-    if g.vertex_count > max_vertices:
+    if g.vertex_count > _MAX_CHROMATIC_VERTICES:
         raise SearchSpaceTooLarge(
-            f"{g.vertex_count} vertices exceeds the guard of {max_vertices}"
+            f"{g.vertex_count} vertices exceeds the guard of {_MAX_CHROMATIC_VERTICES}"
         )
     for k in range(1, g.vertex_count + 1):
         if proper_colouring(g, k) is not None:

@@ -37,7 +37,7 @@ from .twosat import TwoSatInstance
 
 
 class SearchSpaceTooLarge(Exception):
-    """An exhaustive search guard was exceeded."""
+    """A search or size guard was exceeded."""
 
 
 @dataclass(frozen=True)

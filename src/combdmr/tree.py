@@ -15,27 +15,23 @@ v meets u at doubled depth G_vu, and their doubled tree distance is
 2 D_1v + 2 D_1u - 2 G_vu = 2 D_vu.  Two anchors on one point would be at
 distance 0, which ``matrix.check_structure`` rejects.  The weighted tree
 therefore needs no check of its own; ``Realisation`` checks the expanded
-unweighted tree of a YES, once.
+unweighted tree of a YES, once, after a size guard: entries up to 2^32 - 1
+could ask for that many vertices.  The certificate answers with its first
+violation in the one vocabulary ``matrix.ViolationKind``, or None.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .graph import Realisation, _expand_paths, _is_connected, _neighbour_lists
-from .matrix import DistanceMatrix
+from .matrix import DistanceMatrix, ViolationKind
+from .solvers import SearchSpaceTooLarge
 
-
-class ZViolationKind(enum.Enum):
-    PARITY_TRIPLE = "parity-triple"
-    FOUR_POINT = "four-point"
-
-
-@dataclass(frozen=True)
-class ZareckiiReport:
-    holds: bool
-    violation: tuple[ZViolationKind, tuple[int, ...]] | None = None
+# Most vertices an expanded tree may have.  A run costs about 0.3 KiB and
+# 2-5 us per vertex (16.5 to 21.8 MiB peak for 2.5k to 20k vertices), so
+# this stays near 100 MiB and 1 s, where the entries alone allow 2^32.
+_MAX_TREE_VERTICES = 2**18
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,13 @@ class WeightedTree:
             raise ValueError("tree is not connected")
 
 
-def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
-    """Decide tree realisability by the parity and four-point conditions.
+def check_zareckii(d: DistanceMatrix) -> tuple[ViolationKind, tuple[int, ...]] | None:
+    """The first violation of the parity and four-point conditions as
+    ``(ViolationKind, witness)``, or None when d has a tree realisation.
 
-    Reports the first violating index tuple, in lexicographic order, of the
-    scan of all triples for even perimeter and then of all quadruples for
-    "the maximum of the three pairing sums is attained at least twice".
+    The witness is the first violating index tuple, in lexicographic order,
+    of the scan of all triples for even perimeter and then of all quadruples
+    for "the maximum of the three pairing sums is attained at least twice".
     Tuples with repeated indices satisfy the conditions automatically for a
     validated matrix.  Only the tuples that start with anchor 1 matter: they
     come first in that order, and if any tuple violates a condition then one
@@ -95,12 +92,10 @@ def check_zareckii(d: DistanceMatrix) -> ZareckiiReport:
     for j in range(1, n):
         for k in range(j + 1, n):
             if (e1[j] + e1[k] + e[j][k]) % 2:
-                return ZareckiiReport(
-                    False, (ZViolationKind.PARITY_TRIPLE, (1, j + 1, k + 1))
-                )
+                return ViolationKind.PARITY_TRIPLE, (1, j + 1, k + 1)
     if _four_point_parents(e) is not None:
-        return ZareckiiReport(True, None)
-    return ZareckiiReport(False, (ZViolationKind.FOUR_POINT, _four_point_witness(e)))
+        return None
+    return ViolationKind.FOUR_POINT, _four_point_witness(e)
 
 
 def _four_point_parents(
@@ -224,8 +219,14 @@ def solve_tree(d: DistanceMatrix) -> Realisation | None:
 
 
 def expand_tree(d: DistanceMatrix, wt: WeightedTree | None) -> Realisation | None:
-    """``solve_tree`` from an already built ``build_weighted_tree(d)``."""
+    """``solve_tree`` from an already built ``build_weighted_tree(d)``; raises
+    ``SearchSpaceTooLarge`` above ``_MAX_TREE_VERTICES`` expanded vertices."""
     if wt is None or any(w % 2 for _, _, w in wt.edges):
         return None
     halved = [(u, v, w2 // 2) for u, v, w2 in wt.edges]
+    vertices = wt.vertex_count + sum(w - 1 for _, _, w in halved)
+    if vertices > _MAX_TREE_VERTICES:
+        raise SearchSpaceTooLarge(
+            f"{vertices} vertices exceeds the guard of {_MAX_TREE_VERTICES}"
+        )
     return Realisation(_expand_paths(d.n, wt.vertex_count + 1, halved), d)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from combdmr import SimpleGraph, generate, unit_graph, verify_realisation
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
 from combdmr.solvers import _assignment_graph
-from combdmr.tree import WeightedTree, ZareckiiReport, ZViolationKind
+from combdmr.tree import WeightedTree
 from combdmr.twosat import TwoSatInstance
 
 INF = float("inf")
@@ -114,24 +114,22 @@ def four_point_oracle(rows):
     return None
 
 
-def zareckii_oracle(rows) -> ZareckiiReport:
-    """The tree certificate of a validated matrix by the full scans: every
-    triple for odd perimeter, then every quadruple for a pairing-sum maximum
-    attained once, reporting the first violating tuple in lexicographic
-    order (O(n^4))."""
+def zareckii_oracle(rows):
+    """``(kind, witness)`` of the first tree-condition violation of a
+    validated matrix, or None, by the full scans: every triple for odd
+    perimeter, then every quadruple for a pairing-sum maximum attained once,
+    each in lexicographic order (O(n^4))."""
     e = rows
     n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 if (e[i][j] + e[i][k] + e[j][k]) % 2:
-                    return ZareckiiReport(
-                        False, (ZViolationKind.PARITY_TRIPLE, (i + 1, j + 1, k + 1))
-                    )
+                    return ViolationKind.PARITY_TRIPLE, (i + 1, j + 1, k + 1)
     quadruple = four_point_oracle(rows)
     if quadruple is not None:
-        return ZareckiiReport(False, (ZViolationKind.FOUR_POINT, quadruple))
-    return ZareckiiReport(True, None)
+        return ViolationKind.FOUR_POINT, quadruple
+    return None
 
 
 # -- weighted tree canonical form ----------------------------------------------

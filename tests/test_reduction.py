@@ -196,7 +196,7 @@ def test_chromatic_numbers():
 
 def test_chromatic_guard():
     big = SimpleGraph.make(11, 11, [(i, i + 1) for i in range(1, 11)])
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge, match="11 vertices exceeds the guard of 10"):
         chromatic_number_bruteforce(big)
 
 

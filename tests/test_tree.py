@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,6 @@ import helpers
 from combdmr import (
     SimpleGraph,
     WeightedTree,
-    ZViolationKind,
     build_weighted_tree,
     check_zareckii,
     solve_tree,
@@ -17,7 +17,7 @@ from combdmr import (
 )
 from combdmr import generate, tree
 from combdmr.cli import main
-from combdmr.matrix import DistanceMatrix, ValidationError, distance_matrix
+from combdmr.matrix import DistanceMatrix, ValidationError, ViolationKind, distance_matrix
 
 
 # Bipartite-graph metrics and trees with one even cycle pass parity, so they
@@ -41,23 +41,23 @@ def anchor_rows(g: SimpleGraph):
 # -- condition checker ----------------------------------------------------------
 
 def test_zareckii_single_pair_holds():
-    assert check_zareckii(distance_matrix([[0, 2], [2, 0]])).holds
+    assert check_zareckii(distance_matrix([[0, 2], [2, 0]])) is None
 
 
 def test_zareckii_parity_witness():
     rep = check_zareckii(distance_matrix(helpers.ALL_ONES_3))
-    assert not rep.holds
-    kind, witness = rep.violation
-    assert kind is ZViolationKind.PARITY_TRIPLE
+    assert rep is not None
+    kind, witness = rep
+    assert kind is ViolationKind.PARITY_TRIPLE
     assert witness == (1, 2, 3)
 
 
 def test_zareckii_four_point_witness():
     rows = helpers.FOUR_CYCLE_METRIC
     rep = check_zareckii(distance_matrix(rows))
-    assert not rep.holds
-    kind, witness = rep.violation
-    assert kind is ZViolationKind.FOUR_POINT
+    assert rep is not None
+    kind, witness = rep
+    assert kind is ViolationKind.FOUR_POINT
     assert witness == (1, 2, 3, 4)
     i, j, k, l = (w - 1 for w in witness)
     sums = sorted(
@@ -92,10 +92,10 @@ def test_zareckii_matches_the_all_tuple_oracle():
             return
         report = check_zareckii(d)
         assert report == helpers.zareckii_oracle(rows)
-        kinds.add(report.violation and report.violation[0])
+        kinds.add(report and report[0])
 
     check()
-    assert {ZViolationKind.PARITY_TRIPLE, ZViolationKind.FOUR_POINT} <= kinds
+    assert {ViolationKind.PARITY_TRIPLE, ViolationKind.FOUR_POINT} <= kinds
 
 
 def test_zareckii_decides_yes_without_the_witness_scan(monkeypatch):
@@ -105,11 +105,11 @@ def test_zareckii_decides_yes_without_the_witness_scan(monkeypatch):
         raise AssertionError("witness scan ran on a passing metric")
 
     monkeypatch.setattr(tree, "_four_point_witness", no_scan)
-    assert check_zareckii(distance_matrix(helpers.planted_or_tree_rows(3, 150, "tree"))).holds
+    assert check_zareckii(distance_matrix(helpers.planted_or_tree_rows(3, 150, "tree"))) is None
     # The path metric is a metric by construction; validating it at n = 300
     # would cost far more than the check.
     path = tuple(tuple(abs(i - j) for j in range(300)) for i in range(300))
-    assert check_zareckii(DistanceMatrix(path)).holds
+    assert check_zareckii(DistanceMatrix(path)) is None
 
 
 # -- weighted tree construction ---------------------------------------------------
@@ -344,13 +344,50 @@ def test_solve_tree_single_anchor():
     assert r.graph.vertex_count == 1
 
 
+def _tree_run(tmp_path, capsys, entry):
+    path = tmp_path / "pair.mat"
+    path.write_text(f"0 {entry}\n{entry} 0\n")
+    code = main(["tree", str(path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_far_pair_exits_3_before_expanding(tmp_path, capsys, monkeypatch):
+    # The largest parsable entry asks for 2^32 vertices.  A guard that let it
+    # through reaches the fake and exits 4 at once instead of allocating.
+    def no_expansion(*args):
+        raise AssertionError("expanded past the guard")
+
+    monkeypatch.setattr(tree, "_expand_paths", no_expansion)
+    t0 = time.perf_counter()
+    code, lines = _tree_run(tmp_path, capsys, 2**32 - 1)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert lines == [
+        f"error: {2**32} vertices exceeds the guard of {tree._MAX_TREE_VERTICES}",
+        "verdict=NO vertices=0 extra=0",
+    ]
+
+
+def test_tree_guard_admits_exactly_its_vertex_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tree, "_MAX_TREE_VERTICES", 10)
+    code, lines = _tree_run(tmp_path, capsys, 9)
+    assert code == 0
+    assert lines[-1] == "verdict=YES vertices=10 extra=8"
+    code, lines = _tree_run(tmp_path, capsys, 10)
+    assert code == 3
+    assert lines == [
+        "error: 11 vertices exceeds the guard of 10",
+        "verdict=NO vertices=0 extra=0",
+    ]
+
+
 def test_decider_equivalence_on_random_metrics():
     cases = [d for d, _ in helpers.metric_stream(60, seed0=6200)]
     cases += [d for _, d in helpers.minimal_tree_stream(40, seed0=6300)]
     cases.append(distance_matrix(helpers.ALL_ONES_3))
     cases.append(distance_matrix(helpers.FOUR_CYCLE_METRIC))
     for d in cases:
-        holds = check_zareckii(d).holds
+        holds = check_zareckii(d) is None
         result = solve_tree(d)
         assert holds == (result is not None), d.entries
         if result is not None:
