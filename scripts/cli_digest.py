@@ -4,9 +4,10 @@
 Every argv runs through ``combdmr.cli.main`` in this one process: each
 subcommand on the matrices and graphs of ``tests/data`` and on a few small
 planted metrics (0-2 hidden vertices), minimal-tree metrics and
-colourability gadgets, all drawn through ``combdmr.generate``; and
+colourability gadgets, all drawn through ``combdmr.generate``;
 ``verify`` on seeded host graphs changed in the ways that steer the
-realisation check.
+realisation check; and ``bounds`` on matrix files that the parser reads in
+unusual forms or refuses, one for each of its messages.
 For each argv one line gives a sha256 over the exit code, stdout and every
 file the run wrote, then the argv, with the temporary directory shown as
 ``<tmp>`` in both; a line with the sha256 of all those lines comes last.  Two
@@ -34,6 +35,27 @@ from combdmr.textio import emit_colouring, emit_graph, emit_matrix, parse_graph
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 OUTPUT_FLAGS = ("--out", "--dot", "--dump-cnf", "--weighted-out")
+# Matrix files the parser accepts in unusual forms, or refuses with each of
+# its messages; the mixed rows pin which bad token a line names first.
+# "large", a star of 15 legs of 150 around anchor 1, mixes a row of few
+# values that fit in a byte with rows that reach 300, and also runs every
+# subcommand of the seeded matrices.
+ODD_MATRICES = {
+    "large": "".join(
+        " ".join(str(0 if i == j else 150 if 0 in (i, j) else 300) for j in range(16)) + "\n"
+        for i in range(16)
+    ),
+    "tokens": "0 +1 0_2\n001 0 1\n2 1 0\n",
+    "word": "# comment\n\n0 1\n1 x\n",
+    "negative": "0 -1\n-1 0\n",
+    "wide": "0 4294967296\n4294967296 0\n",
+    "count": "0 1\n1 0 0\n",
+    "empty": "",
+    "comments": "# nothing\n\n",
+    "negative-word": "0 -1 x\n1 0 1\n1 1 0\n",
+    "word-negative": "0 x -1\n1 0 1\n1 1 0\n",
+    "wide-negative": "0 4294967296 -5\n1 0 1\n1 1 0\n",
+}
 
 
 def planted(seed, anchors, hidden):
@@ -48,9 +70,10 @@ def planted(seed, anchors, hidden):
 
 
 def write_inputs(tmp):
-    """Copy ``tests/data`` and write the seeded matrices, gadget sources and
-    their 2- and 3-colourings (a dummy line where there is none) into tmp;
-    returns the matrix and graph paths."""
+    """Copy ``tests/data`` and write the seeded matrices (one of them with 40
+    anchors), gadget sources and their 2- and 3-colourings (a dummy line
+    where there is none) and the odd matrix files into tmp; returns the matrix and graph paths, the
+    ``verify`` cases and the odd matrix paths."""
     shutil.copytree(DATA, tmp / "data")
     mats = sorted(tmp.glob("data/*.mat"))
     for seed in range(10):
@@ -72,7 +95,18 @@ def write_inputs(tmp):
         for k in (2, 3):
             c = reduction.proper_colouring(g, k)
             (tmp / f"g{i}c{k}.col").write_text(emit_colouring(c) if c else "1 1\n")
-    return [str(m) for m in mats], [str(g) for g in graphs], write_verify_cases(tmp)
+    # Dense enough that every row has few distinct values.
+    mats.append(tmp / "dense.mat")
+    mats[-1].write_text(emit_matrix(planted(11, 40, 1)))
+    odd = []
+    for name, text in ODD_MATRICES.items():
+        odd.append(tmp / f"{name}.mat")
+        odd[-1].write_text(text)
+    mats.append(odd[0])
+    return (
+        [str(m) for m in mats], [str(g) for g in graphs], write_verify_cases(tmp),
+        [str(m) for m in odd],
+    )
 
 
 def write_verify_cases(tmp):
@@ -103,7 +137,7 @@ def write_verify_cases(tmp):
     return [(str(g), str(m)) for g, m in pairs]
 
 
-def argvs(tmp, mats, graphs, verify_cases):
+def argvs(tmp, mats, graphs, verify_cases, odd):
     """The fixed argv list; outputs of earlier argvs feed later ones."""
     out = []
     for i, m in enumerate(mats):
@@ -136,6 +170,7 @@ def argvs(tmp, mats, graphs, verify_cases):
     out += [["solve", "--k", "3", mats[0]], ["solve-exact", "--k", "2", mats[0],
             "--max-free-edges", "0"], ["gen", "--mode", "reduction"], ["nonsense"]]
     out += [["verify", g, m] for g, m in verify_cases]
+    out += [["bounds", m] for m in odd]
     return out
 
 

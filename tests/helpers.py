@@ -132,6 +132,55 @@ def zareckii_oracle(rows):
     return None
 
 
+# -- reading matrices ----------------------------------------------------------
+
+def parse_matrix_oracle(text):
+    """``(rows, None)`` for a matrix file ``textio.parse_matrix`` accepts,
+    else ``(None, (line, reason))`` of the ``ParseError`` it must raise, by
+    one loop over the tokens of each content line: ``int`` on each token in
+    order, then its sign and 32-bit range, then the line's length."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        s = raw.strip()
+        if s and not s.startswith("#"):
+            lines.append((lineno, s))
+    if not lines:
+        return None, (1, "empty matrix")
+    rows = []
+    for lineno, s in lines:
+        row = []
+        for tok in s.split():
+            try:
+                v = int(tok)
+            except ValueError:
+                return None, (lineno, f"not an integer: {tok!r}")
+            if v < 0:
+                return None, (lineno, f"negative value {v}")
+            if v > 2**32 - 1:
+                return None, (lineno, f"value {v} exceeds 32-bit range")
+            row.append(v)
+        if len(row) != len(lines):
+            return None, (lineno, f"expected {len(lines)} entries, got {len(row)}")
+        rows.append(tuple(row))
+    return tuple(rows), None
+
+
+def level_masks_oracle(row):
+    """``(values, at, within)`` of one matrix row by a loop over its
+    entries: ``values`` the distinct entries ascending, bit w of ``at[a]``
+    set when row[w] == a, and ``within[k]`` the union of ``at`` over the
+    values up to ``values[k]``."""
+    at = {}
+    for w, x in enumerate(row):
+        at[x] = at.get(x, 0) | 1 << w
+    values = tuple(sorted(at))
+    within, acc = [], 0
+    for a in values:
+        acc |= at[a]
+        within.append(acc)
+    return values, at, tuple(within)
+
+
 # -- weighted tree canonical form ----------------------------------------------
 
 def _add_edge(adj: dict[int, dict[int, int]], a: int, b: int, w: int) -> None:

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from combdmr.matrix import (
+    DistanceMatrix,
     RawMatrix,
     ValidationError,
     ViolationKind,
@@ -67,6 +70,35 @@ def test_raw_matrix_checks_each_row_for_length_then_entries():
     with pytest.raises(ValidationError) as err:
         RawMatrix.from_rows([[0], [1, -1]])
     assert (err.value.kind, err.value.witness) == (ViolationKind.NOT_SQUARE, (1,))
+
+
+@st.composite
+def level_rows(draw, n):
+    """A seeded row of n entries drawn from 1 to 300 values up to a bound of
+    3 to 300.  A bound of 255 or 256 is also an entry, so the largest entry
+    lies on both sides of what a byte holds, and rows with few distinct
+    values and rows with many meet both."""
+    top = draw(st.sampled_from((3, 20, 254, 255, 256, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    count = draw(st.sampled_from((1, 2, 4, 8, 300)))
+    pool = rng.sample(range(top + 1), min(top + 1, count))
+    row = [rng.choice(pool) for _ in range(n)]
+    if top in (255, 256):
+        row[rng.randrange(n)] = top
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=300).flatmap(level_rows))
+def test_row_levels_match_the_entry_loop(row):
+    assert DistanceMatrix((tuple(row),)).levels == (helpers.level_masks_oracle(row),)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(level_rows(n), min_size=n, max_size=n)))
+def test_levels_of_a_matrix_mixing_small_and_large_rows_match_the_entry_loop(rows):
+    d = DistanceMatrix(tuple(map(tuple, rows)))
+    assert d.levels == tuple(map(helpers.level_masks_oracle, rows))
 
 
 def test_validate_idempotent():

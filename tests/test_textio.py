@@ -46,6 +46,93 @@ def test_parse_matrix_rejects_garbage():
         parse_matrix("# nothing\n")
 
 
+@pytest.mark.parametrize(
+    ("text", "line", "reason"),
+    [
+        ("0 x\n1 0\n", 1, "not an integer: 'x'"),
+        ("# header\n\n0 1\n1 y\n", 4, "not an integer: 'y'"),
+        ("0 -1\n-1 0\n", 1, "negative value -1"),
+        (f"0 {2**32}\n{2**32} 0\n", 1, "value 4294967296 exceeds 32-bit range"),
+        ("0 1\n1 0 0\n", 2, "expected 2 entries, got 3"),
+        ("0 1 x\n1 0\n", 1, "not an integer: 'x'"),
+        ("", 1, "empty matrix"),
+        ("# nothing\n\n   \n", 1, "empty matrix"),
+        # The first bad token of a line names the error, whatever its kind.
+        ("0 -1 x\n1 0 1\n1 1 0\n", 1, "negative value -1"),
+        ("0 x -1\n1 0 1\n1 1 0\n", 1, "not an integer: 'x'"),
+        ("0 4294967296 -5\n1 0 1\n1 1 0\n", 1, "value 4294967296 exceeds 32-bit range"),
+        ("0 1 1\n1 0 1\n1 1 -0 z\n", 3, "not an integer: 'z'"),
+    ],
+)
+def test_parse_matrix_error_lines_and_messages(text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse_matrix(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+    assert str(err.value) == f"line {line}: {reason}"
+
+
+def test_parse_matrix_reads_entries_with_int():
+    # Signs, leading zeros, digit-group underscores and non-ASCII decimal
+    # digits are integers to Python's int, so they are entries.
+    raw = parse_matrix("0 +3 007\n+3 0 1_0\n7 10 ٣\n")
+    assert raw.entries == ((0, 3, 7), (3, 0, 10), (7, 10, 3))
+
+
+# Tokens int accepts or refuses at the edges of the entry range; the longest
+# two are beyond int's default limit on decimal digits.
+EDGE_TOKENS = (
+    "0", "255", "256", "4294967295", "4294967296", "+3", "007", "1_0",
+    "٣", "-0", "-1", "-5", "x", "1e3", "0x1", "_1", "1__0", "³",
+    "1" * 4301, "9" * 4301,
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files, mostly well formed: rows of small integers, some with
+    one entry too many or too few, some edge tokens or arbitrary text, and
+    blank and comment lines between the rows."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lines = []
+    for _ in range(n):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(("", "# note", "  \t"))))
+        width = max(1, n + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))
+        tokens = []
+        for _ in range(width):
+            kind = draw(st.integers(0, 15))
+            if kind == 0:
+                tokens.append(draw(st.sampled_from(EDGE_TOKENS)))
+            elif kind == 1:
+                tokens.append(draw(st.text(min_size=1, max_size=3)))
+            else:
+                tokens.append(str(draw(st.integers(0, 300))))
+        lines.append(draw(st.sampled_from((" ", "  ", "\t"))).join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def assert_parses_like_the_per_token_loop(text):
+    rows, error = helpers.parse_matrix_oracle(text)
+    if error is None:
+        assert parse_matrix(text).entries == rows
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_matrix(text)
+        assert (err.value.line, err.value.reason) == error
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_texts())
+def test_parse_matrix_matches_the_per_token_loop(text):
+    assert_parses_like_the_per_token_loop(text)
+
+
+def test_parse_matrix_matches_the_per_token_loop_on_each_edge_token():
+    for token in EDGE_TOKENS:
+        for text in (f"0 {token}\n{token} 0\n", f"{token}\n", f"0 1\n1 0 {token}\n"):
+            assert_parses_like_the_per_token_loop(text)
+
+
 def test_matrix_round_trip():
     d = distance_matrix(helpers.EIGHT_BY_EIGHT)
     assert parse_matrix(emit_matrix(d)).entries == d.entries
