@@ -1,12 +1,16 @@
 """Plain-text formats for matrices, graphs and colourings, plus DOT export.
 
 Matrix files are n lines of n whitespace-separated integers; the dimension
-is inferred from the line count.  Graph files start with a header line
-``graph <vertex_count> <anchor_count>`` followed by one ``u v`` edge per
-line with u < v; the emitters sort the edges lexicographically, and the
-parser takes them in any order.  Blank lines and lines starting with ``#``
-are ignored everywhere.  All emitters produce byte-identical output for
-equal inputs, and ``parse(emit(x)) == x``.
+is inferred from the line count.  Each line is read at C speed, as
+``tuple(map(int, ...))``, and passes when it holds no ``-`` and its ``max``
+fits in 32 bits; only a line that fails is read again token by token,
+which accepts ``-0`` and otherwise names the line's first bad token.
+
+Graph files start with a header line ``graph <vertex_count> <anchor_count>``
+followed by one ``u v`` edge per line with u < v; the emitters sort the
+edges lexicographically, and the parser takes them in any order.  Blank
+lines and lines starting with ``#`` are ignored everywhere.  All emitters
+produce byte-identical output for equal inputs, and ``parse(emit(x)) == x``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,20 @@ def _int_fields(lineno: int, s: str) -> list[int]:
     return vals
 
 
+def _matrix_row(lineno: int, s: str) -> tuple[int, ...]:
+    try:
+        row = tuple(map(int, s.split()))
+    except ValueError:
+        pass
+    else:
+        # int reads a number as negative only after an ASCII "-".
+        if "-" not in s and max(row) <= MAX_ENTRY:
+            return row
+    # The same int calls, one at a time, raise at the first bad token, or
+    # read the row when its only "-" signs are on zeros.
+    return tuple(_int_fields(lineno, s))
+
+
 def parse_matrix(text: str) -> RawMatrix:
     lines = _content_lines(text)
     if not lines:
@@ -55,10 +73,10 @@ def parse_matrix(text: str) -> RawMatrix:
     n = len(lines)
     rows = []
     for lineno, s in lines:
-        vals = _int_fields(lineno, s)
-        if len(vals) != n:
-            raise ParseError(lineno, f"expected {n} entries, got {len(vals)}")
-        rows.append(tuple(vals))
+        row = _matrix_row(lineno, s)
+        if len(row) != n:
+            raise ParseError(lineno, f"expected {n} entries, got {len(row)}")
+        rows.append(row)
     return RawMatrix(tuple(rows))
 
 
