@@ -72,8 +72,8 @@ def planted(seed, anchors, hidden):
 def write_inputs(tmp):
     """Copy ``tests/data`` and write the seeded matrices (one of them with 40
     anchors), gadget sources and their 2- and 3-colourings (a dummy line
-    where there is none) and the odd matrix files into tmp; returns the matrix and graph paths, the
-    ``verify`` cases and the odd matrix paths."""
+    where there is none) and the odd matrix files into tmp; returns the
+    matrix and graph paths, the ``verify`` cases and the odd matrix paths."""
     shutil.copytree(DATA, tmp / "data")
     mats = sorted(tmp.glob("data/*.mat"))
     for seed in range(10):

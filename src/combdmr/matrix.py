@@ -115,13 +115,12 @@ def _row_levels(row: Sequence[int]) -> LevelMasks:
     # Xeon), so the passes win below about 9, 16, 25 and 45 values at
     # n = 50, 100, 200 and 1000.  With more, as in a path metric's rows,
     # they would take up to 5x as long as the loop.
+    at: dict[int, int] = {}
     if values[-1] < 256 and len(values) * (n + 256) < 56 * n:
         digits = bytes(reversed(row))
-        at = {}
         for a in values:
             at[a] = int(digits.translate(_ONE_AMID_ZEROS[255 - a : 511 - a]), 2)
     else:
-        at = {}
         bit = 1
         for x in row:
             at[x] = at.get(x, 0) | bit

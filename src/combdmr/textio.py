@@ -6,11 +6,12 @@ is inferred from the line count.  Each line is read at C speed, as
 fits in 32 bits; only a line that fails is read again token by token,
 which accepts ``-0`` and otherwise names the line's first bad token.
 
-Graph files start with a header line ``graph <vertex_count> <anchor_count>``
-followed by one ``u v`` edge per line with u < v; the emitters sort the
-edges lexicographically, and the parser takes them in any order.  Blank
-lines and lines starting with ``#`` are ignored everywhere.  All emitters
-produce byte-identical output for equal inputs, and ``parse(emit(x)) == x``.
+Graph files start with a header line
+``graph <vertex_count> <anchor_count>`` followed by one ``u v`` edge per
+line with u < v; the emitters sort the edges lexicographically, and the
+parser takes them in any order.  Blank lines and lines starting with ``#``
+are ignored everywhere.  All emitters produce byte-identical output for
+equal inputs, and ``parse(emit(x)) == x``.
 """
 
 from __future__ import annotations
