@@ -28,8 +28,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from combdmr import SimpleGraph, cli, generate, reduction
-from combdmr.graph import anchor_distances
+from combdmr import cli, generate, reduction
+from combdmr.graph import SimpleGraph, anchor_distances
 from combdmr.matrix import RawMatrix
 from combdmr.textio import emit_colouring, emit_graph, emit_matrix, parse_graph
 

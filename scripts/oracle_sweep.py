@@ -11,9 +11,10 @@ import random
 import time
 from collections import Counter
 
-from combdmr import generate, solve_exact, solve_k0, solve_k1, solve_k2
+from combdmr import generate
 from combdmr.graph import anchor_distances
 from combdmr.matrix import RawMatrix, validate
+from combdmr.solvers import solve_exact, solve_k0, solve_k1, solve_k2
 
 
 def sample_metric(seed, max_vertices):

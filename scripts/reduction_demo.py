@@ -9,16 +9,15 @@ Usage:
 import argparse
 from pathlib import Path
 
-from combdmr import (
+from combdmr.reduction import (
     Colouring,
     chromatic_number_bruteforce,
     extract_colouring,
     proper_colouring,
     realise_from_colouring,
     reduce,
-    solve_k1,
-    solve_k2,
 )
+from combdmr.solvers import solve_k1, solve_k2
 from combdmr.textio import parse_graph
 
 

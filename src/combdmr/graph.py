@@ -76,10 +76,6 @@ class ExtendedDistances:
 
     entries: tuple[tuple[int | float, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def dist(self, i: int, j: int) -> int | float:
         return self.entries[i - 1][j - 1]
 
@@ -89,7 +85,6 @@ class WeightedSkeleton:
     """Weighted graph on the anchors: edge (i, j, D_ij) whenever D_ij <= q."""
 
     n: int
-    q: int
     weighted_edges: tuple[tuple[int, int, int], ...]
 
 
@@ -240,7 +235,7 @@ def q_skeleton(d: DistanceMatrix, q: int) -> WeightedSkeleton:
         for j in range(i + 1, n + 1)
         if d.dist(i, j) <= q
     )
-    return WeightedSkeleton(n, q, edges)
+    return WeightedSkeleton(n, edges)
 
 
 def skeleton_distances(s: WeightedSkeleton) -> ExtendedDistances:

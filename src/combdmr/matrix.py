@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import or_
+from operator import index, or_
 from typing import Iterable, NamedTuple, Sequence
 
 # Hop counts in any realisation are bounded by the vertex count, so entries
@@ -73,7 +73,8 @@ class RawMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "RawMatrix":
-        return RawMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        """Read entries with ``operator.index``: floats and strings raise TypeError."""
+        return RawMatrix(tuple(tuple(map(index, row)) for row in rows))
 
 
 def _bits(m: int):
@@ -209,10 +210,11 @@ def check_structure(m: RawMatrix) -> DistanceMatrix:
     whole-row comparisons; the ordered loops run only to name a witness.
     """
     e = m.entries
-    if tuple(zip(*e)) == e and all(
+    if tuple(zip(*e)) == tuple(map(tuple, e)) and all(
         row[i] == 0 and row.count(0) == 1 for i, row in enumerate(e)
     ):
         return DistanceMatrix(e)
+    # The matrix failed the check above, so one of these loops raises.
     n = m.n
     for i in range(n):
         if e[i][i] != 0:
@@ -225,7 +227,6 @@ def check_structure(m: RawMatrix) -> DistanceMatrix:
         for j in range(n):
             if i != j and e[i][j] == 0:
                 raise ValidationError(ViolationKind.OFF_DIAGONAL_ZERO, (i + 1, j + 1))
-    return DistanceMatrix(e)
 
 
 def check_triangles(d: DistanceMatrix) -> DistanceMatrix:

@@ -57,12 +57,13 @@ class Bounds:
 def bounds(d: DistanceMatrix) -> Bounds:
     q0 = q_zero(d)
     n = d.n
+    # Each pair at a sits in the level masks of both of its rows.
     extra = sum(
-        d.dist(i, j) - 1
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if 2 <= d.dist(i, j) <= q0
-    )
+        (a - 1) * at[a].bit_count()
+        for values, at, _ in d.levels
+        for a in values
+        if 2 <= a <= q0
+    ) // 2
     return Bounds(q0, n + q0 - 1, n + extra)
 
 

@@ -16,7 +16,8 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from combdmr import SimpleGraph, generate, unit_graph, verify_realisation
+from combdmr import generate
+from combdmr.graph import SimpleGraph, unit_graph, verify_realisation
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
 from combdmr.solvers import _assignment_graph
 from combdmr.tree import WeightedTree

@@ -13,34 +13,36 @@ from pathlib import Path
 import pytest
 
 import helpers
-from combdmr import (
+from combdmr import twosat
+from combdmr.cli import main
+from combdmr.graph import (
+    expand_elementary_paths,
+    q_skeleton,
+    skeleton_distances,
+    unit_graph,
+    verify_realisation,
+)
+from combdmr.matrix import ViolationKind, distance_matrix
+from combdmr.reduction import (
     Colouring,
+    chromatic_number_bruteforce,
+    extract_colouring,
+    proper_colouring,
+    realise_from_colouring,
+    reduce,
+)
+from combdmr.solvers import (
+    _assignment_graph,
     bounds,
     build_phi1,
     build_phi2,
     build_phi2_prime,
-    check_zareckii,
-    chromatic_number_bruteforce,
-    expand_elementary_paths,
-    extract_colouring,
-    proper_colouring,
-    q_skeleton,
-    realise_from_colouring,
-    reduce,
-    skeleton_distances,
     solve_exact,
     solve_k0,
     solve_k1,
     solve_k2,
-    solve_tree,
-    twosat,
-    unit_graph,
-    verify_realisation,
 )
-from combdmr.cli import main
-from combdmr.matrix import distance_matrix
-from combdmr.solvers import _assignment_graph
-from combdmr.matrix import ViolationKind
+from combdmr.tree import check_zareckii, solve_tree
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -213,7 +215,7 @@ def test_c07_reduction_equivalence(catalogue):
 
 def test_c08_quad_graph_instance():
     t0 = time.perf_counter()
-    from combdmr import SimpleGraph
+    from combdmr.graph import SimpleGraph
 
     g = SimpleGraph.make(4, 4, helpers.QUAD_GRAPH_EDGES)
     inst = reduce(g)

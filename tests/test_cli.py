@@ -93,6 +93,23 @@ def test_solve_exact_guard(tmp_path, capsys):
     assert main(["solve-exact", "--k", "4", str(p)]) == 3
 
 
+def test_solve_exact_refuses_a_negative_k(twos, capsys):
+    assert main(["solve-exact", "--k", "-1", twos]) == 2
+    assert capsys.readouterr().out == (
+        "error: k must be non-negative\nverdict=NO vertices=0 extra=0\n"
+    )
+
+
+def test_reduce_refuses_a_graph_with_auxiliary_vertices(tmp_path, capsys):
+    p = tmp_path / "aux.graph"
+    p.write_text("graph 3 2\n1 2\n2 3\n")
+    assert main(["reduce", str(p)]) == 2
+    assert capsys.readouterr().out == (
+        "error: every vertex of the input graph must be colourable\n"
+        "verdict=NO vertices=0 extra=0\n"
+    )
+
+
 def test_bounds(twos, capsys):
     assert main(["bounds", twos]) == 0
     out = capsys.readouterr().out
@@ -208,7 +225,7 @@ def test_gen_tree_metric_is_tree_realisable(capsys):
     payload = "".join(
         line + "\n" for line in out.splitlines() if not line.startswith("verdict=")
     )
-    from combdmr import check_zareckii
+    from combdmr.tree import check_zareckii
     from combdmr.matrix import distance_matrix
 
     rows = [list(map(int, line.split())) for line in payload.strip().splitlines()]

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 
 import helpers
-from combdmr import (
+from combdmr import generate, reduction, tree
+from combdmr.graph import (
     INF,
     Realisation,
     SimpleGraph,
@@ -18,7 +19,6 @@ from combdmr import (
     unit_graph,
     verify_realisation,
 )
-from combdmr import generate, reduction, tree
 from combdmr.matrix import distance_matrix
 from combdmr.solvers import solve_k2
 
@@ -43,6 +43,25 @@ def test_bfs_disconnected_is_inf():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         SimpleGraph.make(2, 2, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimpleGraph(0, 0, frozenset()), "graph needs at least one vertex"),
+        (lambda: SimpleGraph(2, 0, frozenset()), "anchor_count out of range"),
+        (lambda: SimpleGraph(2, 3, frozenset()), "anchor_count out of range"),
+        (lambda: SimpleGraph(2, 2, frozenset({(2, 1)})), "bad edge (2, 1)"),
+        (lambda: SimpleGraph(2, 2, frozenset({(1, 3)})), "bad edge (1, 3)"),
+        (lambda: SimpleGraph(2, 2, frozenset({(0, 1)})), "bad edge (0, 1)"),
+        (lambda: SimpleGraph.make(2, 2, [(1, 1)]), "self-loop at 1"),
+        (lambda: q_skeleton(distance_matrix(helpers.ALL_TWOS_3), 0), "q must be positive"),
+    ],
+)
+def test_graph_refusals_and_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_unit_graph_all_ones_is_triangle():

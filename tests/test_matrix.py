@@ -72,6 +72,42 @@ def test_raw_matrix_checks_each_row_for_length_then_entries():
     assert (err.value.kind, err.value.witness) == (ViolationKind.NOT_SQUARE, (1,))
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: RawMatrix(()), ValidationError, "not-square at ()"),
+        (lambda: RawMatrix(((0, 1), (1,))), ValidationError, "not-square at (2,)"),
+        (lambda: RawMatrix(((0, -1), (1, 0))), ValueError, "negative entry in row 1"),
+    ],
+)
+def test_raw_matrix_refusals_and_their_messages(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_check_structure_answers_for_rows_of_any_sequence_type():
+    # The whole-row comparison must accept list rows too: once it fails,
+    # the witness loops behind it raise or fall through to None.
+    assert validate(RawMatrix(([0, 1], [1, 0]))).entries == ([0, 1], [1, 0])
+    with pytest.raises(ValidationError) as err:
+        check_structure(RawMatrix(([0, 1], [2, 0])))
+    assert str(err.value) == "asymmetric at (1, 2)"
+
+
+@pytest.mark.parametrize("entry", [1.9, 2.0, "2", " 2"])
+def test_from_rows_refuses_entries_that_are_not_ints(entry):
+    with pytest.raises(TypeError) as err:
+        distance_matrix([[0, entry], [entry, 0]])
+    assert str(err.value) == f"'{type(entry).__name__}' object cannot be interpreted as an integer"
+
+
+def test_from_rows_reads_ints_from_any_row_sequence():
+    d = distance_matrix([[0, 2], (2, 0)])
+    assert d.entries == ((0, 2), (2, 0))
+    assert RawMatrix.from_rows([range(2), range(1, -1, -1)]).entries == ((0, 1), (1, 0))
+
+
 @st.composite
 def level_rows(draw, n):
     """A seeded row of n entries drawn from 1 to 300 values up to a bound of

@@ -6,25 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import (
+from combdmr import generate
+from combdmr.graph import Realisation, SimpleGraph, verify_realisation
+from combdmr.matrix import RawMatrix, validate
+from combdmr.reduction import (
     Colouring,
     DisconnectedInput,
     ImproperColouring,
     MalformedRealisation,
-    Realisation,
-    SearchSpaceTooLarge,
-    SimpleGraph,
     chromatic_number_bruteforce,
     extract_colouring,
-    generate,
     proper_colouring,
     realise_from_colouring,
     reduce,
-    solve_k1,
-    solve_k2,
-    verify_realisation,
 )
-from combdmr.matrix import RawMatrix, validate
+from combdmr.solvers import SearchSpaceTooLarge, solve_k1, solve_k2
 
 K1 = SimpleGraph.make(1, 1, [])
 K2 = SimpleGraph.make(2, 2, [(1, 2)])
@@ -69,6 +65,25 @@ def test_reduce_path3_maps():
 def test_reduce_rejects_disconnected():
     with pytest.raises(DisconnectedInput):
         reduce(SimpleGraph.make(3, 3, [(1, 2)]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Colouring(0, ()), "k must be positive"),
+        (lambda: Colouring(2, (1, 3)), "colour 3 out of range 1..2"),
+        (lambda: Colouring(2, (0, 1)), "colour 0 out of range 1..2"),
+        (
+            lambda: reduce(SimpleGraph.make(3, 2, [(1, 2), (2, 3)])),
+            "every vertex of the input graph must be colourable",
+        ),
+        (lambda: reduce(SimpleGraph.make(3, 3, [(1, 2)])), "input graph must be connected"),
+    ],
+)
+def test_reduction_refusals_and_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_reduction_matrix_always_validates_small_catalogue():

@@ -16,8 +16,11 @@ import random
 import pytest
 
 import helpers
-from combdmr import check_zareckii, generate, reduce, solve_k2, solve_tree
+from combdmr import generate
 from combdmr.matrix import DistanceMatrix
+from combdmr.reduction import reduce
+from combdmr.solvers import solve_k2
+from combdmr.tree import check_zareckii, solve_tree
 
 
 def _extras(d: DistanceMatrix):

@@ -5,26 +5,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import (
-    SearchSpaceTooLarge,
+from combdmr import generate, solvers, twosat
+from combdmr.graph import (
     SimpleGraph,
+    q_skeleton,
+    skeleton_distances,
+    unit_graph,
+    verify_realisation,
+)
+from combdmr.matrix import distance_matrix
+from combdmr.reduction import reduce
+from combdmr.solvers import (
+    SearchSpaceTooLarge,
+    _assignment_graph,
+    _candidate_edges,
+    _implications,
+    _row_masks,
     bounds,
     build_phi1,
     build_phi2,
     build_phi2_prime,
-    reduce,
-    skeleton_distances,
-    q_skeleton,
     solve_exact,
     solve_k0,
     solve_k1,
     solve_k2,
-    unit_graph,
-    verify_realisation,
 )
-from combdmr import generate, solvers, twosat
-from combdmr.matrix import distance_matrix
-from combdmr.solvers import _assignment_graph, _candidate_edges, _implications, _row_masks
 
 ALL_TWOS = distance_matrix(helpers.ALL_TWOS_3)
 ALL_ONES = distance_matrix(helpers.ALL_ONES_3)

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import Colouring, SimpleGraph
+from combdmr.graph import SimpleGraph
 from combdmr.matrix import distance_matrix
+from combdmr.reduction import Colouring
 from combdmr.textio import (
     ParseError,
     emit_colouring,

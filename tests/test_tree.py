@@ -7,17 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import (
-    SimpleGraph,
-    WeightedTree,
-    build_weighted_tree,
-    check_zareckii,
-    solve_tree,
-    verify_realisation,
-)
 from combdmr import generate, tree
 from combdmr.cli import main
+from combdmr.graph import SimpleGraph, verify_realisation
 from combdmr.matrix import DistanceMatrix, ValidationError, ViolationKind, distance_matrix
+from combdmr.tree import WeightedTree, build_weighted_tree, check_zareckii, solve_tree
 
 
 # Bipartite-graph metrics and trees with one even cycle pass parity, so they

@@ -43,6 +43,24 @@ def test_check_examples():
     assert check(TwoSatInstance(0, ()), ())
 
 
+LENGTH_MISMATCH = "assignment length does not match variable count"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: check(TwoSatInstance(2, ((1, 2),)), (True,)), LENGTH_MISMATCH),
+        (lambda: check(TwoSatInstance(0, ()), (False,)), LENGTH_MISMATCH),
+        (lambda: TwoSatInstance(2, ((1, 3),)), "literal 3 over undeclared variable"),
+        (lambda: TwoSatInstance(2, ((0, 1),)), "literal 0 over undeclared variable"),
+    ],
+)
+def test_twosat_refusals_and_their_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_determinism():
     clauses = ((1, -2), (2, 3), (-1, 3))
     inst = TwoSatInstance(3, clauses)
