@@ -6,8 +6,10 @@ subcommand on the matrices and graphs of ``tests/data`` and on a few small
 planted metrics (0-2 hidden vertices), minimal-tree metrics and
 colourability gadgets, all drawn through ``combdmr.generate``;
 ``verify`` on seeded host graphs changed in the ways that steer the
-realisation check; and ``bounds`` on matrix files that the parser reads in
-unusual forms or refuses, one for each of its messages.
+realisation check; ``bounds`` on matrix files that the parser reads in
+unusual forms or refuses, one for each of its messages; and ``validate``,
+``bounds`` and ``solve --k 2`` on small line metrics whose largest entries
+sit at the edges of the triangle scan's lane widths.
 For each argv one line gives a sha256 over the exit code, stdout and every
 file the run wrote, then the argv, with the temporary directory shown as
 ``<tmp>`` in both; a line with the sha256 of all those lines comes last.  Two
@@ -57,6 +59,23 @@ ODD_MATRICES = {
     "wide-negative": "0 4294967296 -5\n1 0 1\n1 1 0\n",
 }
 
+# Largest entries at the edges of the triangle scan's 8-, 16-, 32- and
+# 64-bit lanes, which must hold twice the largest entry.
+LANE_EDGES = (63, 64, 16383, 16384, 2**32 - 1)
+
+
+def line_metric(top, variant):
+    """Rows of five points at 0, 1, 2, top - 1 and top on a line; "low"
+    lowers D_14 to top - 3 (witness (1, 5, 4)), "high" raises D_34 to top
+    (witness (3, 4, 2))."""
+    p = (0, 1, 2, top - 1, top)
+    rows = [[abs(a - b) for b in p] for a in p]
+    if variant == "low":
+        rows[0][3] = rows[3][0] = top - 3
+    elif variant == "high":
+        rows[2][3] = rows[3][2] = top
+    return RawMatrix.from_rows(rows)
+
 
 def planted(seed, anchors, hidden):
     """Anchor metric of a random tree, or for odd seeds a sparse random
@@ -72,8 +91,9 @@ def planted(seed, anchors, hidden):
 def write_inputs(tmp):
     """Copy ``tests/data`` and write the seeded matrices (one of them with 40
     anchors), gadget sources and their 2- and 3-colourings (a dummy line
-    where there is none) and the odd matrix files into tmp; returns the
-    matrix and graph paths, the ``verify`` cases and the odd matrix paths."""
+    where there is none), the odd matrix files and the lane-edge line
+    metrics into tmp; returns the matrix and graph paths, the ``verify``
+    cases, the odd matrix paths and the line metric paths."""
     shutil.copytree(DATA, tmp / "data")
     mats = sorted(tmp.glob("data/*.mat"))
     for seed in range(10):
@@ -103,9 +123,14 @@ def write_inputs(tmp):
         odd.append(tmp / f"{name}.mat")
         odd[-1].write_text(text)
     mats.append(odd[0])
+    lines = []
+    for top in LANE_EDGES:
+        for variant in ("valid", "low", "high"):
+            lines.append(tmp / f"line{top}{variant}.mat")
+            lines[-1].write_text(emit_matrix(line_metric(top, variant)))
     return (
         [str(m) for m in mats], [str(g) for g in graphs], write_verify_cases(tmp),
-        [str(m) for m in odd],
+        [str(m) for m in odd], [str(m) for m in lines],
     )
 
 
@@ -137,7 +162,7 @@ def write_verify_cases(tmp):
     return [(str(g), str(m)) for g, m in pairs]
 
 
-def argvs(tmp, mats, graphs, verify_cases, odd):
+def argvs(tmp, mats, graphs, verify_cases, odd, lines):
     """The fixed argv list; outputs of earlier argvs feed later ones."""
     out = []
     for i, m in enumerate(mats):
@@ -171,6 +196,8 @@ def argvs(tmp, mats, graphs, verify_cases, odd):
             "--max-free-edges", "0"], ["gen", "--mode", "reduction"], ["nonsense"]]
     out += [["verify", g, m] for g, m in verify_cases]
     out += [["bounds", m] for m in odd]
+    for m in lines:
+        out += [["validate", m], ["bounds", m], ["solve", "--k", "2", m]]
     return out
 
 
