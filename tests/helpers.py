@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations, permutations, product
 
@@ -90,6 +91,30 @@ def first_violation_oracle(rows):
             for w in range(n):
                 if rows[i][w] + rows[w][j] < rows[i][j]:
                     return ViolationKind.TRIANGLE_VIOLATION, (i + 1, j + 1, w + 1)
+    return None
+
+
+def triangle_oracle(d: DistanceMatrix):
+    """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij,
+    or None, of a matrix that passed the structural checks, by the level
+    masks: for each pair i < j and each level a of row i below D_ij, the
+    shortcuts are ``at[a]`` of row i meeting the indices within
+    D_ij - a - 1 of j."""
+    levels = d.levels
+    n = d.n
+    for i, row in enumerate(d.entries):
+        values_i, at_i, _ = levels[i]
+        inner = values_i[1:]
+        for j in range(i + 1, n):
+            dij = row[j]
+            values_j, _, within_j = levels[j]
+            shortcut = 0
+            for a in inner:
+                if a >= dij:
+                    break
+                shortcut |= at_i[a] & within_j[bisect_right(values_j, dij - a - 1) - 1]
+            if shortcut:
+                return i + 1, j + 1, (shortcut & -shortcut).bit_length()
     return None
 
 

@@ -1,8 +1,10 @@
+import math
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from combdmr import generate, reduction, tree
@@ -38,6 +40,45 @@ def test_bfs_star_anchor_distances():
 def test_bfs_disconnected_is_inf():
     g = SimpleGraph.make(2, 2, [])
     assert bfs_apsp(g).dist(1, 2) == INF
+
+
+@st.composite
+def bfs_cases(draw):
+    """A graph on 1-12 vertices, or on 255, 256 or 257, so that distances
+    reach the top of a byte and pass it, with an anchor prefix of any
+    length.  Small graphs take random edges at a drawn density; large ones
+    are a path through every vertex in random order, with up to two edges
+    cut (so some pairs are unreachable) and up to three chords added."""
+    v = draw(st.one_of(st.integers(1, 12), st.sampled_from((255, 256, 257))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if v <= 12:
+        p = draw(st.sampled_from((0.0, 0.2, 0.5, 1.0)))
+        edges = {(a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1) if rng.random() < p}
+    else:
+        order = rng.sample(range(1, v + 1), v)
+        edges = set(zip(order, order[1:]))
+        for _ in range(draw(st.integers(0, 2))):
+            edges.discard(rng.choice(sorted(edges)))
+        for _ in range(draw(st.integers(0, 3))):
+            edges.add(tuple(rng.sample(range(1, v + 1), 2)))
+    return SimpleGraph.make(v, draw(st.integers(1, v)), edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bfs_cases())
+@example(SimpleGraph.make(257, 257, [(v, v + 1) for v in range(1, 257)]))
+@example(SimpleGraph.make(256, 3, [(v, v + 1) for v in range(1, 256)]))
+@example(SimpleGraph.make(5, 4, [(1, 5), (2, 3)]))
+def test_all_pairs_distances_match_the_standalone_bfs(g):
+    want = tuple(
+        tuple(helpers.bfs_distances(g.vertex_count, g.edges, s)[1:])
+        for s in range(1, g.vertex_count + 1)
+    )
+    a = g.anchor_count
+    assert bfs_apsp(g).entries == want
+    assert anchor_distances(g).entries == tuple(row[:a] for row in want[:a])
+    for row in bfs_apsp(g).entries:
+        assert all(type(x) is int or x is math.inf for x in row)
 
 
 def test_self_loop_rejected():

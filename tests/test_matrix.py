@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from combdmr import matrix
 from combdmr.matrix import (
     DistanceMatrix,
     RawMatrix,
@@ -223,3 +224,63 @@ def test_structure_check_reports_the_first_kind_in_scan_order():
         with pytest.raises(ValidationError) as err:
             check_structure(RawMatrix.from_rows(rows))
         assert (err.value.kind, err.value.witness) == want
+
+
+# Largest entries around the edges of the packed scan's lanes (a lane of b
+# bits holds entries below 2**(b - 2)); those of 2**62 and above reach the
+# scan only through RawMatrix.from_rows.
+LANE_TOPS = (
+    3, 10, 61, 62, 63, 64, 16381, 16382, 16383, 16384, 2**30 - 1, 2**30, 2**30 + 1,
+    2**32 - 1, 2**62 - 1, 2**62, 2**62 + 1, 2**64, 2**100,
+)
+
+
+@st.composite
+def triangle_cases(draw, max_n=14):
+    """Rows that pass the structural checks, around a largest entry ``top``:
+    uniform in 1..top; drawn from {1, 2, top - 2, top - 1, top}, so most
+    detours run through an index at max(row) - 1 or max(row), which the
+    scan skips; or the shortest-path closure of weights in lo..top with one
+    entry raised (when lo is about top / 2 every weight is its own closure)."""
+    n = draw(st.integers(1, max_n))
+    top = draw(st.sampled_from(LANE_TOPS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from(("uniform", "pool", "closure")))
+    lo = draw(st.sampled_from((1, (top + 1) // 2)))
+    pool = (1, 2, top - 2, top - 1, top)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if family == "pool":
+                rows[i][j] = rows[j][i] = rng.choice(pool)
+            else:
+                rows[i][j] = rows[j][i] = rng.randint(lo, top)
+    if family == "closure" and n >= 2:
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] + draw(st.sampled_from((1, 2, top)))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(triangle_cases())
+@example([[0, 64, 63], [64, 0, 1], [63, 1, 0]])
+@example([[0, 64, 62], [64, 0, 1], [62, 1, 0]])
+@example([[0, 2**62, 2**62 - 2], [2**62, 0, 1], [2**62 - 2, 1, 0]])
+def test_packed_scan_names_the_witness_of_the_level_mask_scan(rows):
+    d = check_structure(RawMatrix.from_rows(rows))
+    assert matrix._first_triangle_violation(d) == helpers.triangle_oracle(d)
+
+
+def test_path_metric_on_400_points_validates_and_names_its_one_shortcut():
+    # Every row of a path metric has n distinct values: the level-mask scan
+    # took seconds here, the packed rows take a fraction of one.
+    rows = [[abs(i - j) for j in range(400)] for i in range(400)]
+    assert validate(RawMatrix.from_rows(rows)).n == 400
+    rows[0][399] = rows[399][0] = 400
+    with pytest.raises(ValidationError) as err:
+        validate(RawMatrix.from_rows(rows))
+    assert str(err.value) == "triangle-violation at (1, 400, 2)"
