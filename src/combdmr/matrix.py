@@ -6,15 +6,18 @@ inequality.  These are exactly the matrices that arise as pairwise
 shortest-path hop counts among a set of anchor vertices in some unweighted
 graph.  Validation has two parts: :func:`check_structure` covers everything
 but the triangle inequality in O(n^2), and :func:`check_triangles` scans for
-a violating triple.  :func:`validate` runs both.  A graph whose anchor
-distances equal the matrix proves the triangle inequality on its own, so a
-caller holding a verified realisation may skip the scan.
+a violating triple in O(n^2) additions of rows packed into ints, lane by
+lane, whatever the size of the entries.  :func:`validate` runs both.  A
+graph whose anchor distances equal the matrix proves the triangle
+inequality on its own, so a caller holding a verified realisation may skip
+the scan.  The per-row level masks of :class:`DistanceMatrix` serve the
+deciders; the scan does not build them.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -173,31 +176,61 @@ class DistanceMatrix:
         return True
 
 
+# struct codes of little-endian lanes of 1, 2, 4 and 8 bytes.
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
     """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij.
 
-    The matrix is symmetric here, so only pairs i < j are scanned: the
+    Each row is packed into one int, entry j in lane j; a lane of b bits
+    holds entries below 2**(b - 2), and is 1, 2, 4 or 8 bytes wide when the
+    largest entry allows (wider entries get as many bytes as they need).
+    With ``half`` the top bit of a lane and ``ones`` a 1 in every lane,
+    lane j of ``packed[w] + (half + D_iw) * ones - packed[i]`` is
+    half + D_iw + D_wj - D_ij.  That lies in [0, 2 * half), so no lane
+    borrows from its neighbour, and it loses its top bit exactly when w
+    shortcuts i to j (many small lanes in one word, after Lamport, CACM
+    1975).  ANDing these sums over w leaves the top bit of every lane j
+    that no w shortcuts.  An index with D_iw = 0 or D_iw >= max(row i) - 1
+    shortcuts no pair of row i and is skipped.
+
+    The matrix is symmetric here, so only lanes j > i are read: the
     shortcut set of a pair is the same in both orders, and no pair p < q
     with q < i can violate when (i, j) is the first violating pair i < j.
-    For each level a of row i below D_ij, the shortcuts at that level are
-    ``at[a]`` of row i meeting the indices within D_ij - a - 1 of j, so a
-    valid matrix costs O(n^2 * max D) mask operations rather than n^3 sums.
+    One pass over row i then names the smallest w.  A matrix costs O(n^2)
+    additions of n-lane ints, whatever its entries.
     """
-    levels = d.levels
+    e = d.entries
     n = d.n
-    for i, row in enumerate(d.entries):
-        values_i, at_i, _ = levels[i]
-        inner = values_i[1:]
-        for j in range(i + 1, n):
+    bits = max(map(max, e)).bit_length() + 2
+    size = next((b for b in (1, 2, 4, 8) if bits <= 8 * b), (bits + 7) // 8)
+    code = _LANE_CODES.get(size)
+    fmt = f"<{n}{code}"
+    packed = []
+    for row in e:
+        raw = struct.pack(fmt, *row) if code else b"".join(x.to_bytes(size, "little") for x in row)
+        packed.append(int.from_bytes(raw, "little"))
+    width = 8 * size
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    half = ones << width - 1
+    for i, row in enumerate(e):
+        rest = half - packed[i]
+        limit = max(row) - 1
+        shift: dict[int, int] = {}
+        kept = half
+        for w, a in enumerate(row):
+            if 0 < a < limit:
+                t = shift.get(a)
+                if t is None:
+                    t = shift[a] = a * ones + rest
+                kept &= packed[w] + t
+        broken = (half ^ kept) >> (i + 1) * width
+        if broken:
+            j = i + 1 + ((broken & -broken).bit_length() - 1) // width
             dij = row[j]
-            values_j, _, within_j = levels[j]
-            shortcut = 0
-            for a in inner:
-                if a >= dij:
-                    break
-                shortcut |= at_i[a] & within_j[bisect_right(values_j, dij - a - 1) - 1]
-            if shortcut:
-                return i + 1, j + 1, (shortcut & -shortcut).bit_length()
+            w = next(w for w, a in enumerate(row) if a + e[w][j] < dij)
+            return i + 1, j + 1, w + 1
     return None
 
 

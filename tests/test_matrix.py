@@ -227,11 +227,12 @@ def test_structure_check_reports_the_first_kind_in_scan_order():
 
 
 # Largest entries around the edges of the packed scan's lanes (a lane of b
-# bits holds entries below 2**(b - 2)); those of 2**62 and above reach the
-# scan only through RawMatrix.from_rows.
+# bits holds entries below 2**(b - 2)), and just past the largest a lane of
+# b bits could hold (2**(b - 2) + 1), so a lane one bit too narrow carries;
+# those of 2**62 and above reach the scan only through RawMatrix.from_rows.
 LANE_TOPS = (
-    3, 10, 61, 62, 63, 64, 16381, 16382, 16383, 16384, 2**30 - 1, 2**30, 2**30 + 1,
-    2**32 - 1, 2**62 - 1, 2**62, 2**62 + 1, 2**64, 2**100,
+    3, 10, 61, 62, 63, 64, 66, 127, 16381, 16382, 16383, 16384, 16386, 2**30 - 1, 2**30,
+    2**30 + 1, 2**30 + 2, 2**32 - 1, 2**62 - 1, 2**62, 2**62 + 1, 2**64, 2**100,
 )
 
 
