@@ -18,7 +18,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .matrix import _LANE_CODES, DistanceMatrix, _bits
 
@@ -104,28 +104,36 @@ def _bfs(adj: Sequence[Sequence[int]], s: int, vertex_count: int) -> list[int | 
     return dist
 
 
-def _search(
-    adj: Sequence[Sequence[int]], n: int, seen: list[int]
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """One breadth-first search from vertices 1..n at once, level by level.
+def _bfs_rows(g: SimpleGraph, sources: int) -> ExtendedDistances:
+    """Hop distances among vertices 1..sources, by one search from all of them.
 
-    Each vertex v holds in ``seen[v]`` the mask of the sources that have
-    reached it, bit s - 1 for source s, and each level pushes only the
-    sources new to a vertex on to its neighbours (Then et al., "The More
-    the Merrier", PVLDB 2014).  Yields (level, new) from level 0, the
-    sources themselves, while a level reaches anything: ``new`` maps each
-    vertex that sources reach first at that level to the mask of those
-    sources.  A vertex meets new sources on at most min(n, diameter + 1)
-    levels, so a search costs O(n + E * min(n, diameter)) operations on
-    n-bit integers plus one step per level.
+    The search is the level loop of :func:`_levels_match`: each vertex
+    holds the mask of the sources that have reached it, bit s - 1 for
+    source s, and each level pushes only the sources new to a vertex on to
+    its neighbours.  (That check keeps its own loop, which stops inside a
+    level at the first mismatching anchor.)  The distances are kept
+    bit-sliced: plane k holds, for each row vertex w, the mask of the
+    sources whose distance to w has bit k set, so a level costs one OR per
+    plane its number sets.  Each plane then becomes one int with a lane per
+    (w, s) pair: the binary digits of every row's mask, each digit turned
+    into a lane of ``size`` bytes holding 0 or 2**k.  A lane holds any
+    distance below the vertex count, so no graph needs a second path.  The
+    planes' sum comes back row by row through ``struct``; sources that
+    never reach w are ``inf``.
     """
+    adj = _neighbour_lists(g.vertex_count, g.edges)
+    size = next(b for b in (1, 2, 4, 8) if g.vertex_count <= 1 << 8 * b)
+    seen = [0] * (g.vertex_count + 1)
     new = {}
-    for s in range(1, n + 1):
+    for s in range(1, sources + 1):
         seen[s] = new[s] = 1 << s - 1
+    planes: list[list[int]] = []
     level = 0
     while new:
-        yield level, new
         level += 1
+        if level.bit_length() > len(planes):
+            planes.append([0] * (sources + 1))
+        mine = [plane for k, plane in enumerate(planes) if level >> k & 1]
         reached: dict[int, int] = {}
         get = reached.get
         for v, bits in new.items():
@@ -137,33 +145,13 @@ def _search(
             if bits:
                 seen[w] |= bits
                 new[w] = bits
-
-
-def _bfs_rows(g: SimpleGraph, sources: int) -> ExtendedDistances:
-    """Hop distances among vertices 1..sources, by one :func:`_search`.
-
-    The distances are kept bit-sliced: plane k holds, for each row vertex
-    w, the mask of the sources whose distance to w has bit k set, so a
-    level costs one OR per plane its number sets.  Each plane then becomes
-    one int with a lane per (w, s) pair: the binary digits of every row's
-    mask, each digit turned into a lane of ``size`` bytes holding 0 or
-    2**k.  A lane holds any distance below the vertex count, so no graph
-    needs a second path.  The planes' sum comes back row by row through
-    ``struct``; sources that never reach w are ``inf``.
-    """
-    size = next(b for b in (1, 2, 4, 8) if g.vertex_count <= 1 << 8 * b)
-    seen = [0] * (g.vertex_count + 1)
-    planes: list[list[int]] = []
-    for level, new in _search(_neighbour_lists(g.vertex_count, g.edges), sources, seen):
-        if level.bit_length() > len(planes):
-            planes.append([0] * (sources + 1))
-        mine = [plane for k, plane in enumerate(planes) if level >> k & 1]
-        for w, bits in new.items():
-            if w <= sources:
-                for plane in mine:
-                    plane[w] |= bits
+                if w <= sources:
+                    for plane in mine:
+                        plane[w] |= bits
+    # The last level reached nothing, so the planes beyond the bits of the
+    # level before it are empty.
     spec, zero, table = f"0{sources}b", bytes(size), 0
-    for k, plane in enumerate(planes):
+    for k, plane in enumerate(planes[: (level - 1).bit_length()]):
         digits = "".join([format(plane[w], spec) for w in range(sources, 0, -1)]).encode()
         lanes = digits.replace(b"0", zero).replace(b"1", (1 << k).to_bytes(size, "big"))
         table += int.from_bytes(lanes, "big")
@@ -195,12 +183,16 @@ def anchor_distances(g: SimpleGraph) -> ExtendedDistances:
 def _levels_match(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
     """True iff hop distances from anchors 1..d.n over ``adj[v]`` equal d.
 
-    One :func:`_search` runs from all anchors at once.  The anchors new to
-    anchor w at level l must be exactly row w's level mask at l.  An anchor
-    s that does not reach w at D_ws reaches it at a level whose mask lacks
-    s, or never, and then w's mask misses s at the end.  A check costs
-    O(n + E * min(n, diameter)) operations on n-bit integers plus one step
-    per level, and O(V * n) bits of memory.
+    One breadth-first search runs from all anchors at once (Then et al.,
+    "The More the Merrier", PVLDB 2014).  Each vertex holds the mask of the
+    anchors that have reached it, bit s - 1 for anchor s, and each level
+    pushes only the anchors new to a vertex on to its neighbours.  The
+    anchors new to anchor w at level l must be exactly row w's level mask
+    at l.  An anchor s that does not reach w at D_ws reaches it at a level
+    whose mask lacks s, or never, and then w's mask misses s at the end.  A
+    vertex meets new anchors on at most min(n, diameter + 1) levels, so a
+    check costs O(n + E * min(n, diameter)) operations on n-bit integers
+    plus one step per level, and O(V * n) bits of memory.
 
     The search stops at the first mismatch, and at the first level that
     reaches nothing new: the pair at the largest entry can then never be
@@ -209,15 +201,27 @@ def _levels_match(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
     beyond it cannot change the answer.
     """
     n, levels = d.n, d.levels
-    top = max(row.values[-1] for row in levels)
     seen = [0] * len(adj)
-    for level, new in _search(adj, n, seen):
-        for w, bits in new.items():
-            if w <= n and bits != levels[w - 1].at.get(level):
-                return False
-        if level == top:
-            return seen[1 : n + 1].count((1 << n) - 1) == n
-    return False
+    new = {}
+    for s in range(1, n + 1):
+        seen[s] = new[s] = 1 << s - 1
+    for level in range(1, max(row.values[-1] for row in levels) + 1):
+        reached: dict[int, int] = {}
+        get = reached.get
+        for v, bits in new.items():
+            for w in adj[v]:
+                reached[w] = get(w, 0) | bits
+        new = {}
+        for w, bits in reached.items():
+            bits &= ~seen[w]
+            if bits:
+                if w <= n and bits != levels[w - 1].at.get(level):
+                    return False
+                seen[w] |= bits
+                new[w] = bits
+        if not new:
+            return False
+    return seen[1 : n + 1].count((1 << n) - 1) == n
 
 
 def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:

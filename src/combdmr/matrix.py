@@ -217,13 +217,14 @@ def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
     for i, row in enumerate(e):
         rest = half - packed[i]
         limit = max(row) - 1
-        shift: dict[int, int] = {}
+        # (half + a) * ones - packed[i], once per value a of row i.
+        offsets: dict[int, int] = {}
         kept = half
         for w, a in enumerate(row):
             if 0 < a < limit:
-                t = shift.get(a)
+                t = offsets.get(a)
                 if t is None:
-                    t = shift[a] = a * ones + rest
+                    t = offsets[a] = a * ones + rest
                 kept &= packed[w] + t
         broken = (half ^ kept) >> (i + 1) * width
         if broken:
