@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import generate, reduction, solvers, tree, twosat
-from .graph import NotARealisation, Realisation, SimpleGraph, verify_realisation
+from .graph import NotARealisation, Realisation, SearchSpaceTooLarge, SimpleGraph
+from .graph import verify_realisation
 from .matrix import (
     DistanceMatrix,
     RawMatrix,
@@ -361,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             yes, vertices, extra = args.func(args)
             code = 0 if yes else 1
-        except solvers.SearchSpaceTooLarge as exc:
+        except SearchSpaceTooLarge as exc:
             print(f"error: {exc}")
             code = 3
         except NotARealisation as exc:

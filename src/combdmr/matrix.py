@@ -20,9 +20,8 @@ import enum
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import index, or_
-from typing import Iterable, NamedTuple, Sequence
+from operator import index
+from typing import Iterable, Sequence
 
 # Hop counts in any realisation are bounded by the vertex count, so entries
 # beyond 32 bits are rejected at the parsing layer.
@@ -88,48 +87,34 @@ def _bits(m: int):
         m ^= bit
 
 
-class LevelMasks(NamedTuple):
-    """Row i's distance levels as bitmasks; bit w stands for index w + 1.
-
-    ``values`` are the distinct entries of the row, ascending (so
-    ``values[0]`` is 0); ``at[a]`` holds the w with D_iw = a for each of
-    them, and ``within[k]`` the w with D_iw <= values[k].
-
-    A row whose entries all fit in a byte and that has few distinct
-    values gets each ``at[a]`` in C: the row, last entry first, as bytes,
-    translated to ``b"1"`` where the byte is a and ``b"0"`` elsewhere, and
-    read as a binary int.  Other rows are read entry by entry.
-    """
-
-    values: tuple[int, ...]
-    at: dict[int, int]
-    within: tuple[int, ...]
-
-
 # The 256 bytes from 255 - a translate byte a to b"1" and every other byte
 # to b"0"; one string holds that table for every a.
 _ONE_AMID_ZEROS = b"0" * 255 + b"1" + b"0" * 255
 
 
-def _row_levels(row: Sequence[int]) -> LevelMasks:
-    values = tuple(sorted(set(row)))
+def _row_levels(row: Sequence[int]) -> dict[int, int]:
+    """Each distinct entry a of row i, ascending, to the mask of the w with
+    D_iw = a (bit w for index w + 1).  A row of byte-sized entries with few
+    distinct values gets each mask in C: the row, last entry first, as
+    bytes, translated to ``b"1"`` where the byte is a and ``b"0"``
+    elsewhere, and read as a binary int.  Other rows are read entry by
+    entry."""
+    values = sorted(set(row))
     n = len(row)
     # One pass per distinct value costs about (n + 256) / 56 steps of the
     # entry loop (fitted to timings at n = 20-1000, Python 3.11 on a 2-vCPU
     # Xeon), so the passes win below about 9, 16, 25 and 45 values at
     # n = 50, 100, 200 and 1000.  With more, as in a path metric's rows,
     # they would take up to 5x as long as the loop.
-    at: dict[int, int] = {}
     if values[-1] < 256 and len(values) * (n + 256) < 56 * n:
         digits = bytes(reversed(row))
-        for a in values:
-            at[a] = int(digits.translate(_ONE_AMID_ZEROS[255 - a : 511 - a]), 2)
-    else:
-        bit = 1
-        for x in row:
-            at[x] = at.get(x, 0) | bit
-            bit <<= 1
-    return LevelMasks(values, at, tuple(accumulate((at[a] for a in values), or_)))
+        return {a: int(digits.translate(_ONE_AMID_ZEROS[255 - a : 511 - a]), 2) for a in values}
+    at = dict.fromkeys(values, 0)
+    bit = 1
+    for x in row:
+        at[x] |= bit
+        bit <<= 1
+    return at
 
 
 @dataclass(frozen=True)
@@ -154,8 +139,9 @@ class DistanceMatrix:
         return self.entries[i - 1][j - 1]
 
     @cached_property
-    def levels(self) -> tuple[LevelMasks, ...]:
-        """Each row's distance levels, built once per matrix (0-based rows)."""
+    def levels(self) -> tuple[dict[int, int], ...]:
+        """Each row's distance levels, built once per matrix (0-based rows):
+        entry value to the mask of its columns, keys ascending."""
         return tuple(_row_levels(row) for row in self.entries)
 
     def is_primitive(self, i: int, j: int) -> bool:
@@ -165,13 +151,12 @@ class DistanceMatrix:
         another anchor, so every realisation joins them by a path whose
         interior is all auxiliary.
         """
-        values, at_i, _ = self.levels[i - 1]
-        at_j = self.levels[j - 1].at
+        at_j = self.levels[j - 1]
         dij = self.entries[i - 1][j - 1]
-        for a in values:
+        for a, mask in self.levels[i - 1].items():
             if a >= dij:
                 break
-            if a and at_i[a] & at_j.get(dij - a, 0):
+            if a and mask & at_j.get(dij - a, 0):
                 return False
         return True
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Realisation, SimpleGraph, _is_connected, bfs_apsp
+from .graph import Realisation, SearchSpaceTooLarge, SimpleGraph, _is_connected, bfs_apsp
 from .matrix import DistanceMatrix
-from .solvers import SearchSpaceTooLarge
 
 
 class DisconnectedInput(ValueError):
@@ -80,14 +79,20 @@ def reduce(g: SimpleGraph) -> GadgetInstance:
     """Build the gadget graph and its distance matrix for an input graph.
 
     The matrix is a metric by construction, so it is not scanned.  Its first
-    n_g rows and columns are the gadget graph's BFS distances, a
-    shortest-path metric, finite because the gadget of a connected graph is
-    connected.  The last row, the hub, holds 2 for an original vertex and 3
-    for a new one.  Every new vertex is adjacent to an original, so D_uv is
-    at most 3 between originals, 4 from an original to a new vertex and 5
-    between new vertices: at most the sum of the hub entries of u and v.
-    And a hub entry, 2 or 3, is at most the other hub entry (at least 2)
-    plus D_uv (at least 1).  So every triangle through the hub holds too.
+    n_g rows and columns are the gadget graph's BFS distances, finite as the
+    gadget of a connected graph is connected, and they follow from the
+    source graph.  Originals are never adjacent, and their one possible
+    common neighbour is the middle vertex of a non-adjacent pair, so two
+    originals are at 2 when non-adjacent and at 3, along their subdivided
+    edge, when adjacent.  A new vertex t leaves its piece only through two
+    originals x and y, at offsets o_x and o_y (1 and 2 on a subdivided
+    edge, 1 and 1 for a middle vertex), so D_ts = min(o_x + D_xs,
+    o_y + D_ys) for every s but t's sibling on the same edge, at 1.  Hence
+    D_uv is at most 3 between originals, 4 from an original to a new vertex
+    and 5 between new vertices: at most the sum of the hub entries of u and
+    v, 2 for an original and 3 for a new vertex.  And a hub entry is at
+    most the other (at least 2) plus D_uv (at least 1), so every triangle
+    through the hub holds too.
     """
     if g.anchor_count != g.vertex_count:
         raise ValueError("every vertex of the input graph must be colourable")

@@ -25,19 +25,14 @@ breadth-first search per anchor.  That check is independent of
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import twosat
-from .graph import NotARealisation, Realisation, SimpleGraph, q_zero, unit_graph
-from .graph import _bfs, _neighbour_lists
+from .graph import NotARealisation, Realisation, SearchSpaceTooLarge, SimpleGraph
+from .graph import _bfs, _neighbour_lists, q_zero, unit_graph
 from .matrix import DistanceMatrix, _bits
 from .twosat import TwoSatInstance
-
-
-class SearchSpaceTooLarge(Exception):
-    """A search or size guard was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -59,9 +54,9 @@ def bounds(d: DistanceMatrix) -> Bounds:
     n = d.n
     # Each pair at a sits in the level masks of both of its rows.
     extra = sum(
-        (a - 1) * at[a].bit_count()
-        for values, at, _ in d.levels
-        for a in values
+        (a - 1) * mask.bit_count()
+        for at in d.levels
+        for a, mask in at.items()
         if 2 <= a <= q0
     ) // 2
     return Bounds(q0, n + q0 - 1, n + extra)
@@ -76,13 +71,15 @@ def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
     levels = d.levels
     full = (1 << d.n) - 1
     rows = []
-    for values, at, within in levels:
-        shortcut = 0
+    for at in levels:
+        near, shortcut = at[0], 0
         for b in range(1, a):
-            for w in _bits(at.get(b, 0)):
-                shortcut |= levels[w].at.get(a - b, 0)
-        beyond = full & ~within[bisect_right(values, a) - 1]
-        rows.append((beyond, at.get(a, 0) & ~shortcut))
+            mask = at.get(b, 0)
+            near |= mask
+            for w in _bits(mask):
+                shortcut |= levels[w].get(a - b, 0)
+        mine = at.get(a, 0)
+        rows.append((full & ~(near | mine), mine & ~shortcut))
     return rows
 
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Realisation, _expand_paths, _is_connected, _neighbour_lists
+from .graph import Realisation, SearchSpaceTooLarge, _expand_paths, _is_connected, _neighbour_lists
 from .matrix import DistanceMatrix, ViolationKind
-from .solvers import SearchSpaceTooLarge
 
 # Most vertices an expanded tree may have.  A run costs about 0.3 KiB and
 # 2-5 us per vertex (16.5 to 21.8 MiB peak for 2.5k to 20k vertices), so

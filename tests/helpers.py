@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library code paths it is used to
 check: the 2-SAT oracle enumerates assignments as a bitmap, the weighted
-APSP oracle is Dijkstra (the library uses Floyd-Warshall), distances are
-re-derived with a standalone BFS, and labelled trees come from sequence
-decoding rather than the incremental builder.
+APSP oracle is Dijkstra (the library searches the path expansion),
+distances are re-derived with a standalone BFS, the level masks with a loop
+over each row, and labelled trees come from sequence decoding rather than
+the incremental builder.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import heapq
 import random
 from bisect import bisect_right
 from collections import deque
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
+from operator import or_
 
 from hypothesis import strategies as st
 
@@ -97,22 +99,24 @@ def first_violation_oracle(rows):
 def triangle_oracle(d: DistanceMatrix):
     """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij,
     or None, of a matrix that passed the structural checks, by the level
-    masks: for each pair i < j and each level a of row i below D_ij, the
-    shortcuts are ``at[a]`` of row i meeting the indices within
-    D_ij - a - 1 of j."""
-    levels = d.levels
+    masks of :func:`level_masks_oracle`: for each pair i < j and each level
+    a of row i below D_ij, the shortcuts are ``at[a]`` of row i meeting the
+    indices within D_ij - a - 1 of j."""
+    levels = [level_masks_oracle(row) for row in d.entries]
+    # Per row: its values ascending, and the union of its masks up to each.
+    within = [(tuple(at), tuple(accumulate(at.values(), or_))) for at in levels]
     n = d.n
     for i, row in enumerate(d.entries):
-        values_i, at_i, _ = levels[i]
-        inner = values_i[1:]
+        at_i = levels[i]
         for j in range(i + 1, n):
             dij = row[j]
-            values_j, _, within_j = levels[j]
+            values_j, within_j = within[j]
             shortcut = 0
-            for a in inner:
+            for a, mask in at_i.items():
                 if a >= dij:
                     break
-                shortcut |= at_i[a] & within_j[bisect_right(values_j, dij - a - 1) - 1]
+                if a:
+                    shortcut |= mask & within_j[bisect_right(values_j, dij - a - 1) - 1]
             if shortcut:
                 return i + 1, j + 1, (shortcut & -shortcut).bit_length()
     return None
@@ -192,19 +196,13 @@ def parse_matrix_oracle(text):
 
 
 def level_masks_oracle(row):
-    """``(values, at, within)`` of one matrix row by a loop over its
-    entries: ``values`` the distinct entries ascending, bit w of ``at[a]``
-    set when row[w] == a, and ``within[k]`` the union of ``at`` over the
-    values up to ``values[k]``."""
+    """The level dict of one matrix row by a loop over its entries: each
+    distinct entry a, ascending, maps to the mask with bit w set when
+    row[w] == a."""
     at = {}
     for w, x in enumerate(row):
         at[x] = at.get(x, 0) | 1 << w
-    values = tuple(sorted(at))
-    within, acc = [], 0
-    for a in values:
-        acc |= at[a]
-        within.append(acc)
-    return values, at, tuple(within)
+    return {a: at[a] for a in sorted(at)}
 
 
 # -- weighted tree canonical form ----------------------------------------------

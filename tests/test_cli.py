@@ -268,6 +268,39 @@ def test_invalid_input_bytes(capsys, argv, message):
     assert capsys.readouterr().out == f"error: {message}\nverdict=NO vertices=0 extra=0\n"
 
 
+@pytest.mark.parametrize(
+    "argv, files, stdin, expected",
+    [
+        (["reduce", "e.graph"], {"e.graph": "graph 3 3\n1 2 3\n"}, "",
+         (2, "error: line 2: expected an edge 'u v'")),
+        (["colour-realise", "k2.graph", "c.col"], {"c.col": "0 1\n"}, "",
+         (2, "error: line 1: vertex and colour are 1-based")),
+        (["extract-colouring", "k2.graph", "nine.graph", "--k", "2"],
+         {"nine.graph": (Path(__file__).parent / "data" / "k2_real.graph").read_text()
+          .replace("graph 7 5", "graph 9 5")}, "",
+         (2, "error: realisation does not fit the gadget instance")),
+        (["gen", "--mode", "random-tree-metric", "--anchors", "0"], {}, "",
+         (2, "error: need at least one anchor")),
+        (["validate", "-"], {}, "0 1\n1 0\n",
+         (0, "valid distance matrix (n=2)")),
+    ],
+)
+def test_refusals_and_stdin_input_print_their_line_and_the_summary(
+    tmp_path, capsys, monkeypatch, argv, files, stdin, expected
+):
+    data = Path(__file__).parent / "data"
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [
+        str(tmp_path / a if a in files else data / a) if "." in a else a for a in argv
+    ]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, line = expected
+    summary = "verdict=YES vertices=2 extra=0" if code == 0 else "verdict=NO vertices=0 extra=0"
+    assert main(argv) == code
+    assert capsys.readouterr().out == f"{line}\n{summary}\n"
+
+
 def test_solve_k2_dumps_both_formulas(tmp_path, capsys):
     p = tmp_path / "pair.mat"
     p.write_text("0 3\n3 0\n")

@@ -128,7 +128,9 @@ def level_rows(draw, n):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=300).flatmap(level_rows))
 def test_row_levels_match_the_entry_loop(row):
-    assert DistanceMatrix((tuple(row),)).levels == (helpers.level_masks_oracle(row),)
+    (at,) = DistanceMatrix((tuple(row),)).levels
+    assert (at,) == (helpers.level_masks_oracle(row),)
+    assert tuple(at) == tuple(sorted(at))
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,6 +138,8 @@ def test_row_levels_match_the_entry_loop(row):
 def test_levels_of_a_matrix_mixing_small_and_large_rows_match_the_entry_loop(rows):
     d = DistanceMatrix(tuple(map(tuple, rows)))
     assert d.levels == tuple(map(helpers.level_masks_oracle, rows))
+    for at in d.levels:
+        assert tuple(at) == tuple(sorted(at))
 
 
 def test_validate_idempotent():

@@ -5,7 +5,10 @@ benchmark or README example imports anything but a submodule from it.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,3 +47,25 @@ def test_imports_from_the_package_root_name_only_submodules():
                         foreign.add((label, node.lineno, alias.name))
     assert imported, "no file imports from the package root; the scan found nothing"
     assert foreign == set()
+
+
+def test_the_parsers_load_no_decider():
+    # textio reaches the guard exception through tree and reduction; both
+    # take it from graph, so reading input loads neither solvers nor twosat.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, combdmr.textio, combdmr.graph\n"
+        "print(sorted(m for m in sys.modules if m.startswith('combdmr')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert {"combdmr.textio", "combdmr.graph", "combdmr.tree", "combdmr.reduction"} <= loaded
+    assert not loaded & {"combdmr.solvers", "combdmr.twosat"}
+
+
+def test_the_guard_exception_has_one_home():
+    from combdmr import graph, solvers
+
+    assert solvers.SearchSpaceTooLarge is graph.SearchSpaceTooLarge

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from combdmr import generate
-from combdmr.graph import Realisation, SimpleGraph, verify_realisation
+from combdmr.graph import Realisation, SearchSpaceTooLarge, SimpleGraph, verify_realisation
 from combdmr.matrix import RawMatrix, validate
 from combdmr.reduction import (
     Colouring,
@@ -20,7 +20,7 @@ from combdmr.reduction import (
     realise_from_colouring,
     reduce,
 )
-from combdmr.solvers import SearchSpaceTooLarge, solve_k1, solve_k2
+from combdmr.solvers import solve_k1, solve_k2
 
 K1 = SimpleGraph.make(1, 1, [])
 K2 = SimpleGraph.make(2, 2, [(1, 2)])

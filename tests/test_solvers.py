@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import helpers
 from combdmr import generate, solvers, twosat
 from combdmr.graph import (
+    SearchSpaceTooLarge,
     SimpleGraph,
     q_skeleton,
     skeleton_distances,
@@ -16,7 +17,6 @@ from combdmr.graph import (
 from combdmr.matrix import distance_matrix
 from combdmr.reduction import reduce
 from combdmr.solvers import (
-    SearchSpaceTooLarge,
     _assignment_graph,
     _candidate_edges,
     _implications,
