@@ -269,24 +269,24 @@ def test_invalid_input_bytes(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, files, stdin, expected",
+    "argv, files, stdin, code, out",
     [
         (["reduce", "e.graph"], {"e.graph": "graph 3 3\n1 2 3\n"}, "",
-         (2, "error: line 2: expected an edge 'u v'")),
+         2, "error: line 2: expected an edge 'u v'\nverdict=NO vertices=0 extra=0\n"),
         (["colour-realise", "k2.graph", "c.col"], {"c.col": "0 1\n"}, "",
-         (2, "error: line 1: vertex and colour are 1-based")),
+         2, "error: line 1: vertex and colour are 1-based\nverdict=NO vertices=0 extra=0\n"),
         (["extract-colouring", "k2.graph", "nine.graph", "--k", "2"],
          {"nine.graph": (Path(__file__).parent / "data" / "k2_real.graph").read_text()
           .replace("graph 7 5", "graph 9 5")}, "",
-         (2, "error: realisation does not fit the gadget instance")),
+         2, "error: realisation does not fit the gadget instance\nverdict=NO vertices=0 extra=0\n"),
         (["gen", "--mode", "random-tree-metric", "--anchors", "0"], {}, "",
-         (2, "error: need at least one anchor")),
+         2, "error: need at least one anchor\nverdict=NO vertices=0 extra=0\n"),
         (["validate", "-"], {}, "0 1\n1 0\n",
-         (0, "valid distance matrix (n=2)")),
+         0, "valid distance matrix (n=2)\nverdict=YES vertices=2 extra=0\n"),
     ],
 )
 def test_refusals_and_stdin_input_print_their_line_and_the_summary(
-    tmp_path, capsys, monkeypatch, argv, files, stdin, expected
+    tmp_path, capsys, monkeypatch, argv, files, stdin, code, out
 ):
     data = Path(__file__).parent / "data"
     for name, text in files.items():
@@ -295,10 +295,8 @@ def test_refusals_and_stdin_input_print_their_line_and_the_summary(
         str(tmp_path / a if a in files else data / a) if "." in a else a for a in argv
     ]
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    code, line = expected
-    summary = "verdict=YES vertices=2 extra=0" if code == 0 else "verdict=NO vertices=0 extra=0"
     assert main(argv) == code
-    assert capsys.readouterr().out == f"{line}\n{summary}\n"
+    assert capsys.readouterr().out == out
 
 
 def test_solve_k2_dumps_both_formulas(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_the_parsers_load_no_decider():
     assert not loaded & {"combdmr.solvers", "combdmr.twosat"}
 
 
-def test_the_guard_exception_has_one_home():
+def test_solvers_names_the_guard_exception_of_graph():
     from combdmr import graph, solvers
 
     assert solvers.SearchSpaceTooLarge is graph.SearchSpaceTooLarge
