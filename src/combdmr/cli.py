@@ -15,8 +15,8 @@ import argparse
 import functools
 import sys
 import traceback
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable, TypeVar
 
 from . import generate, reduction, solvers, tree, twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge, SimpleGraph
@@ -60,14 +60,13 @@ def _load_graph(path: str) -> SimpleGraph:
 # What a subcommand answers: (YES?, vertices, extra) for the summary line.
 Verdict = tuple[bool, int, int]
 
-T = TypeVar("T")
-
 
 def _decided(
-    d: DistanceMatrix, decide: Callable[[], T], proven: Callable[[T], bool]
-) -> T:
-    """``decide()``, with the triangle scan of d first unless ``proven``
-    finds a verified YES in its answer.
+    d: DistanceMatrix, decide: Callable[[], Realisation | bool | None]
+) -> Realisation | bool | None:
+    """``decide()``, with the triangle scan of d first unless it answers
+    with a verified YES: a :class:`Realisation`, or True from
+    :func:`verify_realisation`.
 
     The deciders need only the structural check.  A graph whose anchor
     distances equal d proves d a metric, so a verified YES needs no scan.
@@ -80,7 +79,7 @@ def _decided(
     except Exception:
         check_triangles(d)
         raise
-    if not proven(answer):
+    if not answer:
         check_triangles(d)
     return answer
 
@@ -131,7 +130,7 @@ def cmd_validate(args: argparse.Namespace) -> Verdict:
 def cmd_solve(args: argparse.Namespace) -> Verdict:
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
-    r = _decided(d, lambda: solver(d), lambda r: r is not None)
+    r = _decided(d, lambda: solver(d))
     if args.dump_cnf:
         parts = []
         if args.k >= 1:
@@ -166,11 +165,9 @@ def cmd_bounds(args: argparse.Namespace) -> Verdict:
 def cmd_tree(args: argparse.Namespace) -> Verdict:
     d = check_structure(_read_matrix(args.input))
 
-    def build():
-        wt = tree.build_weighted_tree(d)
-        return wt, tree.expand_tree(d, wt)
-
-    wt, result = _decided(d, build, lambda built: built[1] is not None)
+    # Built once, for the decision and for --weighted-out.
+    weighted = functools.cache(lambda: tree.build_weighted_tree(d))
+    result = _decided(d, lambda: tree.expand_tree(d, weighted()))
     # d is a metric now: the tree realises it, or the scan passed.
     if args.certify:
         violation = tree.check_zareckii(d)
@@ -185,8 +182,7 @@ def cmd_tree(args: argparse.Namespace) -> Verdict:
         print("NO: no tree realisation exists")
         return False, 0, 0
     if args.weighted_out:
-        assert wt is not None
-        Path(args.weighted_out).write_text(emit_weighted_tree(wt))
+        Path(args.weighted_out).write_text(emit_weighted_tree(weighted()))
     _write_graph_outputs(args, result.graph)
     print(f"YES: tree realisation with {result.graph.vertex_count} vertices")
     return _graph_verdict(True, result.graph)
@@ -229,7 +225,7 @@ def cmd_extract_colouring(args: argparse.Namespace) -> Verdict:
 def cmd_verify(args: argparse.Namespace) -> Verdict:
     g = _load_graph(args.graph)
     d = check_structure(_read_matrix(args.matrix))
-    ok = _decided(d, lambda: verify_realisation(g, d), bool)
+    ok = _decided(d, lambda: verify_realisation(g, d))
     if ok:
         print("YES: the graph realises the matrix")
     else:

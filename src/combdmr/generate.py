@@ -52,7 +52,7 @@ def random_metric(seed: int, vertices: int, anchors: int) -> DistanceMatrix:
     g = random_connected_graph(rng, vertices)
     chosen = sorted(_sample(rng, list(range(1, vertices + 1)), anchors))
     adj = g.adjacency()
-    rows = (_bfs(adj, a, vertices) for a in chosen)
+    rows = (_bfs(adj, a) for a in chosen)
     return DistanceMatrix(tuple(tuple(row[b] for b in chosen) for row in rows))
 
 

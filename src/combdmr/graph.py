@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .matrix import _LANE_CODES, DistanceMatrix, _bits
 
@@ -58,12 +58,9 @@ class SimpleGraph:
             norm.add((u, v) if u < v else (v, u))
         return SimpleGraph(vertex_count, anchor_count, frozenset(norm))
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
     def adjacency(self) -> list[list[int]]:
-        """Neighbour lists indexed by vertex, ascending; slot 0 unused."""
-        return _neighbour_lists(self.vertex_count, self.sorted_edges())
+        """Neighbour lists indexed by vertex, in edge order; slot 0 unused."""
+        return _neighbour_lists(self.vertex_count, self.edges)
 
 
 def _neighbour_lists(size: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -93,9 +90,9 @@ class WeightedSkeleton:
     weighted_edges: tuple[tuple[int, int, int], ...]
 
 
-def _bfs(adj: Sequence[Sequence[int]], s: int, vertex_count: int) -> list[int | float]:
+def _bfs(adj: Sequence[Sequence[int]], s: int) -> list[int | float]:
     """Hop distances from s over neighbour lists, by vertex; slot 0 unused."""
-    dist: list[int | float] = [INF] * (vertex_count + 1)
+    dist: list[int | float] = [INF] * len(adj)
     dist[s] = 0
     queue = deque([s])
     while queue:
@@ -109,26 +106,28 @@ def _bfs(adj: Sequence[Sequence[int]], s: int, vertex_count: int) -> list[int | 
 
 
 def _search(
-    adj: Sequence[Sequence[int]], n: int, seen: list[int]
-) -> Iterator[tuple[int, dict[int, int]]]:
+    adj: Sequence[Sequence[int]], n: int
+) -> Iterator[tuple[int, dict[int, int], list[int]]]:
     """One breadth-first search from vertices 1..n at once, level by level.
 
     Each vertex v holds in ``seen[v]`` the mask of the sources that have
     reached it, bit s - 1 for source s, and each level pushes only the
     sources new to a vertex on to its neighbours (Then et al., "The More
-    the Merrier", PVLDB 2014).  Yields (level, new) from level 0, the
+    the Merrier", PVLDB 2014).  Yields (level, new, seen) from level 0, the
     sources themselves, while a level reaches anything: ``new`` maps each
     vertex that sources reach first at that level to the mask of those
-    sources.  A vertex meets new sources on at most min(n, diameter + 1)
-    levels, so a search costs O(n + E * min(n, diameter)) operations on
-    n-bit integers plus one step per level.
+    sources, and ``seen`` is the search's own reach list, up to date.  A
+    vertex meets new sources on at most min(n, diameter + 1) levels, so a
+    search costs O(n + E * min(n, diameter)) operations on n-bit integers
+    plus one step per level.
     """
+    seen = [0] * len(adj)
     new = {}
     for s in range(1, n + 1):
         seen[s] = new[s] = 1 << s - 1
     level = 0
     while new:
-        yield level, new
+        yield level, new, seen
         level += 1
         reached: dict[int, int] = {}
         get = reached.get
@@ -156,9 +155,8 @@ def _bfs_rows(g: SimpleGraph, sources: int) -> ExtendedDistances:
     ``struct``; sources that never reach w are ``inf``.
     """
     size = next(b for b in (1, 2, 4, 8) if g.vertex_count <= 1 << 8 * b)
-    seen = [0] * (g.vertex_count + 1)
     planes: list[list[int]] = []
-    for level, new in _search(_neighbour_lists(g.vertex_count, g.edges), sources, seen):
+    for level, new, seen in _search(_neighbour_lists(g.vertex_count, g.edges), sources):
         if level.bit_length() > len(planes):
             planes.append([0] * (sources + 1))
         mine = [plane for k, plane in enumerate(planes) if level >> k & 1]
@@ -210,8 +208,7 @@ def _levels_match(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
     """
     n, levels = d.n, d.levels
     top = max(next(reversed(at)) for at in levels)
-    seen = [0] * len(adj)
-    for level, new in _search(adj, n, seen):
+    for level, new, seen in _search(adj, n):
         for w, bits in new.items():
             if w <= n and bits != levels[w - 1].get(level):
                 return False
@@ -251,9 +248,9 @@ class Realisation:
             raise NotARealisation("graph does not realise the matrix")
 
 
-def _is_connected(adj: Sequence[Sequence[int]], vertex_count: int) -> bool:
+def _is_connected(adj: Sequence[Sequence[int]]) -> bool:
     """True when a walk from vertex 1 over neighbour lists reaches every vertex."""
-    return INF not in _bfs(adj, 1, vertex_count)[1:]
+    return INF not in _bfs(adj, 1)[1:]
 
 
 def unit_graph(d: DistanceMatrix) -> SimpleGraph:

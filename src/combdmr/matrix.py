@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Iterable, Sequence
 
 # Hop counts in any realisation are bounded by the vertex count, so entries
 # beyond 32 bits are rejected at the parsing layer.

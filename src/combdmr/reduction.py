@@ -98,16 +98,14 @@ def reduce(g: SimpleGraph) -> GadgetInstance:
         raise ValueError("every vertex of the input graph must be colourable")
     # A connected graph has at least vertex_count - 1 edges; checking that
     # first keeps a huge declared vertex count from sizing the adjacency.
-    if len(g.edges) < g.vertex_count - 1 or not _is_connected(
-        g.adjacency(), g.vertex_count
-    ):
+    if len(g.edges) < g.vertex_count - 1 or not _is_connected(g.adjacency()):
         raise DisconnectedInput("input graph must be connected")
     nc = g.vertex_count
     nxt = nc + 1
     gadget_edges: list[tuple[int, int]] = []
     subdivision: dict[tuple[int, int], tuple[int, int]] = {}
     nonadjacent: dict[tuple[int, int], int] = {}
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         a, b = nxt, nxt + 1
         nxt += 2
         gadget_edges.extend([(u, a), (a, b), (v, b)])
@@ -120,7 +118,7 @@ def reduce(g: SimpleGraph) -> GadgetInstance:
                 gadget_edges.extend([(u, mid), (v, mid)])
                 nonadjacent[(u, v)] = mid
     ng = nxt - 1
-    gadget = SimpleGraph.make(ng, ng, gadget_edges)
+    gadget = SimpleGraph(ng, ng, frozenset(gadget_edges))
     gd = bfs_apsp(gadget).entries
     rows = [
         tuple(gd[i]) + (2 if i < nc else 3,) for i in range(ng)

@@ -144,7 +144,7 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     return TwoSatInstance(2 * n, tuple(clauses))
 
 
-def _implications(n: int, rows2: list, extras: int, rows3: list | None = None) -> list[int]:
+def _implications(rows2: list, extras: int, rows3: list | None = None) -> list[int]:
     """The implication graph of phi1 (one extra), phi2 (two) or, given
     ``rows3``, phi2' (two adjacent), read off the row masks
     ``rows2 = _row_masks(d, 2)`` and ``rows3 = _row_masks(d, 3)``: the graph
@@ -154,6 +154,7 @@ def _implications(n: int, rows2: list, extras: int, rows3: list | None = None) -
     (negated) and node V + b, for V = extras * n variables; row i (0-based)
     has x_i of extra t at b = t*n + i, and below, y is the other extra.
     """
+    n = len(rows2)
     v = extras * n
     out = [0] * (2 * v)
     for i, (beyond, partners) in enumerate(rows2):
@@ -210,7 +211,7 @@ def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:
             if rows2 is None:
                 rows2 = _row_masks(d, 2)
             rows3 = _row_masks(d, 3) if adjacent else None
-            model = twosat.solve_implications(_implications(d.n, rows2, extras, rows3))
+            model = twosat.solve_implications(_implications(rows2, extras, rows3))
             if model is None:
                 if extras == 2:
                     return None  # phi2' contains phi2
@@ -266,6 +267,6 @@ def solve_exact(
     for mask in range(1 << free):
         adj = _neighbour_lists(n + k, base + [candidates[b] for b in _bits(mask)])
         # One search per anchor, so almost every mask fails at anchor 1.
-        if all(_bfs(adj, s, n + k)[1 : n + 1] == row for s, row in enumerate(rows, 1)):
+        if all(_bfs(adj, s)[1 : n + 1] == row for s, row in enumerate(rows, 1)):
             return Realisation(_assignment_graph(unit, [mask >> b & 1 for b in range(free)], k), d)
     return None

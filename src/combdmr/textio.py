@@ -112,7 +112,7 @@ def parse_graph(text: str) -> SimpleGraph:
 
 def emit_graph(g: SimpleGraph) -> str:
     lines = [f"graph {g.vertex_count} {g.anchor_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 
@@ -154,7 +154,7 @@ def to_dot(g: SimpleGraph) -> str:
     for v in range(1, g.vertex_count + 1):
         style = "" if v <= g.anchor_count else " [style=dashed]"
         lines.append(f"  {v}{style};")
-    for u, v in g.sorted_edges():
+    for u, v in sorted(g.edges):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
     return "\n".join(lines) + "\n"

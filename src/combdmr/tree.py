@@ -56,7 +56,7 @@ class WeightedTree:
             if w < 1:
                 raise ValueError("zero-weight edge")
         adj = _neighbour_lists(self.vertex_count, ((u, v) for u, v, _ in self.edges))
-        if not _is_connected(adj, self.vertex_count):
+        if not _is_connected(adj):
             raise ValueError("tree is not connected")
 
 

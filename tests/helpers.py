@@ -676,6 +676,27 @@ def metric_cases(draw, max_n=40):
 
 
 @st.composite
+def non_metric_cases(draw, max_n=10):
+    """A :func:`metric_cases` matrix with one axiom broken by construction:
+    a mirrored entry raised past a two-step path, an entry raised above its
+    mirror, or a diagonal entry set."""
+    rows = draw(metric_cases(max_n=max_n))
+    n = len(rows)
+    ways = ("diagonal", "asymmetric", "triangle")[: min(n, 3)]
+    way = draw(st.sampled_from(ways))
+    if way == "triangle":
+        i, j, w = draw(st.permutations(range(n)))[:3]
+        rows[i][j] = rows[j][i] = rows[i][w] + rows[w][j] + draw(st.integers(1, 2))
+    elif way == "asymmetric":
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i][j] = rows[j][i] + draw(st.integers(1, 2))
+    else:
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = draw(st.integers(1, 2))
+    return rows
+
+
+@st.composite
 def graph_matrix_cases(draw, max_n=12):
     """A graph with anchors 1..n and a distance matrix it may not realise.
 

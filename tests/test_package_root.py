@@ -49,6 +49,22 @@ def test_imports_from_the_package_root_name_only_submodules():
     assert foreign == set()
 
 
+def test_no_module_imports_typing():
+    # Annotations are postponed, so the abstract types they name come from
+    # collections.abc.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [(path.name, node.lineno) for m in modules if m.split(".")[0] == "typing"]
+    assert found == []
+
+
 def test_the_parsers_load_no_decider():
     # textio reaches the guard exception through tree and reduction; both
     # take it from graph, so reading input loads neither solvers nor twosat.

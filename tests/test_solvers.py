@@ -417,7 +417,7 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
     ):
         inst = build(d)
         rows3 = _row_masks(d, 3) if adjacent else None
-        model = twosat.solve_implications(_implications(d.n, _row_masks(d, 2), extras, rows3))
+        model = twosat.solve_implications(_implications(_row_masks(d, 2), extras, rows3))
         assert (model is None) == (twosat.solve(inst) is None)
         assert model is None or twosat.check(inst, model)
 
