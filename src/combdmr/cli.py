@@ -24,14 +24,12 @@ from .graph import verify_realisation
 from .matrix import (
     DistanceMatrix,
     RawMatrix,
-    ValidationError,
     check_structure,
     check_triangles,
     validate,
 )
 from .reduction import Colouring
 from .textio import (
-    ParseError,
     emit_colouring,
     emit_graph,
     emit_matrix,
@@ -364,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         except NotARealisation as exc:
             # A decider emitted a graph that fails its own check: not bad input.
             code = _internal_error(exc)
-        except (ParseError, ValidationError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}")
             code = 2
         except Exception as exc:

@@ -269,6 +269,24 @@ def unit_graph(d: DistanceMatrix) -> SimpleGraph:
     return SimpleGraph(n, n, edges)
 
 
+def _candidate_edges(n: int, k: int) -> list[tuple[int, int]]:
+    """The edges that may touch k extra vertices on top of n anchors.
+
+    Candidate b = t*n + i - 1 joins anchor i to extra vertex n + 1 + t and
+    is 2-SAT variable b + 1; the pairs of extras follow, so for k = 2 the
+    edge between the two extras is candidate 2n.
+    """
+    pairs = [(n + 1 + a, n + 1 + b) for a in range(k) for b in range(a + 1, k)]
+    return [(i, n + 1 + t) for t in range(k) for i in range(1, n + 1)] + pairs
+
+
+def _assignment_graph(unit: SimpleGraph, chosen: Sequence[int], extras: int) -> SimpleGraph:
+    """The anchor graph ``unit`` plus the candidate edges b with ``chosen[b]`` set."""
+    n = unit.vertex_count
+    picked = {e for e, on in zip(_candidate_edges(n, extras), chosen) if on}
+    return SimpleGraph(n + extras, n, unit.edges | picked)
+
+
 def q_skeleton(d: DistanceMatrix, q: int) -> WeightedSkeleton:
     """Weighted anchor graph keeping pairs with D_ij <= q, weight D_ij."""
     if q < 1:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Realisation, SearchSpaceTooLarge, SimpleGraph, _is_connected, bfs_apsp
+from .graph import Realisation, SearchSpaceTooLarge, SimpleGraph, _assignment_graph
+from .graph import _is_connected, bfs_apsp
 from .matrix import DistanceMatrix
 
 
@@ -142,13 +143,11 @@ def realise_from_colouring(inst: GadgetInstance, c: Colouring) -> Realisation:
         if c.colour_of(u) == c.colour_of(v):
             raise ImproperColouring(f"vertices {u} and {v} share colour")
     n = inst.n
-    edges = set(inst.gadget.edges)
-    for j in range(1, c.k + 1):
-        edges.add((n, n + j))
-    for i in range(1, nc + 1):
-        edges.add((i, n + c.colour_of(i)))
-    g = SimpleGraph(n + c.k, n, frozenset(edges))
-    return Realisation(g, inst.matrix)
+    chosen = [
+        i == n or i <= nc and c.colour_of(i) == t + 1 for t in range(c.k) for i in range(1, n + 1)
+    ]
+    unit = SimpleGraph(n, n, inst.gadget.edges)
+    return Realisation(_assignment_graph(unit, chosen, c.k), inst.matrix)
 
 
 def extract_colouring(inst: GadgetInstance, r: Realisation, k: int) -> Colouring:

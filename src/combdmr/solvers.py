@@ -7,13 +7,11 @@ non-adjacent extras (phi2) and two adjacent extras (phi2'); the first graph
 that realises the matrix wins.  The unit graph is in every realisation, so
 the free choices are which anchors the extras attach to, and any model is as
 good as any other (the induced anchor metric is assignment-invariant).
-phi2' contains phi2, so an unsatisfiable phi2 ends the walk.  The variables
-are the candidate edges of ``_candidate_edges``: every graph with extra
-vertices, here and in ``solve_exact``, is the unit graph plus some of them.
-The ladder never writes a formula down: each literal's successors in its
-implication graph are unions of per-row masks read off the matrix's level
-masks.  ``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` write the
-same formulas as clause lists, for ``solve --dump-cnf`` and the tests.
+phi2' contains phi2, so an unsatisfiable phi2 ends the walk.  Each formula
+is stated once, as a table of the clauses that one far or primitive pair
+adds: ``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` render it as
+clause lists (for ``solve --dump-cnf`` and the tests), the ladder as
+implication masks.  The variables are ``graph._candidate_edges``.
 
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
@@ -25,12 +23,11 @@ breadth-first search per anchor.  That check is independent of
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import twosat
-from .graph import NotARealisation, Realisation, SearchSpaceTooLarge, SimpleGraph
-from .graph import _bfs, _neighbour_lists, q_zero, unit_graph
+from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
+from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, q_zero, unit_graph
 from .matrix import DistanceMatrix, _bits
 from .twosat import TwoSatInstance
 
@@ -83,13 +80,34 @@ def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
     return rows
 
 
-def _pairs(d: DistanceMatrix, a: int) -> list[list[tuple[int, int]]]:
-    """Far pairs (D_ij > a) and primitive pairs at a, lexicographic."""
-    rows = _row_masks(d, a)
-    return [
-        [(i, i + 1 + j) for i, masks in enumerate(rows, 1) for j in _bits(masks[k] >> i)]
-        for k in (0, 1)
-    ]
+# Each formula as a table from pair kind to the clauses that one pair i < j
+# adds, over n anchors: kind (a, 0) is the pairs with D_ij > a and kind (a, 1)
+# the primitive pairs at a.  Every entry is symmetric in i and j.
+_PHI1 = {
+    (2, 0): lambda i, j, n: ((-i, -j),),
+    (2, 1): lambda i, j, n: ((i, i), (j, j)),
+}
+_PHI2 = {
+    (2, 0): lambda i, j, n: ((-i, -j), (-n - i, -n - j)),
+    (2, 1): lambda i, j, n: ((i, n + i), (i, n + j), (j, n + i), (j, n + j)),
+}
+# The clauses that phi2' adds to phi2.
+_PHI2_ADJACENT = {
+    (3, 0): lambda i, j, n: ((-i, -n - j), (-n - i, -j)),
+    (3, 1): lambda i, j, n: ((i, n + i), (j, n + j), (i, j), (n + i, n + j)),
+}
+
+
+def _clauses(d: DistanceMatrix, formula: dict) -> tuple[twosat.Clause, ...]:
+    """The clauses of ``formula``, kind by kind, pairs in lexicographic order."""
+    rows = {a: _row_masks(d, a) for a in {a for a, _ in formula}}
+    return tuple(
+        clause
+        for (a, kind), template in formula.items()
+        for i, masks in enumerate(rows[a], 1)
+        for j in _bits(masks[kind] >> i)
+        for clause in template(i, i + 1 + j, d.n)
+    )
 
 
 def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
@@ -100,11 +118,7 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
     in the unit graph) have no other way to meet, so both their variables
     are forced.
     """
-    far, forced = _pairs(d, 2)
-    clauses = [(-i, -j) for i, j in far]
-    for i, j in forced:
-        clauses += ((i, i), (j, j))
-    return TwoSatInstance(d.n, tuple(clauses))
+    return TwoSatInstance(d.n, _clauses(d, _PHI1))
 
 
 def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
@@ -115,14 +129,7 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     only need one of the two extras to carry both endpoints; expanding that
     disjunction of conjunctions distributively gives four clauses per pair.
     """
-    n = d.n
-    far, forced = _pairs(d, 2)
-    clauses: list[twosat.Clause] = []
-    for i, j in far:
-        clauses += ((-i, -j), (-n - i, -n - j))
-    for i, j in forced:
-        clauses += ((i, n + i), (i, n + j), (j, n + i), (j, n + j))
-    return TwoSatInstance(2 * n, tuple(clauses))
+    return TwoSatInstance(2 * d.n, _clauses(d, _PHI2))
 
 
 def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
@@ -134,63 +141,38 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     serve them) must be routed through that path in one of the two
     orientations.
     """
-    n = d.n
-    far, forced = _pairs(d, 3)
-    clauses = list(build_phi2(d).clauses)
-    for i, j in far:
-        clauses += ((-i, -n - j), (-n - i, -j))
-    for i, j in forced:
-        clauses += ((i, n + i), (j, n + j), (i, j), (n + i, n + j))
-    return TwoSatInstance(2 * n, tuple(clauses))
+    return TwoSatInstance(2 * d.n, build_phi2(d).clauses + _clauses(d, _PHI2_ADJACENT))
 
 
 def _implications(rows2: list, extras: int, rows3: list | None = None) -> list[int]:
     """The implication graph of phi1 (one extra), phi2 (two) or, given
-    ``rows3``, phi2' (two adjacent), read off the row masks
-    ``rows2 = _row_masks(d, 2)`` and ``rows3 = _row_masks(d, 3)``: the graph
-    of the builders' clauses.
+    ``rows3``, phi2' (two adjacent), from the tables and the row masks
+    ``rows2 = _row_masks(d, 2)`` and ``rows3 = _row_masks(d, 3)``.
 
-    Candidate b of ``_candidate_edges`` is variable b + 1, at node b
-    (negated) and node V + b, for V = extras * n variables; row i (0-based)
-    has x_i of extra t at b = t*n + i, and below, y is the other extra.
+    Variable b + 1 is at node b (negated) and node V + b, for V = extras * n.
+    An entry at the pair (1, 2) with n = 2 names i's literals 1 and 3 and
+    j's 2 and 4.  Row i adds the arcs that leave its own literals: to its
+    own literal, or to all its partners of that kind at once.  The entries
+    are symmetric in i and j, so the rows of j add the rest.
     """
     n = len(rows2)
     v = extras * n
+    formula = _PHI1 if extras == 1 else _PHI2 | (_PHI2_ADJACENT if rows3 else {})
+    rows = {2: rows2, 3: rows3}
+
+    def node(lit: int) -> int:
+        return (abs(lit) - 1) // 2 * n + (v if lit > 0 else 0)
+
     out = [0] * (2 * v)
-    for i, (beyond, partners) in enumerate(rows2):
-        # x_i -> -x_j for far j; if i is forced, -x_i -> x_i (one extra) or
-        # -x_i -> y_i, y_j for its partners j (two).
-        own = 1 << i if partners else 0
-        forced = own | partners if extras == 2 else own
-        for t in range(extras):
-            out[v + t * n + i] = beyond << t * n
-            out[t * n + i] = forced << v + (extras - 1 - t) * n
-    for i, (beyond, partners) in enumerate(rows3 or ()):
-        own = 1 << i if partners else 0
-        # x_i -> -y_j for far j, and -x_i -> y_i, x_j for partners j.
-        out[v + i] |= beyond << n
-        out[v + n + i] |= beyond
-        out[i] |= own << v + n | partners << v
-        out[n + i] |= own << v | partners << v + n
+    for (a, kind), template in formula.items():
+        clauses = template(1, 2, 2)
+        arcs = [(node(-x), y % 2, node(y)) for c in clauses for x, y in (c, c[::-1]) if x % 2]
+        for i, masks in enumerate(rows[a]):
+            partners = masks[kind]
+            if partners:
+                for source, own, target in arcs:
+                    out[source + i] |= (1 << i if own else partners) << target
     return out
-
-
-def _candidate_edges(n: int, k: int) -> list[tuple[int, int]]:
-    """The edges that may touch k extra vertices on top of n anchors.
-
-    Candidate b = t*n + i - 1 joins anchor i to extra vertex n + 1 + t and
-    is 2-SAT variable b + 1; the pairs of extras follow, so for k = 2 the
-    edge between the two extras is candidate 2n.
-    """
-    pairs = [(n + 1 + a, n + 1 + b) for a in range(k) for b in range(a + 1, k)]
-    return [(i, n + 1 + t) for t in range(k) for i in range(1, n + 1)] + pairs
-
-
-def _assignment_graph(unit: SimpleGraph, chosen: Sequence[int], extras: int) -> SimpleGraph:
-    """The unit graph plus the candidate edges b with ``chosen[b]`` set."""
-    n = unit.vertex_count
-    picked = {e for e, on in zip(_candidate_edges(n, extras), chosen) if on}
-    return SimpleGraph(n + extras, n, unit.edges | picked)
 
 
 def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:

@@ -20,9 +20,8 @@ from operator import or_
 from hypothesis import strategies as st
 
 from combdmr import generate
-from combdmr.graph import SimpleGraph, unit_graph, verify_realisation
+from combdmr.graph import SimpleGraph, _assignment_graph, unit_graph, verify_realisation
 from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
-from combdmr.solvers import _assignment_graph
 from combdmr.tree import WeightedTree
 from combdmr.twosat import TwoSatInstance
 
@@ -276,21 +275,36 @@ def canonical_transform(t: WeightedTree) -> WeightedTree:
 
 # -- independent BFS ---------------------------------------------------------
 
-def bfs_distances(vertex_count, edges, source):
+def bfs_rows(vertex_count, edges, sources):
+    """Per source, its distances to vertices 0..vertex_count (slot 0 unused)."""
     adj = [[] for _ in range(vertex_count + 1)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    dist = [INF] * (vertex_count + 1)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] == INF:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    rows = []
+    for source in sources:
+        dist = [INF] * (vertex_count + 1)
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        rows.append(dist)
+    return rows
+
+
+def bfs_distances(vertex_count, edges, source):
+    return bfs_rows(vertex_count, edges, (source,))[0]
+
+
+def anchor_metric(g: SimpleGraph):
+    """The anchor rows of g, by the standalone BFS, as a tuple of tuples."""
+    n = g.anchor_count
+    rows = bfs_rows(g.vertex_count, g.edges, range(1, n + 1))
+    return tuple(tuple(row[1 : n + 1]) for row in rows)
 
 
 def first_verified_assignment(d: DistanceMatrix, k: int):
@@ -403,6 +417,24 @@ def model_bitmap(inst: TwoSatInstance) -> int:
         if not sat:
             break
     return sat
+
+
+def implication_masks(inst: TwoSatInstance) -> list[int]:
+    """The implication graph of a clause list as successor bitmasks.
+
+    Node v - 1 is -x_v and node V + v - 1 is x_v, for V variables; clause
+    (a, b) adds the arcs -a -> b and -b -> a.
+    """
+    v = inst.variable_count
+
+    def node(lit):
+        return abs(lit) - 1 + (v if lit > 0 else 0)
+
+    out = [0] * (2 * v)
+    for a, b in inst.clauses:
+        out[node(-a)] |= 1 << node(b)
+        out[node(-b)] |= 1 << node(a)
+    return out
 
 
 def brute_satisfiable(inst: TwoSatInstance) -> bool:

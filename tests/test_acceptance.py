@@ -16,6 +16,7 @@ import helpers
 from combdmr import twosat
 from combdmr.cli import main
 from combdmr.graph import (
+    _assignment_graph,
     expand_elementary_paths,
     q_skeleton,
     skeleton_distances,
@@ -32,7 +33,6 @@ from combdmr.reduction import (
     reduce,
 )
 from combdmr.solvers import (
-    _assignment_graph,
     bounds,
     build_phi1,
     build_phi2,
@@ -144,13 +144,6 @@ def test_c05_twosat_completeness():
     _report("criterion 05 (2-SAT solver vs exhaustive enumeration, 500 instances)", t0, 10)
 
 
-def _anchor_metric(g, n):
-    return tuple(
-        tuple(helpers.bfs_distances(g.vertex_count, g.edges, i)[1 : n + 1])
-        for i in range(1, n + 1)
-    )
-
-
 def test_c06_assignment_invariance(metric_cases):
     t0 = time.perf_counter()
     counts = {"phi1": 0, "phi2": 0, "phi2p": 0}
@@ -172,7 +165,7 @@ def test_c06_assignment_invariance(metric_cases):
                 continue
             unit = unit_graph(d)
             metrics = {
-                _anchor_metric(_assignment_graph(unit, (*m, joined), extras), d.n)
+                helpers.anchor_metric(_assignment_graph(unit, (*m, joined), extras))
                 for m in helpers.enumerate_models(inst)
             }
             assert len(metrics) == 1, (name, d.entries)

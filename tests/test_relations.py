@@ -6,7 +6,10 @@ is known in advance, and compares the deciders' answers before and after:
 - relabelling the anchors changes none of the answers;
 - a pendant anchor, joined to one anchor only, lies on no shortest path
   between two others, so the fewest extra vertices stay the same;
-- deleting r anchors of a realisation leaves r more extra vertices at most.
+- deleting r anchors of a realisation leaves r more extra vertices at most;
+- forcing a 2-SAT variable against a model of phi1, phi2 or phi2' leaves
+  the anchor metric of the model's graph as it was (the paper's
+  assignment-invariance lemma).
 
 The loops are seeded and of fixed length, so the cost is fixed.
 """
@@ -16,10 +19,11 @@ import random
 import pytest
 
 import helpers
-from combdmr import generate
+from combdmr import generate, twosat
+from combdmr.graph import _assignment_graph, unit_graph
 from combdmr.matrix import DistanceMatrix
 from combdmr.reduction import reduce
-from combdmr.solvers import solve_k2
+from combdmr.solvers import _implications, _row_masks, solve_k2
 from combdmr.tree import check_zareckii, solve_tree
 
 
@@ -105,3 +109,31 @@ def test_deleting_anchors_turns_them_into_extras(cases):
         dropped = set(rng.sample(range(d.n), min(d.n - 1, rng.randrange(3 - k))))
         extras = _extras(_permuted(d, [i for i in range(d.n) if i not in dropped]))
         assert extras is not None and extras <= k + len(dropped), (case, sorted(dropped))
+
+
+def test_forcing_a_variable_against_a_model_keeps_the_anchor_metric():
+    rng = random.Random(19)
+    for seed in range(9300, 9360):
+        n = rng.randrange(20, 81)
+        d = DistanceMatrix(
+            tuple(map(tuple, helpers.planted_or_tree_rows(seed, n, "planted", 1 + seed % 2)))
+        )
+        unit = unit_graph(d)
+        rows2 = _row_masks(d, 2)
+        for extras, rows3 in ((1, None), (2, None), (2, _row_masks(d, 3))):
+            out = _implications(rows2, extras, rows3)
+            model = twosat.solve_implications(out)
+            if model is None:
+                continue
+            adjacent = rows3 is not None
+            metric = helpers.anchor_metric(_assignment_graph(unit, (*model, adjacent), extras))
+            v = len(model)
+            for b in rng.sample(range(v), 8):
+                # The arc x_b -> -x_b, or -x_b -> x_b, forces b against the model.
+                forced = list(out)
+                forced[b + v * model[b]] |= 1 << (b + v * (not model[b]))
+                other = twosat.solve_implications(forced)
+                if other is not None:
+                    assert other[b] != model[b]
+                    graph = _assignment_graph(unit, (*other, adjacent), extras)
+                    assert helpers.anchor_metric(graph) == metric, (seed, extras, adjacent, b)

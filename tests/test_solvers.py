@@ -9,6 +9,8 @@ from combdmr import generate, solvers, twosat
 from combdmr.graph import (
     SearchSpaceTooLarge,
     SimpleGraph,
+    _assignment_graph,
+    _candidate_edges,
     q_skeleton,
     skeleton_distances,
     unit_graph,
@@ -17,8 +19,9 @@ from combdmr.graph import (
 from combdmr.matrix import distance_matrix
 from combdmr.reduction import reduce
 from combdmr.solvers import (
-    _assignment_graph,
-    _candidate_edges,
+    _PHI1,
+    _PHI2,
+    _PHI2_ADJACENT,
     _implications,
     _row_masks,
     bounds,
@@ -320,13 +323,6 @@ def test_exact_rejects_a_negative_guard():
 
 # -- cross-cutting properties -----------------------------------------------------
 
-def _anchor_metric(g, n):
-    return tuple(
-        tuple(helpers.bfs_distances(g.vertex_count, g.edges, i)[1 : n + 1])
-        for i in range(1, n + 1)
-    )
-
-
 def test_assignment_invariance_small():
     # Every model of the one-extra formula induces the same anchor metric,
     # and that metric is the 2-skeleton closure.  The K2 gadget's formula is
@@ -335,7 +331,7 @@ def test_assignment_invariance_small():
     for d in (ALL_TWOS, EIGHT, k2_gadget_matrix()):
         phi1 = build_phi1(d)
         metrics = {
-            _anchor_metric(_assignment_graph(unit_graph(d), (*m, False), 1), d.n)
+            helpers.anchor_metric(_assignment_graph(unit_graph(d), (*m, False), 1))
             for m in helpers.enumerate_models(phi1)
         }
         if not metrics:
@@ -417,9 +413,23 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
     ):
         inst = build(d)
         rows3 = _row_masks(d, 3) if adjacent else None
-        model = twosat.solve_implications(_implications(_row_masks(d, 2), extras, rows3))
+        masks = _implications(_row_masks(d, 2), extras, rows3)
+        # Equal graphs have equal models, so the emitted graphs agree too.
+        assert masks == helpers.implication_masks(inst)
+        model = twosat.solve_implications(masks)
         assert (model is None) == (twosat.solve(inst) is None)
         assert model is None or twosat.check(inst, model)
+
+
+@pytest.mark.parametrize("table", [_PHI1, _PHI2, _PHI2_ADJACENT])
+def test_every_clause_table_entry_is_symmetric_in_the_pair(table):
+    # _implications adds only the arcs that leave i's literals and relies
+    # on the rows of j for the rest, which needs this symmetry.
+    for kind, template in table.items():
+        for i, j, n in ((1, 2, 2), (3, 5, 7), (2, 9, 9)):
+            assert set(map(frozenset, template(i, j, n))) == set(
+                map(frozenset, template(j, i, n))
+            ), kind
 
 
 @settings(max_examples=100, deadline=None)
