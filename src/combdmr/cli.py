@@ -7,6 +7,8 @@ All human-readable output goes to stdout, and the last line is always the
 machine-readable summary ``verdict=<YES|NO> vertices=<m> extra=<e>``, on
 usage errors too; only ``--help`` prints nothing but the help.  Subcommands
 return their verdict and :func:`main` prints the summary and picks the code.
+Each subcommand imports the deciders it runs, so a process loads no more
+than its own subcommand needs.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-import traceback
 from collections.abc import Callable
 from pathlib import Path
 
-from . import generate, reduction, solvers, tree, twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge, SimpleGraph
 from .graph import verify_realisation
 from .matrix import (
@@ -28,7 +28,6 @@ from .matrix import (
     check_triangles,
     validate,
 )
-from .reduction import Colouring
 from .textio import (
     emit_colouring,
     emit_graph,
@@ -126,6 +125,7 @@ def cmd_validate(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_solve(args: argparse.Namespace) -> Verdict:
+    from . import solvers, twosat
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
     r = _decided(d, lambda: solver(d))
@@ -145,6 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_solve_exact(args: argparse.Namespace) -> Verdict:
+    from . import solvers
     # The search is exponential, so a non-metric must not wait for it: the
     # scan runs first, and its cost is lost in the search's.
     d = validate(_read_matrix(args.input))
@@ -152,6 +153,7 @@ def cmd_solve_exact(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_bounds(args: argparse.Namespace) -> Verdict:
+    from . import solvers
     d = validate(_read_matrix(args.input))
     b = solvers.bounds(d)
     print(f"q0={b.q0}")
@@ -161,6 +163,7 @@ def cmd_bounds(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_tree(args: argparse.Namespace) -> Verdict:
+    from . import tree
     d = check_structure(_read_matrix(args.input))
 
     # Built once, for the decision and for --weighted-out.
@@ -187,6 +190,7 @@ def cmd_tree(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_reduce(args: argparse.Namespace) -> Verdict:
+    from . import reduction
     g = _load_graph(args.input)
     inst = reduction.reduce(g)
     print(f"reduced: n_c={inst.n_c} n_g={inst.n_g} n={inst.n}")
@@ -195,18 +199,20 @@ def cmd_reduce(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_colour_realise(args: argparse.Namespace) -> Verdict:
+    from . import reduction
     g = _load_graph(args.graph)
     c = parse_colouring(_read_text(args.colouring))
     if args.k is not None:
         if args.k < c.k:
             raise ValueError(f"k={args.k} is below the largest colour used ({c.k})")
-        c = Colouring(args.k, c.colours)
+        c = reduction.Colouring(args.k, c.colours)
     inst = reduction.reduce(g)
     r = reduction.realise_from_colouring(inst, c)
     return _finish_yes(args, r)
 
 
 def cmd_extract_colouring(args: argparse.Namespace) -> Verdict:
+    from . import reduction
     g = _load_graph(args.graph)
     inst = reduction.reduce(g)
     rg = _load_graph(args.realisation)
@@ -232,6 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_gen(args: argparse.Namespace) -> Verdict:
+    from . import generate, reduction
     if args.mode == "random-metric":
         if args.vertices is None:
             raise ValueError("--vertices is required for random-metric")
@@ -338,6 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _internal_error(exc: Exception) -> int:
     # A failed self-check or a crash is not an answer: exiting 1 would read
     # as NO.
+    import traceback
     traceback.print_exc()
     print(f"error: internal: {type(exc).__name__}: {exc}")
     return 4

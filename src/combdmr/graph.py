@@ -18,9 +18,8 @@ import math
 import struct
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
-from .matrix import _LANE_CODES, DistanceMatrix, _bits
+from .matrix import _LANE_CODES, DistanceMatrix, _bits, _Value
 
 INF = math.inf
 
@@ -29,8 +28,7 @@ class SearchSpaceTooLarge(Exception):
     """A search or size guard was exceeded."""
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(_Value):
     """Undirected simple graph with anchors 1..anchor_count."""
 
     vertex_count: int
@@ -72,8 +70,7 @@ def _neighbour_lists(size: int, edges: Iterable[tuple[int, int]]) -> list[list[i
     return adj
 
 
-@dataclass(frozen=True)
-class ExtendedDistances:
+class ExtendedDistances(_Value):
     """Symmetric distance table; ``math.inf`` marks unreachable pairs."""
 
     entries: tuple[tuple[int | float, ...], ...]
@@ -82,8 +79,7 @@ class ExtendedDistances:
         return self.entries[i - 1][j - 1]
 
 
-@dataclass(frozen=True)
-class WeightedSkeleton:
+class WeightedSkeleton(_Value):
     """Weighted graph on the anchors: edge (i, j, D_ij) whenever D_ij <= q."""
 
     n: int
@@ -236,8 +232,7 @@ class NotARealisation(ValueError):
     """A graph's anchor distances differ from the matrix it should realise."""
 
 
-@dataclass(frozen=True)
-class Realisation:
+class Realisation(_Value):
     """A graph together with the matrix its anchors provably realise."""
 
     graph: SimpleGraph

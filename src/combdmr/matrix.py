@@ -19,9 +19,8 @@ from __future__ import annotations
 import enum
 import struct
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
-from operator import index
+from operator import attrgetter, index
 
 # Hop counts in any realisation are bounded by the vertex count, so entries
 # beyond 32 bits are rejected at the parsing layer.
@@ -53,8 +52,48 @@ class ValidationError(ValueError):
         super().__init__(f"{kind.value} at {witness}")
 
 
-@dataclass(frozen=True)
-class RawMatrix:
+class _Value:
+    """Base of the library's immutable records; a subclass's fields are its
+    own annotations, in order.  A record is built from its fields
+    positionally, then runs its ``__post_init__`` check.  It refuses
+    assignment, equals only a record of its own class with equal fields,
+    hashes by its fields and prints as ``Name(field=value, ...)``.  A
+    ``cached_property`` may store in the instance ``__dict__`` beside the
+    fields, and never counts towards ``==`` or ``hash``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes fields {self._fields}, got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class RawMatrix(_Value):
     """A square matrix of non-negative integers, not yet validated."""
 
     entries: tuple[tuple[int, ...], ...]
@@ -117,8 +156,7 @@ def _row_levels(row: Sequence[int]) -> dict[int, int]:
     return at
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Value):
     """A matrix that passed :func:`check_structure`, or one built where its
     axioms hold by construction (the gadget of ``reduction.reduce``, the
     BFS metrics of ``generate``).

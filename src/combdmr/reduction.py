@@ -10,11 +10,9 @@ no extra vertex may be adjacent to both endpoints of an original edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Realisation, SearchSpaceTooLarge, SimpleGraph, _assignment_graph
 from .graph import _is_connected, bfs_apsp
-from .matrix import DistanceMatrix
+from .matrix import DistanceMatrix, _Value
 
 
 class DisconnectedInput(ValueError):
@@ -29,8 +27,7 @@ class MalformedRealisation(ValueError):
     """The given graph cannot be a realisation of the gadget matrix."""
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(_Value):
     """Colour per vertex, 1-based: vertex i has colour ``colours[i - 1]``."""
 
     k: int
@@ -47,8 +44,7 @@ class Colouring:
         return self.colours[vertex - 1]
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(_Value):
     """A reduced instance: source graph, gadget graph, and target matrix.
 
     Gadget vertices 1..n_c are the source vertices; subdivision vertices

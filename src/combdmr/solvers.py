@@ -23,17 +23,14 @@ breadth-first search per anchor.  That check is independent of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
 from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, q_zero, unit_graph
-from .matrix import DistanceMatrix, _bits
+from .matrix import DistanceMatrix, _bits, _Value
 from .twosat import TwoSatInstance
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(_Value):
     """Vertex-count bounds for any realisation of a matrix.
 
     ``lower`` is n + (q0 - 1): some pair needs an elementary path of length

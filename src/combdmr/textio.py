@@ -12,14 +12,14 @@ line with u < v; the emitters sort the edges lexicographically, and the
 parser takes them in any order.  Blank lines and lines starting with ``#``
 are ignored everywhere.  All emitters produce byte-identical output for
 equal inputs, and ``parse(emit(x)) == x``.
+Only ``matrix`` and ``graph`` are imported up front; ``Colouring`` comes
+from ``reduction`` when a colouring is parsed.
 """
 
 from __future__ import annotations
 
 from .matrix import MAX_ENTRY, DistanceMatrix, RawMatrix
 from .graph import SimpleGraph
-from .reduction import Colouring
-from .tree import WeightedTree
 
 
 class ParseError(ValueError):
@@ -118,6 +118,7 @@ def emit_graph(g: SimpleGraph) -> str:
 
 def parse_colouring(text: str) -> Colouring:
     """One ``vertex colour`` pair per line; k is the largest colour used."""
+    from .reduction import Colouring
     lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "empty colouring")

@@ -22,10 +22,8 @@ violation in the one vocabulary ``matrix.ViolationKind``, or None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Realisation, SearchSpaceTooLarge, _expand_paths, _is_connected, _neighbour_lists
-from .matrix import DistanceMatrix, ViolationKind
+from .matrix import DistanceMatrix, ViolationKind, _Value
 
 # Most vertices an expanded tree may have.  A run costs about 0.3 KiB and
 # 2-5 us per vertex (16.5 to 21.8 MiB peak for 2.5k to 20k vertices), so
@@ -33,8 +31,7 @@ from .matrix import DistanceMatrix, ViolationKind
 _MAX_TREE_VERTICES = 2**18
 
 
-@dataclass(frozen=True)
-class WeightedTree:
+class WeightedTree(_Value):
     """Tree with positive half-integer edge weights, stored doubled.
 
     ``edges`` holds (u, v, doubled_weight) with u < v; the real weight of an

@@ -13,14 +13,13 @@ variables that are not constrained at all come out false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .matrix import _Value
 
 Clause = tuple[int, int]
 Assignment = tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class TwoSatInstance:
+class TwoSatInstance(_Value):
     variable_count: int
     clauses: tuple[Clause, ...]
 
