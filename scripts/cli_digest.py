@@ -57,6 +57,13 @@ ODD_MATRICES = {
     "negative-word": "0 -1 x\n1 0 1\n1 1 0\n",
     "word-negative": "0 x -1\n1 0 1\n1 1 0\n",
     "wide-negative": "0 4294967296 -5\n1 0 1\n1 1 0\n",
+    # Single-digit matrices with one row that the byte route must leave to
+    # int, and a row of 9s beside rows that hold a 10.
+    "tab": "0 1 2 3\n1 0\t1 2\n2 1 0 1\n3 2 1 0\n",
+    "spaces": "0 1 2 3\n1 0  1 2\n2 1 0 1\n3 2 1 0\n",
+    "superscript": "0 1 2 ³\n1 0 1 2\n2 1 0 1\n³ 2 1 0\n",
+    "arabic": "0 1 2 ٣\n1 0 1 2\n2 1 0 1\n٣ 2 1 0\n",
+    "nines-ten": "0 9 9\n9 0 10\n9 10 0\n",
 }
 
 # Largest entries at the edges of the triangle scan's 8-, 16-, 32- and

@@ -238,7 +238,7 @@ def cmd_verify(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_gen(args: argparse.Namespace) -> Verdict:
-    from . import generate, reduction
+    from . import generate
     if args.mode == "random-metric":
         if args.vertices is None:
             raise ValueError("--vertices is required for random-metric")
@@ -251,6 +251,7 @@ def cmd_gen(args: argparse.Namespace) -> Verdict:
     else:  # reduction
         if args.input is None:
             raise ValueError("--input is required for reduction mode")
+        from . import reduction
         d = reduction.reduce(_load_graph(args.input)).matrix
     _emit_payload(emit_matrix(d), args.out)
     return True, d.n, 0

@@ -138,7 +138,7 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     serve them) must be routed through that path in one of the two
     orientations.
     """
-    return TwoSatInstance(2 * d.n, build_phi2(d).clauses + _clauses(d, _PHI2_ADJACENT))
+    return TwoSatInstance(2 * d.n, _clauses(d, _PHI2 | _PHI2_ADJACENT))
 
 
 def _implications(rows2: list, extras: int, rows3: list | None = None) -> list[int]:

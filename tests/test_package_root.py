@@ -117,7 +117,7 @@ SUBCOMMAND_MODULES = [
     (["reduce", DATA + "k2.graph"], {"reduction"}),
     (["colour-realise", DATA + "k2.graph", DATA + "k2.col"], {"reduction"}),
     (["extract-colouring", DATA + "k2.graph", DATA + "k2_real.graph", "--k", "2"], {"reduction"}),
-    (["gen", "--mode", "random-metric", "--vertices", "6"], {"generate", "reduction"}),
+    (["gen", "--mode", "random-metric", "--vertices", "6"], {"generate"}),
 ]
 
 

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from combdmr.graph import SimpleGraph
-from combdmr.matrix import distance_matrix
+from combdmr.matrix import RawMatrix, distance_matrix
 from combdmr.reduction import Colouring
 from combdmr.textio import (
     ParseError,
@@ -128,6 +130,42 @@ def test_parse_matrix_matches_the_per_token_loop(text):
     assert_parses_like_the_per_token_loop(text)
 
 
+# What must leave a row of single digits to the int route: tokens int reads
+# or refuses that are not one ASCII digit, and separators other than one space.
+NOT_ONE_DIGIT = ("³", "٣", "+3", "-0", "07", "10", "x")
+NOT_ONE_SPACE = ("\t", "  ", " \t ")
+
+
+@st.composite
+def digit_row_texts(draw):
+    """Matrix files mostly of single digits between single spaces, the rows
+    read as bytes; some rows hold one token or separator from above, one
+    entry too many or too few, or padding, between blank and comment lines,
+    with LF or CRLF line ends."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    lines = []
+    for _ in range(n):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(("", "# 0 1", "  \t"))))
+        width = max(1, n + draw(st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1))))
+        tokens = [str(draw(st.integers(0, 9))) for _ in range(width)]
+        seps = [" "] * (width - 1)
+        if draw(st.integers(0, 3)) == 0:
+            tokens[draw(st.integers(0, width - 1))] = draw(st.sampled_from(NOT_ONE_DIGIT))
+        if seps and draw(st.integers(0, 3)) == 0:
+            seps[draw(st.integers(0, width - 2))] = draw(st.sampled_from(NOT_ONE_SPACE))
+        pad = draw(st.sampled_from(("", "", "", " ", "\t")))
+        lines.append(pad + tokens[0] + "".join(s + t for s, t in zip(seps, tokens[1:])) + pad)
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return end.join(lines) + end
+
+
+@settings(max_examples=300, deadline=None)
+@given(digit_row_texts())
+def test_parse_matrix_reads_digit_rows_like_the_per_token_loop(text):
+    assert_parses_like_the_per_token_loop(text)
+
+
 def test_parse_matrix_matches_the_per_token_loop_on_each_edge_token():
     for token in EDGE_TOKENS:
         for text in (f"0 {token}\n{token} 0\n", f"{token}\n", f"0 1\n1 0 {token}\n"):
@@ -137,6 +175,16 @@ def test_parse_matrix_matches_the_per_token_loop_on_each_edge_token():
 def test_matrix_round_trip():
     d = distance_matrix(helpers.EIGHT_BY_EIGHT)
     assert parse_matrix(emit_matrix(d)).entries == d.entries
+
+
+@pytest.mark.parametrize("top", [0, 9, 10, 255, 256])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_emit_matrix_joins_each_row_with_spaces(n, top):
+    rng = random.Random(n * 1000 + top)
+    rows = [[rng.randint(0, top) for _ in range(n)] for _ in range(n)]
+    rows[-1][0] = top
+    m = RawMatrix.from_rows(rows)
+    assert emit_matrix(m) == "".join(" ".join(map(str, r)) + "\n" for r in rows)
 
 
 def test_emit_graph_star():
