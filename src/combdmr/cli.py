@@ -125,22 +125,12 @@ def cmd_validate(args: argparse.Namespace) -> Verdict:
 
 
 def cmd_solve(args: argparse.Namespace) -> Verdict:
-    from . import solvers, twosat
+    from . import solvers
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
     r = _decided(d, lambda: solver(d))
     if args.dump_cnf:
-        parts = []
-        if args.k >= 1:
-            parts.append(twosat.dimacs(solvers.build_phi1(d)))
-        if args.k >= 2:
-            parts.append("c two extra vertices, non-adjacent\n")
-            parts.append(twosat.dimacs(solvers.build_phi2(d)))
-            parts.append("c two extra vertices, adjacent\n")
-            parts.append(twosat.dimacs(solvers.build_phi2_prime(d)))
-        if not parts:
-            parts.append("c no formula involved for k=0\n")
-        Path(args.dump_cnf).write_text("".join(parts))
+        Path(args.dump_cnf).write_text(solvers.ladder_cnf(d, args.k))
     return _finish(args, r)
 
 

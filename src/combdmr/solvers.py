@@ -1,17 +1,17 @@
 """Deciders for realisability with at most k extra vertices.
 
 Every decider answers with a verified :class:`Realisation` or None.  For
-k <= 2 they walk one ladder as far as k allows: the unit graph, then one
-model each of the 2-CNF formulas for a single extra vertex (phi1), two
-non-adjacent extras (phi2) and two adjacent extras (phi2'); the first graph
-that realises the matrix wins.  The unit graph is in every realisation, so
-the free choices are which anchors the extras attach to, and any model is as
-good as any other (the induced anchor metric is assignment-invariant).
-phi2' contains phi2, so an unsatisfiable phi2 ends the walk.  Each formula
-is stated once, as a table of the clauses that one far or primitive pair
-adds: ``build_phi1``, ``build_phi2`` and ``build_phi2_prime`` render it as
-clause lists (for ``solve --dump-cnf`` and the tests), the ladder as
-implication masks.  The variables are ``graph._candidate_edges``.
+k <= 2 they walk the rungs of one ladder, ``_RUNGS``, as far as k allows:
+the unit graph, then one model each of the 2-CNF formulas for a single
+extra vertex (phi1), two non-adjacent extras (phi2) and two adjacent
+extras (phi2'); the first graph that realises the matrix wins.  The unit
+graph is in every realisation, so the free choices are which anchors the
+extras attach to, and any model is as good as any other (the induced
+anchor metric is assignment-invariant).  Each formula is stated once, as a
+table of the clauses that one far or primitive pair adds; the ladder
+renders a rung's table as implication masks, and ``build_phi*`` and
+``ladder_cnf`` (for ``solve --dump-cnf``) as clause lists.  The variables
+are ``graph._candidate_edges``.
 
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
@@ -95,16 +95,38 @@ _PHI2_ADJACENT = {
 }
 
 
-def _clauses(d: DistanceMatrix, formula: dict) -> tuple[twosat.Clause, ...]:
-    """The clauses of ``formula``, kind by kind, pairs in lexicographic order."""
-    rows = {a: _row_masks(d, a) for a in {a for a, _ in formula}}
-    return tuple(
+# The ladder in order, as (extras, adjacent, table).  phi2' holds every
+# entry of phi2 over the same variables, so an unsatisfiable phi2 ends it.
+_RUNGS = (
+    (0, False, {}),
+    (1, False, _PHI1),
+    (2, False, _PHI2),
+    (2, True, _PHI2 | _PHI2_ADJACENT),
+)
+
+
+class _RowMasks(dict):
+    """``_row_masks(d, a)`` by distance a, each built on first use."""
+
+    def __init__(self, d: DistanceMatrix) -> None:
+        self.d = d
+
+    def __missing__(self, a: int) -> list[tuple[int, int]]:
+        self[a] = rows = _row_masks(self.d, a)
+        return rows
+
+
+def _instance(rung: tuple, rows: _RowMasks) -> TwoSatInstance:
+    """A rung's formula as clauses, kind by kind, pairs in lexicographic order."""
+    extras, _, table = rung
+    n = rows.d.n
+    return TwoSatInstance(extras * n, tuple(
         clause
-        for (a, kind), template in formula.items()
+        for (a, kind), template in table.items()
         for i, masks in enumerate(rows[a], 1)
         for j in _bits(masks[kind] >> i)
-        for clause in template(i, i + 1 + j, d.n)
-    )
+        for clause in template(i, i + 1 + j, n)
+    ))
 
 
 def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
@@ -115,7 +137,7 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
     in the unit graph) have no other way to meet, so both their variables
     are forced.
     """
-    return TwoSatInstance(d.n, _clauses(d, _PHI1))
+    return _instance(_RUNGS[1], _RowMasks(d))
 
 
 def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
@@ -126,7 +148,7 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     only need one of the two extras to carry both endpoints; expanding that
     disjunction of conjunctions distributively gives four clauses per pair.
     """
-    return TwoSatInstance(2 * d.n, _clauses(d, _PHI2))
+    return _instance(_RUNGS[2], _RowMasks(d))
 
 
 def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
@@ -138,13 +160,25 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     serve them) must be routed through that path in one of the two
     orientations.
     """
-    return TwoSatInstance(2 * d.n, _clauses(d, _PHI2 | _PHI2_ADJACENT))
+    return _instance(_RUNGS[3], _RowMasks(d))
 
 
-def _implications(rows2: list, extras: int, rows3: list | None = None) -> list[int]:
-    """The implication graph of phi1 (one extra), phi2 (two) or, given
-    ``rows3``, phi2' (two adjacent), from the tables and the row masks
-    ``rows2 = _row_masks(d, 2)`` and ``rows3 = _row_masks(d, 3)``.
+def ladder_cnf(d: DistanceMatrix, k: int) -> str:
+    """The DIMACS text of each formula rung that k allows, for ``solve --dump-cnf``."""
+    rows = _RowMasks(d)
+    parts = []
+    for rung in _RUNGS[1:]:
+        extras, adjacent, _ = rung
+        if extras > k:
+            break
+        if extras == 2:
+            parts.append(f"c two extra vertices, {'' if adjacent else 'non-'}adjacent\n")
+        parts.append(twosat.dimacs(_instance(rung, rows)))
+    return "".join(parts) or "c no formula involved for k=0\n"
+
+
+def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
+    """The implication graph of a rung's formula, from its table and ``rows``.
 
     Variable b + 1 is at node b (negated) and node V + b, for V = extras * n.
     An entry at the pair (1, 2) with n = 2 names i's literals 1 and 3 and
@@ -152,16 +186,15 @@ def _implications(rows2: list, extras: int, rows3: list | None = None) -> list[i
     own literal, or to all its partners of that kind at once.  The entries
     are symmetric in i and j, so the rows of j add the rest.
     """
-    n = len(rows2)
+    extras, _, table = rung
+    n = rows.d.n
     v = extras * n
-    formula = _PHI1 if extras == 1 else _PHI2 | (_PHI2_ADJACENT if rows3 else {})
-    rows = {2: rows2, 3: rows3}
 
     def node(lit: int) -> int:
         return (abs(lit) - 1) // 2 * n + (v if lit > 0 else 0)
 
     out = [0] * (2 * v)
-    for (a, kind), template in formula.items():
+    for (a, kind), template in table.items():
         clauses = template(1, 2, 2)
         arcs = [(node(-x), y % 2, node(y)) for c in clauses for x, y in (c, c[::-1]) if x % 2]
         for i, masks in enumerate(rows[a]):
@@ -173,27 +206,23 @@ def _implications(rows2: list, extras: int, rows3: list | None = None) -> list[i
 
 
 def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:
-    """The first graph of the k <= 2 ladder that realises d, or None.
+    """The first graph of the rungs that k allows that realises d, or None.
 
-    The rungs are the unit graph, then one model each of phi1, phi2 and
-    phi2', as far as k allows.  The a = 2 row masks are built at the first
-    formula and the a = 3 masks only at phi2'.  The :class:`Realisation`
-    constructor is the one check of each graph.
+    The rungs share ``rows``, so each row mask is built once, and the
+    :class:`Realisation` constructor is the one check of each graph.
     """
     unit = unit_graph(d)
-    rows2 = None
-    for extras, adjacent in ((0, False), (1, False), (2, False), (2, True)):
+    rows = _RowMasks(d)
+    for rung in _RUNGS:
+        extras, adjacent, table = rung
         if extras > k:
             break
         graph = unit
-        if extras:
-            if rows2 is None:
-                rows2 = _row_masks(d, 2)
-            rows3 = _row_masks(d, 3) if adjacent else None
-            model = twosat.solve_implications(_implications(rows2, extras, rows3))
+        if table:
+            model = twosat.solve_implications(_implications(rung, rows))
             if model is None:
                 if extras == 2:
-                    return None  # phi2' contains phi2
+                    return None  # phi2' holds phi2
                 continue
             graph = _assignment_graph(unit, (*model, adjacent), extras)
         try:

@@ -311,27 +311,24 @@ def test_solve_k2_dumps_both_formulas(tmp_path, capsys):
 @pytest.mark.parametrize("dump", [False, True])
 def test_solve_builds_clause_lists_only_to_dump_them(tmp_path, capsys, monkeypatch, dump):
     # The deciders solve implication masks; clause lists are written only
-    # for --dump-cnf, and the clause solver is never called.
+    # for --dump-cnf, and the clause solver is never called.  The decider
+    # and the dump each build the row masks of a distance once.
     calls = []
-    for module, name in (
-        (solvers, "build_phi1"),
-        (solvers, "build_phi2"),
-        (solvers, "build_phi2_prime"),
-        (twosat, "solve"),
-    ):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
-        )
+    row_masks, instance = solvers._row_masks, solvers._instance
+    ladder_cnf, solve = solvers.ladder_cnf, twosat.solve
+    monkeypatch.setattr(solvers, "_row_masks", lambda d, a: calls.append(a) or row_masks(d, a))
+    monkeypatch.setattr(solvers, "_instance", lambda *a: calls.append("clauses") or instance(*a))
+    monkeypatch.setattr(solvers, "ladder_cnf", lambda d, k: calls.append("dump") or ladder_cnf(d, k))
+    monkeypatch.setattr(twosat, "solve", lambda inst: calls.append("solve") or solve(inst))
     p = tmp_path / "pair.mat"
     p.write_text("0 3\n3 0\n")  # needs phi1, phi2 and phi2'
     dump_args = ["--dump-cnf", str(tmp_path / "phi.cnf")] if dump else []
     assert main(["solve", "--k", "2", str(p)] + dump_args) == 0
     if dump:
-        # phi2' reads its phi2 clauses from the tables, so each is built once.
-        assert sorted(calls) == ["build_phi1", "build_phi2", "build_phi2_prime"]
+        # phi1, phi2 and phi2' as clauses, the a = 3 masks only for phi2'.
+        assert calls == [2, 3, "dump", "clauses", 2, "clauses", "clauses", 3]
     else:
-        assert calls == []
+        assert calls == [2, 3]
 
 
 def test_missing_file_is_invalid_input(capsys):

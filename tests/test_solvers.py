@@ -22,8 +22,10 @@ from combdmr.solvers import (
     _PHI1,
     _PHI2,
     _PHI2_ADJACENT,
+    _RUNGS,
+    _RowMasks,
     _implications,
-    _row_masks,
+    _instance,
     bounds,
     build_phi1,
     build_phi2,
@@ -406,19 +408,58 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
     # mask model must satisfy the clauses.
     assume(helpers.first_violation_oracle(rows) is None)
     d = distance_matrix(rows)
-    for extras, adjacent, build in (
-        (1, False, build_phi1),
-        (2, False, build_phi2),
-        (2, True, build_phi2_prime),
-    ):
-        inst = build(d)
-        rows3 = _row_masks(d, 3) if adjacent else None
-        masks = _implications(_row_masks(d, 2), extras, rows3)
+    row_masks = _RowMasks(d)
+    for rung in _RUNGS[1:]:
+        inst = _instance(rung, row_masks)
+        masks = _implications(rung, row_masks)
         # Equal graphs have equal models, so the emitted graphs agree too.
         assert masks == helpers.implication_masks(inst)
         model = twosat.solve_implications(masks)
         assert (model is None) == (twosat.solve(inst) is None)
         assert model is None or twosat.check(inst, model)
+
+
+def _dimacs_formulas(text):
+    """(variable count, clauses) of each formula in a DIMACS text."""
+    formulas = []
+    for line in text.splitlines():
+        if line.startswith("p cnf "):
+            formulas.append((int(line.split()[2]), []))
+        elif not line.startswith("c "):
+            a, b, zero = map(int, line.split())
+            assert zero == 0
+            formulas[-1][1].append((a, b))
+    return [(v, tuple(clauses)) for v, clauses in formulas]
+
+
+def test_the_rung_table_holds_what_the_ladder_relies_on():
+    assert [extras for extras, _, _ in _RUNGS] == [0, 1, 2, 2]
+    assert [adjacent for _, adjacent, _ in _RUNGS] == [False, False, False, True]
+    # The unit graph needs no formula; only phi2' reads the a = 3 row masks.
+    assert _RUNGS[0][2] == {}
+    assert [{a for a, _ in table} for _, _, table in _RUNGS[1:]] == [{2}, {2}, {2, 3}]
+    # phi2' holds every phi2 entry over the same variables, which is why an
+    # unsatisfiable phi2 ends the walk.
+    assert _RUNGS[3][2].items() >= _RUNGS[2][2].items()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        helpers.metric_cases(),
+        st.builds(_gadget_rows, st.integers(0, 2**32), st.integers(1, 7)),
+    )
+)
+def test_each_builder_writes_the_clauses_of_its_rung_in_the_dump(rows):
+    # solve --dump-cnf renders the rungs itself, so the builders that the
+    # tests and the traced bench call must stay in step with it.
+    assume(helpers.first_violation_oracle(rows) is None)
+    d = distance_matrix(rows)
+    dumped = _dimacs_formulas(solvers.ladder_cnf(d, 2))
+    built = [build_phi1(d), build_phi2(d), build_phi2_prime(d)]
+    assert dumped == [(inst.variable_count, inst.clauses) for inst in built]
+    assert _dimacs_formulas(solvers.ladder_cnf(d, 1)) == dumped[:1]
+    assert solvers.ladder_cnf(d, 0) == "c no formula involved for k=0\n"
 
 
 @pytest.mark.parametrize("table", [_PHI1, _PHI2, _PHI2_ADJACENT])
