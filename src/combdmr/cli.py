@@ -128,9 +128,11 @@ def cmd_solve(args: argparse.Namespace) -> Verdict:
     from . import solvers
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
-    r = _decided(d, lambda: solver(d))
+    # The decider and the dump share one build of each row mask.
+    rows = solvers._RowMasks(d)
+    r = _decided(d, lambda: solver(d, rows))
     if args.dump_cnf:
-        Path(args.dump_cnf).write_text(solvers.ladder_cnf(d, args.k))
+        Path(args.dump_cnf).write_text(solvers.ladder_cnf(d, args.k, rows))
     return _finish(args, r)
 
 

@@ -13,6 +13,15 @@ renders a rung's table as implication masks, and ``build_phi*`` and
 ``ladder_cnf`` (for ``solve --dump-cnf``) as clause lists.  The variables
 are ``graph._candidate_edges``.
 
+Two rungs take less than a 2-SAT search.  phi1's only positive clauses
+are units, so it is Horn (Dowling and Gallier, 1984): its least model is
+the set F of anchors with a primitive partner at 2, and it is satisfiable
+iff no two anchors of F are far apart.  ``_phi1_model`` reads F off the
+a = 2 row masks; it is also the model the search returns.  And by the
+lower bound n + q0 - 1 of :func:`bounds`, a primitive pair at 3 needs a
+path whose two interior vertices are both extras, next to each other, so
+the ladder skips phi2, whose extras are not adjacent.
+
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
 candidate edges touching the extra vertices, and checks each by one
@@ -60,20 +69,29 @@ def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
     """Per row i: the j with D_ij > a, and i's primitive partners at a.
 
     Bit j - 1 stands for index j.  The pairs at a that are not primitive
-    are those joined through a w in row i's level b at level a - b of w.
+    are those joined through a w with D_iw = b and D_wj = a - b.  Row i
+    rules out b = 1 at once, by the level a - 1 masks of its neighbours;
+    each partner j left then tests its own level a - b against i's level b
+    for the other b, which for a = 3 is one test of j's neighbours against
+    i's level 2.
     """
     levels = d.levels
     full = (1 << d.n) - 1
     rows = []
     for at in levels:
-        near, shortcut = at[0], 0
-        for b in range(1, a):
-            mask = at.get(b, 0)
-            near |= mask
-            for w in _bits(mask):
-                shortcut |= levels[w].get(a - b, 0)
+        near = shortcut = 0
+        for b in range(a):
+            near |= at.get(b, 0)
+        for w in _bits(at.get(1, 0)):
+            shortcut |= levels[w].get(a - 1, 0)
         mine = at.get(a, 0)
-        rows.append((full & ~(near | mine), mine & ~shortcut))
+        primitive = mine & ~shortcut
+        for b in range(2, a):
+            mask = at.get(b, 0)
+            for j in _bits(primitive):
+                if mask & levels[j].get(a - b, 0):
+                    primitive ^= 1 << j
+        rows.append((full & ~(near | mine), primitive))
     return rows
 
 
@@ -163,9 +181,12 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     return _instance(_RUNGS[3], _RowMasks(d))
 
 
-def ladder_cnf(d: DistanceMatrix, k: int) -> str:
-    """The DIMACS text of each formula rung that k allows, for ``solve --dump-cnf``."""
-    rows = _RowMasks(d)
+def ladder_cnf(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> str:
+    """The DIMACS text of each formula rung that k allows, for ``solve --dump-cnf``.
+
+    ``rows`` may be the decider's row masks, so the dump builds none again.
+    """
+    rows = _RowMasks(d) if rows is None else rows
     parts = []
     for rung in _RUNGS[1:]:
         extras, adjacent, _ = rung
@@ -205,21 +226,41 @@ def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
     return out
 
 
-def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:
+def _phi1_model(rows: list[tuple[int, int]]) -> tuple[bool, ...] | None:
+    """phi1's least model F from the a = 2 row masks ``rows``, or None.
+
+    ``twosat.solve_implications`` returns F too: an anchor v outside F has
+    no arc into x_v and none out of -x_v, and the first pass roots -x_v
+    before x_v, so the component of x_v is found first and x_v is false.
+    """
+    model = tuple(bool(primitive) for _, primitive in rows)
+    forced = sum(1 << v for v, on in enumerate(model) if on)
+    if any(rows[v][0] & forced for v in _bits(forced)):
+        return None
+    return model
+
+
+def _ladder(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> Realisation | None:
     """The first graph of the rungs that k allows that realises d, or None.
 
     The rungs share ``rows``, so each row mask is built once, and the
-    :class:`Realisation` constructor is the one check of each graph.
+    :class:`Realisation` constructor is the one check of each graph.  A
+    caller that dumps the formulas too passes its own ``rows`` to share.
     """
     unit = unit_graph(d)
-    rows = _RowMasks(d)
+    rows = _RowMasks(d) if rows is None else rows
     for rung in _RUNGS:
         extras, adjacent, table = rung
         if extras > k:
             break
         graph = unit
         if table:
-            model = twosat.solve_implications(_implications(rung, rows))
+            if extras == 2 and not adjacent and any(p for _, p in rows[3]):
+                continue  # a primitive pair at 3 needs two adjacent extras
+            if extras == 1:
+                model = _phi1_model(rows[2])
+            else:
+                model = twosat.solve_implications(_implications(rung, rows))
             if model is None:
                 if extras == 2:
                     return None  # phi2' holds phi2
@@ -232,19 +273,19 @@ def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:
     return None
 
 
-def solve_k0(d: DistanceMatrix) -> Realisation | None:
+def solve_k0(d: DistanceMatrix, rows: _RowMasks | None = None) -> Realisation | None:
     """Realisable on exactly the anchors iff the unit graph already works."""
-    return _ladder(d, 0)
+    return _ladder(d, 0, rows)
 
 
-def solve_k1(d: DistanceMatrix) -> Realisation | None:
+def solve_k1(d: DistanceMatrix, rows: _RowMasks | None = None) -> Realisation | None:
     """Decide realisability with at most one extra vertex."""
-    return _ladder(d, 1)
+    return _ladder(d, 1, rows)
 
 
-def solve_k2(d: DistanceMatrix) -> Realisation | None:
+def solve_k2(d: DistanceMatrix, rows: _RowMasks | None = None) -> Realisation | None:
     """Decide realisability with at most two extra vertices."""
-    return _ladder(d, 2)
+    return _ladder(d, 2, rows)
 
 
 def solve_exact(

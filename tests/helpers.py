@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from combdmr import generate
 from combdmr.graph import SimpleGraph, _assignment_graph, unit_graph, verify_realisation
-from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, validate
+from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, _bits, validate
 from combdmr.tree import WeightedTree
 from combdmr.twosat import TwoSatInstance
 
@@ -202,6 +202,26 @@ def level_masks_oracle(row):
     for w, x in enumerate(row):
         at[x] = at.get(x, 0) | 1 << w
     return {a: at[a] for a in sorted(at)}
+
+
+def row_masks_oracle(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
+    """Per row i: the j with D_ij > a, and i's primitive partners at a, by
+    the two-sided pass: the shortcuts of row i are the level a - b masks
+    of every w at each level 0 < b < a of row i, so both ends of a path
+    are read from i's side."""
+    levels = d.levels
+    full = (1 << d.n) - 1
+    rows = []
+    for at in levels:
+        near, shortcut = at[0], 0
+        for b in range(1, a):
+            mask = at.get(b, 0)
+            near |= mask
+            for w in _bits(mask):
+                shortcut |= levels[w].get(a - b, 0)
+        mine = at.get(a, 0)
+        rows.append((full & ~(near | mine), mine & ~shortcut))
+    return rows
 
 
 # -- weighted tree canonical form ----------------------------------------------

@@ -280,6 +280,7 @@ GOLDEN_CASES = [
     ("solve_k1_twos", ["solve", "--k", "1", "twos.mat"], 0),
     ("solve_k1_eight", ["solve", "--k", "1", "eight.mat"], 0),
     ("solve_k2_twos", ["solve", "--k", "2", "twos.mat"], 0),
+    ("solve_k2_adjacent", ["solve", "--k", "2", "ladder/adjacent.mat"], 0),
     ("solve_exact_k1_twos", ["solve-exact", "--k", "1", "twos.mat"], 0),
     ("bounds_eight", ["bounds", "eight.mat"], 0),
     ("tree_twos", ["tree", "twos.mat", "--certify"], 0),

@@ -312,21 +312,21 @@ def test_solve_k2_dumps_both_formulas(tmp_path, capsys):
 def test_solve_builds_clause_lists_only_to_dump_them(tmp_path, capsys, monkeypatch, dump):
     # The deciders solve implication masks; clause lists are written only
     # for --dump-cnf, and the clause solver is never called.  The decider
-    # and the dump each build the row masks of a distance once.
+    # and the dump share one build of the row masks of each distance.
     calls = []
     row_masks, instance = solvers._row_masks, solvers._instance
     ladder_cnf, solve = solvers.ladder_cnf, twosat.solve
     monkeypatch.setattr(solvers, "_row_masks", lambda d, a: calls.append(a) or row_masks(d, a))
     monkeypatch.setattr(solvers, "_instance", lambda *a: calls.append("clauses") or instance(*a))
-    monkeypatch.setattr(solvers, "ladder_cnf", lambda d, k: calls.append("dump") or ladder_cnf(d, k))
+    monkeypatch.setattr(solvers, "ladder_cnf", lambda *a: calls.append("dump") or ladder_cnf(*a))
     monkeypatch.setattr(twosat, "solve", lambda inst: calls.append("solve") or solve(inst))
     p = tmp_path / "pair.mat"
     p.write_text("0 3\n3 0\n")  # needs phi1, phi2 and phi2'
     dump_args = ["--dump-cnf", str(tmp_path / "phi.cnf")] if dump else []
     assert main(["solve", "--k", "2", str(p)] + dump_args) == 0
     if dump:
-        # phi1, phi2 and phi2' as clauses, the a = 3 masks only for phi2'.
-        assert calls == [2, 3, "dump", "clauses", 2, "clauses", "clauses", 3]
+        # phi1, phi2 and phi2' as clauses over the decider's row masks.
+        assert calls == [2, 3, "dump", "clauses", "clauses", "clauses"]
     else:
         assert calls == [2, 3]
 
@@ -468,7 +468,7 @@ def _disagreeing_certificate(d):
     return ViolationKind.PARITY_TRIPLE, (1, 2, 3)
 
 
-def _too_deep(d):
+def _too_deep(d, *_):
     raise RecursionError("maximum recursion depth exceeded")
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -16,7 +16,7 @@ from combdmr.graph import (
     unit_graph,
     verify_realisation,
 )
-from combdmr.matrix import distance_matrix
+from combdmr.matrix import RawMatrix, ValidationError, check_structure, distance_matrix
 from combdmr.reduction import reduce
 from combdmr.solvers import (
     _PHI1,
@@ -26,6 +26,8 @@ from combdmr.solvers import (
     _RowMasks,
     _implications,
     _instance,
+    _phi1_model,
+    _row_masks,
     bounds,
     build_phi1,
     build_phi2,
@@ -44,6 +46,10 @@ PHI1_UNSAT = distance_matrix([[0, 2, 2], [2, 0, 4], [2, 4, 0]])
 
 def k2_gadget_matrix():
     return reduce(SimpleGraph.make(2, 2, [(1, 2)])).matrix
+
+
+def _cycle(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
 
 
 def induced_anchor_edges(g):
@@ -267,15 +273,32 @@ def _count_row_masks(monkeypatch):
     return calls
 
 
+def _spy_rungs(monkeypatch):
+    # The ladder index of each rung whose implication graph is built.
+    calls = []
+    implications = solvers._implications
+    monkeypatch.setattr(
+        solvers, "_implications",
+        lambda rung, rows: calls.append(_RUNGS.index(rung)) or implications(rung, rows),
+    )
+    return calls
+
+
+def _planted_adjacent_rows():
+    # Two hidden extras, adjacent: only phi2' realises these rows.
+    return helpers.planted_or_tree_rows(200, 60, "planted", 2)
+
+
 def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
     # A planted matrix whose two hidden extras are adjacent: phi1 and phi2
-    # give no realisation, phi2' does.  phi1, phi2 and phi2' share one build
-    # of the a = 2 row masks, and only phi2' builds the a = 3 ones; every
-    # rung adds to one build of the unit graph.
+    # give no realisation, phi2' does.  phi1 and phi2' share one build of
+    # the a = 2 row masks, and phi2' reuses the a = 3 ones that the test
+    # for skipping phi2 built; every rung adds to one build of the unit
+    # graph.
     calls = _count_row_masks(monkeypatch)
     units = []
     monkeypatch.setattr(solvers, "unit_graph", lambda d: units.append(d) or unit_graph(d))
-    rows = helpers.planted_or_tree_rows(200, 60, "planted", 2)
+    rows = _planted_adjacent_rows()
     g = solve_k2(distance_matrix(rows)).graph
     assert g.vertex_count - g.anchor_count == 2
     assert (61, 62) in g.edges
@@ -284,12 +307,31 @@ def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
     assert len(units) == 1
 
 
-def test_k2_unsatisfiable_phi2_ends_before_the_distance_3_row_masks(monkeypatch):
+@pytest.mark.parametrize(
+    "rows", [[[0, 3], [3, 0]], _planted_adjacent_rows()], ids=["pair", "planted"]
+)
+def test_k2_skips_phi2_on_a_primitive_pair_at_3(monkeypatch, rows):
+    # A primitive pair at 3 needs two adjacent extras (the lower bound
+    # n + q0 - 1), so phi2 is never built; phi1 is read off its row masks,
+    # and phi2' is the only implication graph.
+    d = distance_matrix(rows)
+    assert any(primitive for _, primitive in _row_masks(d, 3))
+    calls = _spy_rungs(monkeypatch)
+    g = solve_k2(d).graph
+    assert g.vertex_count - g.anchor_count == 2
+    assert calls == [3]
+
+
+def test_k2_unsatisfiable_phi2_ends_before_phi2_prime(monkeypatch):
     # The gadget of an odd cycle is a NO whose phi2 is unsatisfiable, so
-    # phi2' (which contains it) is never built.
-    calls = _count_row_masks(monkeypatch)
-    assert solve_k2(reduce(SimpleGraph.make(5, 5, _cycle(5))).matrix) is None
+    # phi2' (which contains it) is never built.  Its a = 3 row masks are,
+    # for the test that would skip phi2, and they hold no primitive pair.
+    d = reduce(SimpleGraph.make(5, 5, _cycle(5))).matrix
+    masks = _count_row_masks(monkeypatch)
+    calls = _spy_rungs(monkeypatch)
+    assert solve_k2(d) is None
     assert calls == [2]
+    assert masks == [2, 3]
 
 
 # -- exhaustive search ------------------------------------------------------------
@@ -419,6 +461,72 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
         assert model is None or twosat.check(inst, model)
 
 
+def _structural_rows(rows):
+    """rows as a DistanceMatrix when they pass the structural check, else None."""
+    try:
+        return check_structure(RawMatrix.from_rows(rows))
+    except ValidationError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        helpers.metric_cases(),
+        st.builds(helpers.planted_or_tree_rows, st.integers(0, 2**32), st.integers(1, 200),
+                  st.just("planted")),
+        st.builds(_gadget_rows, st.integers(0, 2**32), st.integers(1, 7)),
+    )
+)
+def test_phi1_model_is_the_model_the_implication_search_finds(rows):
+    # phi1 is Horn, so the ladder reads its model off the a = 2 row masks;
+    # the search over its implication graph must give the same model, or
+    # None with it.  The argument needs only the structural check.
+    d = _structural_rows(rows)
+    assume(d is not None)
+    row_masks = _RowMasks(d)
+    expected = twosat.solve_implications(_implications(_RUNGS[1], row_masks))
+    assert _phi1_model(row_masks[2]) == expected
+
+
+def test_phi1_model_on_fixed_matrices():
+    for d, satisfiable in ((ALL_TWOS, True), (ALL_ONES, True), (EIGHT, True),
+                           (PHI1_UNSAT, False), (k2_gadget_matrix(), False)):
+        row_masks = _RowMasks(d)
+        model = _phi1_model(row_masks[2])
+        assert (model is not None) == satisfiable
+        assert model == twosat.solve_implications(_implications(_RUNGS[1], row_masks))
+    assert _phi1_model(_RowMasks(ALL_TWOS)[2]) == (True, True, True)
+
+
+_GADGETS = {
+    "C5": (5, _cycle(5)),
+    "C7": (7, _cycle(7)),
+    "K4": (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]),
+    "W5": (6, _cycle(5) + [(i, 6) for i in range(1, 6)]),
+}
+
+
+def _gadget_of(name):
+    n_c, edges = _GADGETS[name]
+    return [list(row) for row in reduce(SimpleGraph.make(n_c, n_c, edges)).matrix.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(helpers.metric_cases(), helpers.non_metric_cases()))
+@example(_gadget_of("C5"))
+@example(_gadget_of("C7"))
+@example(_gadget_of("K4"))
+@example(_gadget_of("W5"))
+def test_one_sided_row_masks_match_the_two_sided_pass(rows):
+    # Every matrix that passes the structural check, metric or not: the
+    # one-sided pass needs only symmetry to test a partner from its row.
+    d = _structural_rows(rows)
+    assume(d is not None)
+    for a in (2, 3, 4):
+        assert _row_masks(d, a) == helpers.row_masks_oracle(d, a), a
+
+
 def _dimacs_formulas(text):
     """(variable count, clauses) of each formula in a DIMACS text."""
     formulas = []
@@ -504,10 +612,6 @@ def test_planted_matrices_beyond_brute_force_are_yes_at_their_hidden_count(seed)
     g = (solve_k0, solve_k1, solve_k2)[hidden](distance_matrix(rows)).graph
     assert g.vertex_count - g.anchor_count <= hidden
     assert helpers.graph_realises(g, rows)
-
-
-def _cycle(n):
-    return [(i, i % n + 1) for i in range(1, n + 1)]
 
 
 @pytest.mark.parametrize(
