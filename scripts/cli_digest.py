@@ -9,7 +9,8 @@ colourability gadgets, all drawn through ``combdmr.generate``;
 realisation check; ``bounds`` on matrix files that the parser reads in
 unusual forms or refuses, one for each of its messages; and ``validate``,
 ``bounds`` and ``solve --k 2`` on small line metrics whose largest entries
-sit at the edges of the triangle scan's lane widths.
+sit at the edges of the triangle scan's lane widths; and ``solve --k 2
+--out`` on the two ``tests/data/ladder/dead_root_*`` matrices.
 For each argv one line gives a sha256 over the exit code, stdout and every
 file the run wrote, then the argv, with the temporary directory shown as
 ``<tmp>`` in both; a line with the sha256 of all those lines comes last.  Two
@@ -205,6 +206,11 @@ def argvs(tmp, mats, graphs, verify_cases, odd, lines):
     out += [["bounds", m] for m in odd]
     for m in lines:
         out += [["validate", m], ["bounds", m], ["solve", "--k", "2", m]]
+    # Formulas whose first Kosaraju pass reaches live literals from a
+    # variable that occurs only negated; the graphs pin that root order.
+    for name in ("dead_root_adjacent", "dead_root_phi2"):
+        out.append(["solve", "--k", "2", f"{tmp}/data/ladder/{name}.mat",
+                    "--out", f"{tmp}/{name}.graph"])
     return out
 
 

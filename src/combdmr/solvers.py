@@ -20,7 +20,8 @@ iff no two anchors of F are far apart.  ``_phi1_model`` reads F off the
 a = 2 row masks; it is also the model the search returns.  And by the
 lower bound n + q0 - 1 of :func:`bounds`, a primitive pair at 3 needs a
 path whose two interior vertices are both extras, next to each other, so
-the ladder skips phi2, whose extras are not adjacent.
+the ladder skips phi2, whose extras are not adjacent.  A 2-SAT rung
+searches only anchors with a primitive partner; no other occurs positively.
 
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
@@ -229,9 +230,8 @@ def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
 def _phi1_model(rows: list[tuple[int, int]]) -> tuple[bool, ...] | None:
     """phi1's least model F from the a = 2 row masks ``rows``, or None.
 
-    ``twosat.solve_implications`` returns F too: an anchor v outside F has
-    no arc into x_v and none out of -x_v, and the first pass roots -x_v
-    before x_v, so the component of x_v is found first and x_v is false.
+    ``twosat.solve_implications`` returns F too: no arc enters x_v for an
+    anchor v outside F, so its rule for dead variables sets x_v false.
     """
     model = tuple(bool(primitive) for _, primitive in rows)
     forced = sum(1 << v for v, on in enumerate(model) if on)

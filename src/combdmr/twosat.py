@@ -5,13 +5,18 @@ for its negation.  Clauses are pairs of literals; unit constraints are
 written as a literal repeated, so builders never need a special case.
 :func:`solve_implications` decides satisfiability by Kosaraju's algorithm
 over successor bitmasks of the implication graph.  :func:`solve` builds
-those masks from a clause instance; the k = 1 and k = 2 deciders read them
-off a distance matrix.  The model extracted from the component order is
-deterministic: for a fixed graph the same assignment always comes back, and
-variables that are not constrained at all come out false.
+those masks from a clause instance; the k = 2 decider reads them off a
+distance matrix.  The model extracted from the component order is
+deterministic: for a fixed graph the same assignment always comes back.
+A variable whose positive literal no arc enters lies on no cycle and comes
+out false, so the search visits only the other variables' literals, rooted
+in the order a search of every literal would use.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from .matrix import _Value
 
@@ -37,44 +42,58 @@ def solve_implications(out: list[int]) -> Assignment | None:
     of ``out[w]`` is the edge w -> u.  Such a graph is skew-symmetric
     (w -> u iff -u -> -w), so Kosaraju's reverse pass reads the predecessors
     of w as the negations of the successors of -w and stores none.
+
+    Only live variables, those whose positive literal some arc enters, are
+    searched (the components decide a 2-CNF: Aspvall, Plass and Tarjan,
+    1979).  A dead x_v is a source and -x_v a sink, so x_v comes out false.
+    Where the first pass would root at a dead x_v, it roots at each live
+    successor of x_v instead, lowest unvisited first: the order x_v's own
+    search enters them.  So the live literals finish, and the components
+    and the model come out, as in a search over every literal.
     """
     size = len(out)
     half = size // 2
     low = (1 << half) - 1
+    live = reduce(or_, out, 0) >> half
+    unvisited = nodes = live | live << half
 
-    def negate(mask: int) -> int:
+    def search(root, successors):
+        # The unvisited nodes a search from root reaches, in finishing order.
+        nonlocal unvisited
+        unvisited ^= 1 << root
+        stack, done = [root], []
+        while stack:
+            nxt = successors(stack[-1]) & unvisited
+            if nxt:
+                bit = nxt & -nxt
+                unvisited ^= bit
+                stack.append(bit.bit_length() - 1)
+            else:
+                done.append(stack.pop())
+        return done
+
+    def predecessors(w: int) -> int:
+        mask = out[(w + half) % size]
         return mask >> half | (mask & low) << half
 
-    def searches(roots, successors):
-        # Per root not reached before, its search's nodes in finishing order.
-        unvisited = (1 << size) - 1
-        for root in roots:
-            if unvisited >> root & 1:
-                unvisited ^= 1 << root
-                stack, done = [root], []
-                while stack:
-                    nxt = successors(stack[-1]) & unvisited
-                    if nxt:
-                        bit = nxt & -nxt
-                        unvisited ^= bit
-                        stack.append(bit.bit_length() - 1)
-                    else:
-                        done.append(stack.pop())
-                yield done
-
-    # Roots go variable by variable, -v before v; the model depends on this
-    # order, and the graphs the deciders write out depend on the model.
-    roots = (w for v in range(half) for w in (v, half + v))
-    finished = [w for done in searches(roots, out.__getitem__) for w in done]
+    # Roots go by variable: -v then v, or the live successors of a dead x_v.
+    # The model, and so every graph the deciders write, depends on this order.
+    finished = []
+    for v in range(half):
+        roots = 1 << v | 1 << half + v if live >> v & 1 else out[half + v]
+        while nxt := roots & unvisited:
+            finished += search((nxt & -nxt).bit_length() - 1, out.__getitem__)
     # The reverse searches find the components sources first; x_v is true
     # when the component of -x_v came earlier.
+    unvisited = nodes
     seen = true = 0
-    for done in searches(reversed(finished), lambda w: negate(out[(w + half) % size])):
-        component = sum(1 << w for w in done)
-        if component & component >> half:
-            return None
-        true |= component >> half & seen
-        seen |= component
+    for root in reversed(finished):
+        if unvisited >> root & 1:
+            component = sum(1 << w for w in search(root, predecessors))
+            if component & component >> half:
+                return None
+            true |= component >> half & seen
+            seen |= component
     return tuple(bool(true >> v & 1) for v in range(half))
 
 

@@ -1,7 +1,8 @@
 """Independent oracles and shared generators for the test suite.
 
 Everything here deliberately avoids the library code paths it is used to
-check: the 2-SAT oracle enumerates assignments as a bitmap, the weighted
+check: the 2-SAT oracle enumerates assignments as a bitmap, the Kosaraju
+oracle searches every literal of an implication graph, the weighted
 APSP oracle is Dijkstra (the library searches the path expansion),
 distances are re-derived with a standalone BFS, the level masks with a loop
 over each row, and labelled trees come from sequence decoding rather than
@@ -21,7 +22,16 @@ from hypothesis import strategies as st
 
 from combdmr import generate
 from combdmr.graph import SimpleGraph, _assignment_graph, unit_graph, verify_realisation
-from combdmr.matrix import DistanceMatrix, RawMatrix, ViolationKind, _bits, validate
+from combdmr.matrix import (
+    DistanceMatrix,
+    RawMatrix,
+    ValidationError,
+    ViolationKind,
+    _bits,
+    check_structure,
+    validate,
+)
+from combdmr.reduction import reduce
 from combdmr.tree import WeightedTree
 from combdmr.twosat import TwoSatInstance
 
@@ -457,6 +467,56 @@ def implication_masks(inst: TwoSatInstance) -> list[int]:
     return out
 
 
+def kosaraju_oracle(out: list[int]) -> tuple[bool, ...] | None:
+    """A model of a 2-CNF formula given by its implication graph, or None,
+    by Kosaraju's algorithm over every node; the library's
+    ``solve_implications`` searches only the literals of live variables.
+
+    Node v - 1 is the literal -v and node len(out) // 2 + v - 1 is v; bit u
+    of ``out[w]`` is the edge w -> u.  Such a graph is skew-symmetric
+    (w -> u iff -u -> -w), so Kosaraju's reverse pass reads the predecessors
+    of w as the negations of the successors of -w and stores none.
+    """
+    size = len(out)
+    half = size // 2
+    low = (1 << half) - 1
+
+    def negate(mask: int) -> int:
+        return mask >> half | (mask & low) << half
+
+    def searches(roots, successors):
+        # Per root not reached before, its search's nodes in finishing order.
+        unvisited = (1 << size) - 1
+        for root in roots:
+            if unvisited >> root & 1:
+                unvisited ^= 1 << root
+                stack, done = [root], []
+                while stack:
+                    nxt = successors(stack[-1]) & unvisited
+                    if nxt:
+                        bit = nxt & -nxt
+                        unvisited ^= bit
+                        stack.append(bit.bit_length() - 1)
+                    else:
+                        done.append(stack.pop())
+                yield done
+
+    # Roots go variable by variable, -v before v; the model depends on this
+    # order, and the graphs the deciders write out depend on the model.
+    roots = (w for v in range(half) for w in (v, half + v))
+    finished = [w for done in searches(roots, out.__getitem__) for w in done]
+    # The reverse searches find the components sources first; x_v is true
+    # when the component of -x_v came earlier.
+    seen = true = 0
+    for done in searches(reversed(finished), lambda w: negate(out[(w + half) % size])):
+        component = sum(1 << w for w in done)
+        if component & component >> half:
+            return None
+        true |= component >> half & seen
+        seen |= component
+    return tuple(bool(true >> v & 1) for v in range(half))
+
+
 def brute_satisfiable(inst: TwoSatInstance) -> bool:
     return model_bitmap(inst) != 0
 
@@ -708,6 +768,33 @@ def bipartite_rows(seed, n, family):
         [int(dist[b]) for b in anchors]
         for dist in (bfs_distances(h, edges, a) for a in anchors)
     ]
+
+
+def cycle_edges(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+# Named colourability sources, as (vertex count, edges), for gadget examples.
+GADGETS = {
+    "C5": (5, cycle_edges(5)),
+    "C7": (7, cycle_edges(7)),
+    "K4": (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]),
+    "W5": (6, cycle_edges(5) + [(i, 6) for i in range(1, 6)]),
+}
+
+
+def gadget_rows(name):
+    """The rows of the gadget matrix of the source graph ``GADGETS[name]``."""
+    n_c, edges = GADGETS[name]
+    return [list(row) for row in reduce(SimpleGraph.make(n_c, n_c, edges)).matrix.entries]
+
+
+def structural_matrix(rows):
+    """rows as a DistanceMatrix when they pass the structural check, else None."""
+    try:
+        return check_structure(RawMatrix.from_rows(rows))
+    except ValidationError:
+        return None
 
 
 @st.composite

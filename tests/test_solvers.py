@@ -16,7 +16,7 @@ from combdmr.graph import (
     unit_graph,
     verify_realisation,
 )
-from combdmr.matrix import RawMatrix, ValidationError, check_structure, distance_matrix
+from combdmr.matrix import distance_matrix
 from combdmr.reduction import reduce
 from combdmr.solvers import (
     _PHI1,
@@ -46,10 +46,6 @@ PHI1_UNSAT = distance_matrix([[0, 2, 2], [2, 0, 4], [2, 4, 0]])
 
 def k2_gadget_matrix():
     return reduce(SimpleGraph.make(2, 2, [(1, 2)])).matrix
-
-
-def _cycle(n):
-    return [(i, i % n + 1) for i in range(1, n + 1)]
 
 
 def induced_anchor_edges(g):
@@ -326,7 +322,7 @@ def test_k2_unsatisfiable_phi2_ends_before_phi2_prime(monkeypatch):
     # The gadget of an odd cycle is a NO whose phi2 is unsatisfiable, so
     # phi2' (which contains it) is never built.  Its a = 3 row masks are,
     # for the test that would skip phi2, and they hold no primitive pair.
-    d = reduce(SimpleGraph.make(5, 5, _cycle(5))).matrix
+    d = reduce(SimpleGraph.make(5, 5, helpers.cycle_edges(5))).matrix
     masks = _count_row_masks(monkeypatch)
     calls = _spy_rungs(monkeypatch)
     assert solve_k2(d) is None
@@ -461,14 +457,6 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
         assert model is None or twosat.check(inst, model)
 
 
-def _structural_rows(rows):
-    """rows as a DistanceMatrix when they pass the structural check, else None."""
-    try:
-        return check_structure(RawMatrix.from_rows(rows))
-    except ValidationError:
-        return None
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     st.one_of(
@@ -482,7 +470,7 @@ def test_phi1_model_is_the_model_the_implication_search_finds(rows):
     # phi1 is Horn, so the ladder reads its model off the a = 2 row masks;
     # the search over its implication graph must give the same model, or
     # None with it.  The argument needs only the structural check.
-    d = _structural_rows(rows)
+    d = helpers.structural_matrix(rows)
     assume(d is not None)
     row_masks = _RowMasks(d)
     expected = twosat.solve_implications(_implications(_RUNGS[1], row_masks))
@@ -499,29 +487,16 @@ def test_phi1_model_on_fixed_matrices():
     assert _phi1_model(_RowMasks(ALL_TWOS)[2]) == (True, True, True)
 
 
-_GADGETS = {
-    "C5": (5, _cycle(5)),
-    "C7": (7, _cycle(7)),
-    "K4": (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]),
-    "W5": (6, _cycle(5) + [(i, 6) for i in range(1, 6)]),
-}
-
-
-def _gadget_of(name):
-    n_c, edges = _GADGETS[name]
-    return [list(row) for row in reduce(SimpleGraph.make(n_c, n_c, edges)).matrix.entries]
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(helpers.metric_cases(), helpers.non_metric_cases()))
-@example(_gadget_of("C5"))
-@example(_gadget_of("C7"))
-@example(_gadget_of("K4"))
-@example(_gadget_of("W5"))
+@example(helpers.gadget_rows("C5"))
+@example(helpers.gadget_rows("C7"))
+@example(helpers.gadget_rows("K4"))
+@example(helpers.gadget_rows("W5"))
 def test_one_sided_row_masks_match_the_two_sided_pass(rows):
     # Every matrix that passes the structural check, metric or not: the
     # one-sided pass needs only symmetry to test a partner from its row.
-    d = _structural_rows(rows)
+    d = helpers.structural_matrix(rows)
     assume(d is not None)
     for a in (2, 3, 4):
         assert _row_masks(d, a) == helpers.row_masks_oracle(d, a), a
@@ -617,12 +592,12 @@ def test_planted_matrices_beyond_brute_force_are_yes_at_their_hidden_count(seed)
 @pytest.mark.parametrize(
     "n_c, edges, bipartite",
     [
-        (5, _cycle(5), False),
-        (7, _cycle(7), False),
+        (5, helpers.cycle_edges(5), False),
+        (7, helpers.cycle_edges(7), False),
         (4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)], False),
-        (6, _cycle(5) + [(i, 6) for i in range(1, 6)], False),  # wheel
-        (6, _cycle(6), True),
-        (8, _cycle(8), True),
+        (6, helpers.cycle_edges(5) + [(i, 6) for i in range(1, 6)], False),  # wheel
+        (6, helpers.cycle_edges(6), True),
+        (8, helpers.cycle_edges(8), True),
         (6, [(i, j) for i in range(1, 4) for j in range(4, 7)], True),  # K3,3
         (9, [(i, i + 1) for i in range(1, 9) if i % 3] + [(i, i + 3) for i in range(1, 7)],
          True),  # 3 x 3 grid

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr.twosat import TwoSatInstance, check, dimacs, solve
+from combdmr.solvers import _RUNGS, _RowMasks, _implications
+from combdmr.twosat import TwoSatInstance, check, dimacs, solve, solve_implications
 
 
 def test_simple_satisfiable():
@@ -113,3 +114,52 @@ def test_soundness_property(rng):
         assert check(inst, a)
     else:
         assert not helpers.brute_satisfiable(inst)
+
+
+@st.composite
+def implication_graphs(draw, max_vars=12):
+    """The implication graph of a random 2-CNF whose variables each occur
+    with both signs, only negated, or not at all."""
+    roles = draw(st.lists(st.sampled_from(("both", "negated", "absent")), max_size=max_vars))
+    literals = [
+        lit
+        for v, role in enumerate(roles, 1)
+        for lit in {"both": (v, -v), "negated": (-v,), "absent": ()}[role]
+    ]
+    clauses = draw(st.lists(st.tuples(st.sampled_from(literals), st.sampled_from(literals)),
+                            max_size=3 * len(roles))) if literals else []
+    return helpers.implication_masks(TwoSatInstance(len(roles), tuple(clauses)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(implication_graphs())
+@example([])
+@example(helpers.implication_masks(TwoSatInstance(3, ((-1, -2), (-2, -3), (-1, -1)))))
+def test_the_live_literal_search_returns_the_full_search_model(out):
+    # A variable that occurs only negated is searched through the live
+    # successors of its positive literal; the model, or None, must be the
+    # one the search over every literal finds.
+    assert solve_implications(out) == helpers.kosaraju_oracle(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        helpers.metric_cases(),
+        helpers.non_metric_cases(),
+        st.builds(helpers.planted_or_tree_rows, st.integers(0, 2**32), st.integers(1, 200),
+                  st.just("planted")),
+    )
+)
+@example(helpers.gadget_rows("C5"))
+@example(helpers.gadget_rows("C7"))
+@example(helpers.gadget_rows("K4"))
+@example(helpers.gadget_rows("W5"))
+def test_the_live_literal_search_returns_the_full_search_model_on_the_ladder(rows):
+    # phi2 and phi2' leave every anchor without a primitive partner dead.
+    d = helpers.structural_matrix(rows)
+    assume(d is not None)
+    row_masks = _RowMasks(d)
+    for rung in _RUNGS[2:]:
+        out = _implications(rung, row_masks)
+        assert solve_implications(out) == helpers.kosaraju_oracle(out)
