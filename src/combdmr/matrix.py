@@ -10,8 +10,11 @@ a violating triple in O(n^2) additions of rows packed into ints, lane by
 lane, whatever the size of the entries.  :func:`validate` runs both.  A
 graph whose anchor distances equal the matrix proves the triangle
 inequality on its own, so a caller holding a verified realisation may skip
-the scan.  The per-row level masks of :class:`DistanceMatrix` serve the
-deciders; the scan does not build them.
+the scan.  So may a caller holding the primitive pairs, as
+``solvers.bounds`` does: :func:`_holds_through` checks the inequality
+through them alone and passes exactly on metrics, so the scan runs only to
+name a non-metric's witness.  The per-row level masks of
+:class:`DistanceMatrix` serve the deciders; the scan does not build them.
 """
 
 from __future__ import annotations
@@ -182,35 +185,40 @@ class DistanceMatrix(_Value):
         entry value to the mask of its columns, keys ascending."""
         return tuple(_row_levels(row) for row in self.entries)
 
-    def is_primitive(self, i: int, j: int) -> bool:
-        """True when no third index w, 1-based, has D_iw + D_wj = D_ij.
-
-        Primitive pairs are the ones no realisation can route through
-        another anchor, so every realisation joins them by a path whose
-        interior is all auxiliary.
-        """
-        at_j = self.levels[j - 1]
-        dij = self.entries[i - 1][j - 1]
-        for a, mask in self.levels[i - 1].items():
-            if a >= dij:
-                break
-            if a and mask & at_j.get(dij - a, 0):
-                return False
-        return True
-
 
 # struct codes of little-endian lanes of 1, 2, 4 and 8 bytes.
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+def _packed_rows(d: DistanceMatrix) -> tuple[list[int], int, int, int]:
+    """Each row of d as one int, entry j in lane j, with ``ones`` (a 1 in
+    every lane), ``half`` (the top bit of every lane) and the lane width in
+    bits.  A lane of b bits holds entries below 2**(b - 2), and is 1, 2, 4
+    or 8 bytes wide when the largest entry allows (wider entries get as many
+    bytes as they need).  One-byte lanes are the row's own bytes."""
+    e = d.entries
+    n = d.n
+    bits = max(map(max, e)).bit_length() + 2
+    size = next((b for b in (1, 2, 4, 8) if bits <= 8 * b), (bits + 7) // 8)
+    if size == 1:
+        raws = map(bytes, e)
+    elif size in _LANE_CODES:
+        fmt = f"<{n}{_LANE_CODES[size]}"
+        raws = (struct.pack(fmt, *row) for row in e)
+    else:
+        raws = (b"".join(x.to_bytes(size, "little") for x in row) for row in e)
+    packed = [int.from_bytes(raw, "little") for raw in raws]
+    width = 8 * size
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    return packed, ones, ones << width - 1, width
+
+
 def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
     """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij.
 
-    Each row is packed into one int, entry j in lane j; a lane of b bits
-    holds entries below 2**(b - 2), and is 1, 2, 4 or 8 bytes wide when the
-    largest entry allows (wider entries get as many bytes as they need).
-    With ``half`` the top bit of a lane and ``ones`` a 1 in every lane,
-    lane j of ``packed[w] + (half + D_iw) * ones - packed[i]`` is
+    Each row is packed into one int by :func:`_packed_rows`.  With ``half``
+    the top bit of a lane and ``ones`` a 1 in every lane, lane j of
+    ``packed[w] + (half + D_iw) * ones - packed[i]`` is
     half + D_iw + D_wj - D_ij.  That lies in [0, 2 * half), so no lane
     borrows from its neighbour, and it loses its top bit exactly when w
     shortcuts i to j (many small lanes in one word, after Lamport, CACM
@@ -225,18 +233,7 @@ def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
     additions of n-lane ints, whatever its entries.
     """
     e = d.entries
-    n = d.n
-    bits = max(map(max, e)).bit_length() + 2
-    size = next((b for b in (1, 2, 4, 8) if bits <= 8 * b), (bits + 7) // 8)
-    code = _LANE_CODES.get(size)
-    fmt = f"<{n}{code}"
-    packed = []
-    for row in e:
-        raw = struct.pack(fmt, *row) if code else b"".join(x.to_bytes(size, "little") for x in row)
-        packed.append(int.from_bytes(raw, "little"))
-    width = 8 * size
-    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
-    half = ones << width - 1
+    packed, ones, half, width = _packed_rows(d)
     for i, row in enumerate(e):
         rest = half - packed[i]
         limit = max(row) - 1
@@ -256,6 +253,35 @@ def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
             w = next(w for w, a in enumerate(row) if a + e[w][j] < dij)
             return i + 1, j + 1, w + 1
     return None
+
+
+def _holds_through(d: DistanceMatrix, partners: Sequence[Sequence[int]]) -> bool:
+    """True iff D_ij <= D_iw + D_wj for all i, j and every w in
+    ``partners[i]``, row i's primitive partners (0-based), by one packed
+    addition of :func:`_first_triangle_violation` per (i, w).
+
+    It holds exactly when d is a metric.  Let P be the primitive pairs,
+    those with no third index w such that D_iw + D_wj = D_ij, and d_P the
+    shortest-path distance over P weighted by D.  Every other pair splits
+    through some w into two pairs with smaller positive entries, so
+    D >= d_P by induction on the entry.  The check gives D <= d_P by
+    induction on the hops of a shortest P-path, whose first hop from i goes
+    to a partner of i.  So D = d_P, a shortest-path metric, and every metric
+    passes the check.
+    """
+    packed, ones, half, _ = _packed_rows(d)
+    for i, (row, at) in enumerate(zip(d.entries, d.levels)):
+        rest = half - packed[i]
+        # The last level of row i is its largest entry.
+        limit = next(reversed(at)) - 1
+        kept = half
+        for w in partners[i]:
+            a = row[w]
+            if a < limit:
+                kept &= packed[w] + a * ones + rest
+        if kept != half:
+            return False
+    return True
 
 
 def check_structure(m: RawMatrix) -> DistanceMatrix:

@@ -35,8 +35,9 @@ from __future__ import annotations
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
-from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, q_zero, unit_graph
-from .matrix import DistanceMatrix, _bits, _Value
+from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, _primitive_pairs
+from .graph import unit_graph
+from .matrix import DistanceMatrix, _bits, _holds_through, _Value, check_triangles
 from .twosat import TwoSatInstance
 
 
@@ -54,7 +55,16 @@ class Bounds(_Value):
 
 
 def bounds(d: DistanceMatrix) -> Bounds:
-    q0 = q_zero(d)
+    """The bounds of a matrix that passed ``matrix.check_structure``.
+
+    Raises ``ValidationError`` at d's first triangle violation.  The pass
+    that finds q0 lists the primitive pairs, and they prove d a metric
+    (``matrix._holds_through``); the full scan runs only when they do not,
+    to name the witness.
+    """
+    q0, partners = _primitive_pairs(d)
+    if not _holds_through(d, partners):
+        check_triangles(d)
     n = d.n
     # Each pair at a sits in the level masks of both of its rows.
     extra = sum(

@@ -17,7 +17,9 @@ distance 0, which ``matrix.check_structure`` rejects.  The weighted tree
 therefore needs no check of its own; ``Realisation`` checks the expanded
 unweighted tree of a YES, once, after a size guard: entries up to 2^32 - 1
 could ask for that many vertices.  The certificate answers with its first
-violation in the one vocabulary ``matrix.ViolationKind``, or None.
+violation in the one vocabulary ``matrix.ViolationKind``, or None; a
+caller that built the tree hands it the pass's answer, so the pass runs
+once.
 """
 
 from __future__ import annotations
@@ -57,9 +59,15 @@ class WeightedTree(_Value):
             raise ValueError("tree is not connected")
 
 
-def check_zareckii(d: DistanceMatrix) -> tuple[ViolationKind, tuple[int, ...]] | None:
+def check_zareckii(
+    d: DistanceMatrix, four_point: bool | None = None
+) -> tuple[ViolationKind, tuple[int, ...]] | None:
     """The first violation of the parity and four-point conditions as
     ``(ViolationKind, witness)``, or None when d has a tree realisation.
+
+    ``four_point`` is the answer of :func:`_four_point_parents` when the
+    caller has it already, ``build_weighted_tree(d) is not None``; the pass
+    runs here only when it is None.
 
     The witness is the first violating index tuple, in lexicographic order,
     of the scan of all triples for even perimeter and then of all quadruples
@@ -89,7 +97,9 @@ def check_zareckii(d: DistanceMatrix) -> tuple[ViolationKind, tuple[int, ...]] |
         for k in range(j + 1, n):
             if (e1[j] + e1[k] + e[j][k]) % 2:
                 return ViolationKind.PARITY_TRIPLE, (1, j + 1, k + 1)
-    if _four_point_parents(e) is not None:
+    if four_point is None:
+        four_point = _four_point_parents(e) is not None
+    if four_point:
         return None
     return ViolationKind.FOUR_POINT, _four_point_witness(e)
 

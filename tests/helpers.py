@@ -403,6 +403,21 @@ def skeleton_closure_oracle(rows, q):
     return dijkstra_apsp(n, edges)
 
 
+def primitive_partners_oracle(rows) -> list[list[int]]:
+    """Each row's primitive partners, 0-based and ascending, by definition:
+    j is one when no third index w has D_iw + D_wj = D_ij."""
+    n = len(rows)
+    return [
+        [
+            j for j in range(n)
+            if j != i and not any(
+                rows[i][w] + rows[w][j] == rows[i][j] for w in range(n) if w not in (i, j)
+            )
+        ]
+        for i in range(n)
+    ]
+
+
 def q_zero_oracle(rows) -> int:
     n = len(rows)
     if n == 1:

@@ -24,6 +24,9 @@ from combdmr.matrix import RawMatrix, ValidationError, ViolationKind, validate
 from combdmr.textio import parse_colouring, parse_graph, parse_matrix
 
 
+DATA = Path(__file__).parent / "data"
+
+
 @pytest.fixture
 def twos(tmp_path):
     p = tmp_path / "twos.mat"
@@ -464,7 +467,7 @@ def test_large_entries_answer_no_without_walking_every_level(tmp_path):
         assert proc.stdout.splitlines()[-1] == summary
 
 
-def _disagreeing_certificate(d):
+def _disagreeing_certificate(d, *_):
     return ViolationKind.PARITY_TRIPLE, (1, 2, 3)
 
 
@@ -512,6 +515,9 @@ def test_internal_error_exits_4_not_no(
 @example([[0, 4, 1], [4, 0, 2], [1, 2, 0]])
 # check_zareckii raises "four-point check failed on no quadruple" on this one.
 @example([[0, 1, 4], [1, 0, 1], [4, 1, 0]])
+# Even perimeter and a full four-point pass, so check_zareckii finds nothing
+# to report, yet 4 > 1 + 1.
+@example([[0, 4, 1], [4, 0, 1], [1, 1, 0]])
 def test_non_metrics_exit_2_with_the_validate_message_and_write_nothing(rows):
     # The deciders run on the structurally checked matrix; anything but a
     # verified YES, an exception included, goes through the scan before a
@@ -537,6 +543,7 @@ def test_non_metrics_exit_2_with_the_validate_message_and_write_nothing(rows):
             ["tree", str(mat), *tree_files],
             ["tree", "--certify", str(mat), *tree_files],
             ["verify", str(graph), str(mat)],
+            ["bounds", str(mat)],
         ]
         for argv in argvs:
             out = io.StringIO()
@@ -590,6 +597,14 @@ def test_solve_exact_scans_before_its_exponential_search(tmp_path, capsys, monke
     assert not searched
 
 
+def _counting(monkeypatch, module, name):
+    """Calls of ``module.name`` from here on, each recorded by its arguments."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 @pytest.mark.parametrize("edges, bipartite, scans", [
     ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], True, 0),
     ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)], False, 1),
@@ -599,11 +614,7 @@ def test_the_gadget_pipeline_scans_only_on_its_no(
 ):
     # The benchmark's gadget pipeline: reduce, decide with two extra
     # vertices, read the colouring back off the realisation.
-    calls = []
-    scan = matrix._first_triangle_violation
-    monkeypatch.setattr(
-        matrix, "_first_triangle_violation", lambda d: calls.append(d) or scan(d)
-    )
+    calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
     src = tmp_path / "src.graph"
     src.write_text("graph 6 6\n" + "".join(f"{u} {v}\n" for u, v in edges))
     mat, real, col = tmp_path / "g.mat", tmp_path / "g.real", tmp_path / "g.col"
@@ -614,3 +625,28 @@ def test_the_gadget_pipeline_scans_only_on_its_no(
     ]
     assert codes == ([0, 0, 0] if bipartite else [0, 1, 2])
     assert len(calls) == scans
+
+
+# The files of tests/data that break the triangle inequality.
+NON_METRICS = {"bad.mat", "tree/even_nonmetric.mat"}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(str(p.relative_to(DATA)) for p in DATA.rglob("*.mat"))
+)
+def test_bounds_scans_only_a_non_metric(capsys, monkeypatch, name):
+    # The primitive pairs prove a metric; the scan runs once, to name the
+    # witness of a non-metric.
+    metric = name not in NON_METRICS
+    calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
+    assert main(["bounds", str(DATA / name)]) == (0 if metric else 2)
+    assert len(calls) == (0 if metric else 1)
+
+
+@pytest.mark.parametrize("name", ["twos.mat", "ones.mat", "eight.mat", "k2_reduced.mat"])
+def test_tree_certify_runs_one_four_point_pass(capsys, monkeypatch, name):
+    # The certificate takes its four-point answer from the builder's pass.
+    calls = _counting(monkeypatch, tree, "_four_point_parents")
+    assert main(["tree", "--certify", str(DATA / name)]) in (0, 1)
+    assert "certify: condition check and construction agree" in capsys.readouterr().out
+    assert len(calls) == 1

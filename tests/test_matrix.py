@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import matrix
+from combdmr import graph, matrix
 from combdmr.matrix import (
     DistanceMatrix,
     RawMatrix,
@@ -278,6 +278,30 @@ def triangle_cases(draw, max_n=14):
 def test_packed_scan_names_the_witness_of_the_level_mask_scan(rows):
     d = check_structure(RawMatrix.from_rows(rows))
     assert matrix._first_triangle_violation(d) == helpers.triangle_oracle(d)
+
+
+# Q0 from the skeleton-closure oracle tries every q up to the largest entry.
+ORACLE_Q0_TOP = 64
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(triangle_cases(), helpers.metric_cases(max_n=20), helpers.non_metric_cases()))
+# Even perimeter and a full four-point pass, yet 4 > 1 + 1.
+@example([[0, 4, 1], [4, 0, 1], [1, 1, 0]])
+@example([[0, 64, 62], [64, 0, 1], [62, 1, 0]])
+def test_primitive_partners_prove_the_triangle_inequality_exactly_on_metrics(rows):
+    # The check through each row's primitive partners passes iff the full
+    # scan finds no violation; rows that fail the structural check are
+    # outside its contract.
+    d = helpers.structural_matrix(rows)
+    if d is None:
+        return
+    q0, partners = graph._primitive_pairs(d)
+    assert partners == helpers.primitive_partners_oracle(rows)
+    metric = matrix._first_triangle_violation(d) is None
+    assert matrix._holds_through(d, partners) is metric
+    if metric and max(map(max, rows)) <= ORACLE_Q0_TOP:
+        assert q0 == helpers.q_zero_oracle(rows)
 
 
 def test_path_metric_on_400_points_validates_and_names_its_one_shortcut():
