@@ -59,24 +59,27 @@ Verdict = tuple[bool, int, int]
 
 
 def _decided(
-    d: DistanceMatrix, decide: Callable[[], Realisation | bool | None]
+    d: DistanceMatrix,
+    decide: Callable[[], Realisation | bool | None],
+    proves: Callable[[], bool] = lambda: False,
 ) -> Realisation | bool | None:
     """``decide()``, with the triangle scan of d first unless it answers
     with a verified YES: a :class:`Realisation`, or True from
-    :func:`verify_realisation`.
+    :func:`verify_realisation`, or unless ``proves()`` holds after a NO.
 
     The deciders need only the structural check.  A graph whose anchor
-    distances equal d proves d a metric, so a verified YES needs no scan.
-    A NO or an exception may stem from a triangle violation instead; the
-    scan then raises ``validate``'s error in its place, before anything of
-    the decider's is printed or written.
+    distances equal d proves d a metric, so a verified YES needs no scan,
+    and neither does a NO whose ``proves`` builds such a graph from what
+    the decider computed.  Any other NO or an exception may stem from a
+    triangle violation instead; the scan then raises ``validate``'s error
+    in its place, before anything of the decider's is printed or written.
     """
     try:
         answer = decide()
     except Exception:
         check_triangles(d)
         raise
-    if not answer:
+    if not answer and not proves():
         check_triangles(d)
     return answer
 
@@ -128,9 +131,10 @@ def cmd_solve(args: argparse.Namespace) -> Verdict:
     from . import solvers
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
-    # The decider and the dump share one build of each row mask.
+    # The decider, the proof of a NO's metric and the dump share one build
+    # of each row mask.
     rows = solvers._RowMasks(d)
-    r = _decided(d, lambda: solver(d, rows))
+    r = _decided(d, lambda: solver(d, rows), lambda: solvers._proves_metric(d, rows))
     if args.dump_cnf:
         Path(args.dump_cnf).write_text(solvers.ladder_cnf(d, args.k, rows))
     return _finish(args, r)

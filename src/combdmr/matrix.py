@@ -10,11 +10,13 @@ a violating triple in O(n^2) additions of rows packed into ints, lane by
 lane, whatever the size of the entries.  :func:`validate` runs both.  A
 graph whose anchor distances equal the matrix proves the triangle
 inequality on its own, so a caller holding a verified realisation may skip
-the scan.  So may a caller holding the primitive pairs, as
-``solvers.bounds`` does: :func:`_holds_through` checks the inequality
-through them alone and passes exactly on metrics, so the scan runs only to
-name a non-metric's witness.  The per-row level masks of
-:class:`DistanceMatrix` serve the deciders; the scan does not build them.
+the scan; ``solve`` also builds such a graph after a NO, from the primitive
+pairs its ladder listed (``solvers._proves_metric``).  A caller holding all
+the primitive pairs may skip it too, as ``solvers.bounds`` does:
+:func:`_holds_through` checks the inequality through them alone and passes
+exactly on metrics, so the scan runs only to name a non-metric's witness.
+The per-row level masks of :class:`DistanceMatrix` serve the deciders; the
+scan does not build them.
 """
 
 from __future__ import annotations

@@ -17,11 +17,22 @@ Two rungs take less than a 2-SAT search.  phi1's only positive clauses
 are units, so it is Horn (Dowling and Gallier, 1984): its least model is
 the set F of anchors with a primitive partner at 2, and it is satisfiable
 iff no two anchors of F are far apart.  ``_phi1_model`` reads F off the
-a = 2 row masks; it is also the model the search returns.  And by the
-lower bound n + q0 - 1 of :func:`bounds`, a primitive pair at 3 needs a
-path whose two interior vertices are both extras, next to each other, so
-the ladder skips phi2, whose extras are not adjacent.  A 2-SAT rung
+a = 2 row masks; it is also the model the search returns.  A 2-SAT rung
 searches only anchors with a primitive partner; no other occurs positively.
+
+By the lower bound n + q0 - 1 of :func:`bounds`, the interior of a
+primitive pair's shortest path is all extra, which spares two checks.
+From k = 1 on, the ladder checks the unit graph only when the a = 2 row
+masks hold no primitive pair (at k = 0 that check is the decision).  And a
+primitive pair at 3 needs both extras, next to each other, so no graph of
+phi2, whose extras are not adjacent, is checked then; phi2 is solved
+first all the same, since an unsatisfiable phi2 ends the walk before the
+a = 3 row masks are built.
+
+A NO proves d a metric when the graph of its pairs at 1 and of paths for
+the primitive pairs in the ladder's row masks realises d
+(:func:`_proves_metric`); ``cli.cmd_solve`` scans d for a triangle
+violation only when that graph does not.
 
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
@@ -35,8 +46,8 @@ from __future__ import annotations
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
-from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, _primitive_pairs
-from .graph import unit_graph
+from .graph import _assignment_graph, _bfs, _candidate_edges, _levels_match, _neighbour_lists
+from .graph import _primitive_pairs, unit_graph
 from .matrix import DistanceMatrix, _bits, _holds_through, _Value, check_triangles
 from .twosat import TwoSatInstance
 
@@ -143,6 +154,30 @@ class _RowMasks(dict):
     def __missing__(self, a: int) -> list[tuple[int, int]]:
         self[a] = rows = _row_masks(self.d, a)
         return rows
+
+
+def _proves_metric(d: DistanceMatrix, rows: _RowMasks) -> bool:
+    """True when the graph H of d's pairs at 1 and of a fresh path for each
+    primitive pair at 2, and at 3 if ``rows`` holds those masks, realises d.
+
+    H's anchor distances are a metric, so a match proves d one.  A metric is
+    the shortest-path metric of its primitive pairs (``matrix._holds_through``),
+    so H realises every metric whose primitive pairs it holds.  The a = 2
+    masks are built here if the decider did not need them.  H goes to
+    ``graph._levels_match`` as neighbour lists: as a ``graph.SimpleGraph``
+    for ``verify_realisation`` it would cost about a tenth more.
+    """
+    adj = [[]] + [[w + 1 for w in _bits(at.get(1, 0))] for at in d.levels]
+    for a in (2, 3) if 3 in rows else (2,):
+        for i, (_, primitive) in enumerate(rows[a], 1):
+            for b in _bits(primitive >> i):
+                fresh = len(adj)
+                path = [i, *range(fresh, fresh + a - 1), i + 1 + b]
+                adj += [[] for _ in range(a - 1)]
+                for u, v in zip(path, path[1:]):
+                    adj[u].append(v)
+                    adj[v].append(u)
+    return _levels_match(adj, d)
 
 
 def _instance(rung: tuple, rows: _RowMasks) -> TwoSatInstance:
@@ -263,10 +298,10 @@ def _ladder(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> Realisa
         extras, adjacent, table = rung
         if extras > k:
             break
+        if not table and k and any(p for _, p in rows[2]):
+            continue  # the unit graph puts a primitive pair at 2 beyond 2
         graph = unit
         if table:
-            if extras == 2 and not adjacent and any(p for _, p in rows[3]):
-                continue  # a primitive pair at 3 needs two adjacent extras
             if extras == 1:
                 model = _phi1_model(rows[2])
             else:
@@ -275,6 +310,8 @@ def _ladder(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> Realisa
                 if extras == 2:
                     return None  # phi2' holds phi2
                 continue
+            if extras == 2 and not adjacent and any(p for _, p in rows[3]):
+                continue  # a primitive pair at 3 needs two adjacent extras
             graph = _assignment_graph(unit, (*model, adjacent), extras)
         try:
             return Realisation(graph, d)

@@ -281,6 +281,8 @@ GOLDEN_CASES = [
     ("solve_k1_eight", ["solve", "--k", "1", "eight.mat"], 0),
     ("solve_k2_twos", ["solve", "--k", "2", "twos.mat"], 0),
     ("solve_k2_adjacent", ["solve", "--k", "2", "ladder/adjacent.mat"], 0),
+    ("solve_k2_far_pair", ["solve", "--k", "2", "ladder/far_pair.mat"], 1),
+    ("solve_k2_even_nonmetric", ["solve", "--k", "2", "tree/even_nonmetric.mat"], 2),
     ("solve_exact_k1_twos", ["solve-exact", "--k", "1", "twos.mat"], 0),
     ("bounds_eight", ["bounds", "eight.mat"], 0),
     ("tree_twos", ["tree", "twos.mat", "--certify"], 0),

@@ -605,15 +605,17 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize("edges, bipartite, scans", [
-    ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], True, 0),
-    ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)], False, 1),
+@pytest.mark.parametrize("edges, bipartite", [
+    ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], True),
+    ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)], False),
 ])
-def test_the_gadget_pipeline_scans_only_on_its_no(
-    tmp_path, capsys, monkeypatch, edges, bipartite, scans
+def test_the_gadget_pipeline_runs_no_triangle_scan(
+    tmp_path, capsys, monkeypatch, edges, bipartite
 ):
     # The benchmark's gadget pipeline: reduce, decide with two extra
-    # vertices, read the colouring back off the realisation.
+    # vertices, read the colouring back off the realisation.  The YES
+    # verifies its graph, and the NO proves the metric from the ladder's
+    # primitive pairs, which in a gadget all lie at 1 or 2.
     calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
     src = tmp_path / "src.graph"
     src.write_text("graph 6 6\n" + "".join(f"{u} {v}\n" for u, v in edges))
@@ -624,7 +626,7 @@ def test_the_gadget_pipeline_scans_only_on_its_no(
         main(["extract-colouring", str(src), str(real), "--k", "2", "--out", str(col)]),
     ]
     assert codes == ([0, 0, 0] if bipartite else [0, 1, 2])
-    assert len(calls) == scans
+    assert not calls
 
 
 # The files of tests/data that break the triangle inequality.
@@ -641,6 +643,33 @@ def test_bounds_scans_only_a_non_metric(capsys, monkeypatch, name):
     calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
     assert main(["bounds", str(DATA / name)]) == (0 if metric else 2)
     assert len(calls) == (0 if metric else 1)
+
+
+# The metrics of tests/data with a primitive pair beyond 2: the proof of a
+# NO holds paths for the primitive pairs at 2, and at 3 only when the
+# ladder built those masks, so a NO on these still scans.  far_pair's
+# pair lies at 5, beyond any proof of the ladder.
+BEYOND_TWO = {"ladder/adjacent.mat", "ladder/dead_root_adjacent.mat", "ladder/far_pair.mat"}
+
+
+@pytest.mark.parametrize("k", ["0", "1", "2"])
+@pytest.mark.parametrize(
+    "name", sorted(str(p.relative_to(DATA)) for p in DATA.rglob("*.mat"))
+)
+def test_solve_scans_only_a_non_metric_or_a_no_its_proof_misses(capsys, monkeypatch, name, k):
+    # A verified YES proves the metric, and so does a NO whose primitive
+    # pairs at 2 (and 3) join into a graph that realises it; the scan runs
+    # once otherwise, and names a non-metric's witness.
+    calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
+    code = main(["solve", "--k", k, str(DATA / name)])
+    if name in NON_METRICS:
+        assert code == 2
+        assert len(calls) == 1
+    else:
+        assert code in (0, 1)
+        assert len(calls) == (code == 1 and name in BEYOND_TWO)
+    if name == "ladder/far_pair.mat":
+        assert code == 1
 
 
 @pytest.mark.parametrize("name", ["twos.mat", "ones.mat", "eight.mat", "k2_reduced.mat"])

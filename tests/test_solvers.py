@@ -16,7 +16,7 @@ from combdmr.graph import (
     unit_graph,
     verify_realisation,
 )
-from combdmr.matrix import distance_matrix
+from combdmr.matrix import _first_triangle_violation, distance_matrix
 from combdmr.reduction import reduce
 from combdmr.solvers import (
     _PHI1,
@@ -27,6 +27,7 @@ from combdmr.solvers import (
     _implications,
     _instance,
     _phi1_model,
+    _proves_metric,
     _row_masks,
     bounds,
     build_phi1,
@@ -280,6 +281,21 @@ def _spy_rungs(monkeypatch):
     return calls
 
 
+def _spy_checks(monkeypatch):
+    # The ladder index of each rung whose graph is checked: 0 for the unit
+    # graph, 1 for phi1's, 2 for phi2's and 3 for phi2''s (adjacent extras).
+    calls = []
+    realisation = solvers.Realisation
+
+    def spy(g, d):
+        extras = g.vertex_count - g.anchor_count
+        calls.append(extras + ((d.n + 1, d.n + 2) in g.edges))
+        return realisation(g, d)
+
+    monkeypatch.setattr(solvers, "Realisation", spy)
+    return calls
+
+
 def _planted_adjacent_rows():
     # Two hidden extras, adjacent: only phi2' realises these rows.
     return helpers.planted_or_tree_rows(200, 60, "planted", 2)
@@ -287,10 +303,10 @@ def _planted_adjacent_rows():
 
 def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
     # A planted matrix whose two hidden extras are adjacent: phi1 and phi2
-    # give no realisation, phi2' does.  phi1 and phi2' share one build of
-    # the a = 2 row masks, and phi2' reuses the a = 3 ones that the test
-    # for skipping phi2 built; every rung adds to one build of the unit
-    # graph.
+    # give no realisation, phi2' does.  The test for skipping the unit
+    # graph, phi1 and phi2' share one build of the a = 2 row masks, and
+    # phi2' reuses the a = 3 ones that the test for skipping phi2's graph
+    # built; every rung adds to one build of the unit graph.
     calls = _count_row_masks(monkeypatch)
     units = []
     monkeypatch.setattr(solvers, "unit_graph", lambda d: units.append(d) or unit_graph(d))
@@ -308,26 +324,83 @@ def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
 )
 def test_k2_skips_phi2_on_a_primitive_pair_at_3(monkeypatch, rows):
     # A primitive pair at 3 needs two adjacent extras (the lower bound
-    # n + q0 - 1), so phi2 is never built; phi1 is read off its row masks,
-    # and phi2' is the only implication graph.
+    # n + q0 - 1), so phi2's graph is never checked.  phi2 is solved first,
+    # since an unsatisfiable phi2 ends the ladder before the a = 3 row masks
+    # are built; phi1 is read off its row masks.
     d = distance_matrix(rows)
     assert any(primitive for _, primitive in _row_masks(d, 3))
     calls = _spy_rungs(monkeypatch)
+    checks = _spy_checks(monkeypatch)
     g = solve_k2(d).graph
     assert g.vertex_count - g.anchor_count == 2
-    assert calls == [3]
+    assert calls == [2, 3]
+    assert 2 not in checks
+    assert checks[-1] == 3
 
 
 def test_k2_unsatisfiable_phi2_ends_before_phi2_prime(monkeypatch):
     # The gadget of an odd cycle is a NO whose phi2 is unsatisfiable, so
-    # phi2' (which contains it) is never built.  Its a = 3 row masks are,
-    # for the test that would skip phi2, and they hold no primitive pair.
+    # phi2' (which contains it) is never built, and neither are the a = 3
+    # row masks that the test for skipping phi2's graph would read.
     d = reduce(SimpleGraph.make(5, 5, helpers.cycle_edges(5))).matrix
     masks = _count_row_masks(monkeypatch)
     calls = _spy_rungs(monkeypatch)
     assert solve_k2(d) is None
     assert calls == [2]
-    assert masks == [2, 3]
+    assert masks == [2]
+
+
+@pytest.mark.parametrize(
+    "solve, checks", [(solve_k0, [0]), (solve_k1, [1]), (solve_k2, [1])], ids=["k0", "k1", "k2"]
+)
+def test_the_unit_graph_is_checked_at_k0_only_on_a_primitive_pair_at_2(
+    monkeypatch, solve, checks
+):
+    # All twos: every pair is primitive at 2, and the unit graph puts such a
+    # pair beyond 2, so from k = 1 on its check is skipped; at k = 0 the
+    # check is the whole decision.
+    calls = _spy_checks(monkeypatch)
+    assert (solve(ALL_TWOS) is None) == (solve is solve_k0)
+    assert calls == checks
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        helpers.metric_cases(),
+        helpers.non_metric_cases(),
+        st.builds(helpers.planted_or_tree_rows, st.integers(0, 2**32), st.integers(1, 200),
+                  st.just("planted")),
+    ),
+    st.booleans(),
+)
+@example(helpers.gadget_rows("C5"), False)
+@example(helpers.gadget_rows("C7"), True)
+@example(helpers.gadget_rows("K4"), False)
+@example(helpers.gadget_rows("W5"), True)
+@example([[0, 3], [3, 0]], False)
+@example([[0, 3], [3, 0]], True)
+@example([[0, 4, 1], [4, 0, 1], [1, 1, 0]], True)
+def test_a_no_proof_holds_exactly_on_metrics_whose_primitive_pairs_it_reaches(rows, with_3):
+    # The proof graph holds paths for the primitive pairs at 2, and at 3
+    # when the decider built those masks.  A graph's anchor distances are a
+    # metric, so a passing proof never lets a non-metric skip the scan; and
+    # a metric is the shortest-path metric of its primitive pairs, so the
+    # proof passes whenever it holds a path for each of them.
+    d = helpers.structural_matrix(rows)
+    assume(d is not None)
+    masks = _RowMasks(d)
+    if with_3:
+        masks[3]
+    reach = 3 if with_3 else 2
+    partners = helpers.primitive_partners_oracle(rows)
+    top = max((rows[i][j] for i, js in enumerate(partners) for j in js), default=1)
+    metric = _first_triangle_violation(d) is None
+    proved = _proves_metric(d, masks)
+    if proved:
+        assert metric
+    assert proved == (metric and top <= reach)
+    assert sorted(masks) == [2, 3][: reach - 1]
 
 
 # -- exhaustive search ------------------------------------------------------------
