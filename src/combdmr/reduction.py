@@ -6,12 +6,16 @@ matrix row demands distance 2 to every original vertex and 3 to every new
 one.  The resulting matrix is realisable with k extra vertices exactly when
 the input graph is k-colourable: extra vertices act as colour classes, since
 no extra vertex may be adjacent to both endpoints of an original edge.
+:func:`reduce` writes the matrix in closed form from the source graph: each
+new vertex's distances are the lanewise min over the two originals it
+leaves its piece through, so the gadget graph is never searched.
 """
 
 from __future__ import annotations
 
 from .graph import Realisation, SearchSpaceTooLarge, SimpleGraph, _assignment_graph
-from .graph import _is_connected, bfs_apsp
+# Nothing here calls bfs_apsp; bench/test_bench.py traces it under this name.
+from .graph import _is_connected, bfs_apsp  # noqa: F401
 from .matrix import DistanceMatrix, _Value
 
 
@@ -72,24 +76,48 @@ class GadgetInstance(_Value):
         return self.matrix.n
 
 
+# Byte h << 4 | l, the entries of a new vertex's two exits p < q at one
+# column, to min(o_p + h, o_q + l), one table per exit offsets (o_p, o_q).
+_MIN_THROUGH = {
+    o: bytes(min(o[0] + (b >> 4), o[1] + (b & 15)) for b in range(256))
+    for o in ((1, 2), (2, 1), (1, 1))
+}
+
+
+def _through_exits(rows: list[bytes], pieces) -> list[bytes]:
+    """Per piece (p, q, table, ...), the lanewise min(o_p + rows[p - 1],
+    o_q + rows[q - 1]) of rows whose entries are below 16."""
+    width = len(rows[0])
+    lo = [int.from_bytes(r, "little") for r in rows]
+    hi = [x << 4 for x in lo]
+    return [
+        (hi[p - 1] | lo[q - 1]).to_bytes(width, "little").translate(table)
+        for p, q, table, _, _ in pieces
+    ]
+
+
 def reduce(g: SimpleGraph) -> GadgetInstance:
     """Build the gadget graph and its distance matrix for an input graph.
 
-    The matrix is a metric by construction, so it is not scanned.  Its first
-    n_g rows and columns are the gadget graph's BFS distances, finite as the
-    gadget of a connected graph is connected, and they follow from the
-    source graph.  Originals are never adjacent, and their one possible
-    common neighbour is the middle vertex of a non-adjacent pair, so two
-    originals are at 2 when non-adjacent and at 3, along their subdivided
-    edge, when adjacent.  A new vertex t leaves its piece only through two
-    originals x and y, at offsets o_x and o_y (1 and 2 on a subdivided
-    edge, 1 and 1 for a middle vertex), so D_ts = min(o_x + D_xs,
-    o_y + D_ys) for every s but t's sibling on the same edge, at 1.  Hence
-    D_uv is at most 3 between originals, 4 from an original to a new vertex
-    and 5 between new vertices: at most the sum of the hub entries of u and
-    v, 2 for an original and 3 for a new vertex.  And a hub entry is at
-    most the other (at least 2) plus D_uv (at least 1), so every triangle
-    through the hub holds too.
+    The matrix follows from the source graph in closed form, and it is a
+    metric by construction, so it is not scanned.  Its first n_g rows and
+    columns are the gadget graph's distances, finite as the gadget of a
+    connected graph is connected.  Originals are never adjacent, and their
+    one possible common neighbour is the middle vertex of a non-adjacent
+    pair, so two originals are at 2 when non-adjacent and at 3, along their
+    subdivided edge, when adjacent.  A new vertex t leaves its piece only
+    through two originals p < q, at offsets o_p and o_q (1 and 2 on a
+    subdivided edge, 1 and 1 for a middle vertex), so D_ts = min(o_p +
+    D_ps, o_q + D_qs) for every s but t itself and t's sibling on the same
+    edge, at 1.  That min builds the matrix: first each new vertex's column
+    over the originals, then each new vertex's row from its exits' full
+    rows, lane by lane through one ``bytes.translate`` of the two rows
+    packed as nibbles.  The hub column needs no patch, as min(o_p, o_q) + 2
+    is 3.  Hence D_uv is at most 3 between originals, 4 from an original to
+    a new vertex and 5 between new vertices: at most the sum of the hub
+    entries of u and v, 2 for an original and 3 for a new vertex.  And a
+    hub entry is at most the other (at least 2) plus D_uv (at least 1), so
+    every triangle through the hub holds too.
     """
     if g.anchor_count != g.vertex_count:
         raise ValueError("every vertex of the input graph must be colourable")
@@ -102,26 +130,35 @@ def reduce(g: SimpleGraph) -> GadgetInstance:
     gadget_edges: list[tuple[int, int]] = []
     subdivision: dict[tuple[int, int], tuple[int, int]] = {}
     nonadjacent: dict[tuple[int, int], int] = {}
+    # Per new vertex, in index order: its exits p < q, the table of their
+    # offsets, and where its own row holds 0 at itself and 1 at its sibling.
+    pieces: list[tuple[int, int, bytes, int, bytes]] = []
+    block = [bytearray(b"\2" * nc) for _ in range(nc)]
     for u, v in sorted(g.edges):
         a, b = nxt, nxt + 1
         nxt += 2
         gadget_edges.extend([(u, a), (a, b), (v, b)])
         subdivision[(u, v)] = (a, b)
+        pieces += (u, v, _MIN_THROUGH[1, 2], a, b"\0\1"), (u, v, _MIN_THROUGH[2, 1], a, b"\1\0")
+        block[u - 1][v - 1] = block[v - 1][u - 1] = 3
     for u in range(1, nc + 1):
+        block[u - 1][u - 1] = 0
         for v in range(u + 1, nc + 1):
             if (u, v) not in g.edges:
                 mid = nxt
                 nxt += 1
                 gadget_edges.extend([(u, mid), (v, mid)])
                 nonadjacent[(u, v)] = mid
+                pieces.append((u, v, _MIN_THROUGH[1, 1], mid, b"\0"))
     ng = nxt - 1
     gadget = SimpleGraph(ng, ng, frozenset(gadget_edges))
-    gd = bfs_apsp(gadget).entries
-    rows = [
-        tuple(gd[i]) + (2 if i < nc else 3,) for i in range(ng)
-    ]
-    rows.append(tuple(2 if i < nc else 3 for i in range(ng)) + (0,))
-    matrix = DistanceMatrix(tuple(rows))
+    # The originals' columns of every new vertex, then the full rows.
+    columns = b"".join(_through_exits(block, pieces))
+    rows = [bytes(block[x]) + columns[x::nc] + b"\2" for x in range(nc)]
+    for row, (_, _, _, at, own) in zip(_through_exits(rows, pieces), pieces):
+        rows.append(row[: at - 1] + own + row[at - 1 + len(own) :])
+    rows.append(b"\2" * nc + b"\3" * (ng - nc) + b"\0")
+    matrix = DistanceMatrix(tuple(map(tuple, rows)))
     return GadgetInstance(g, gadget, matrix, subdivision, nonadjacent)
 
 

@@ -16,9 +16,10 @@ in the order a search of every literal would use.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from operator import or_
 
-from .matrix import _Value
+from .matrix import _bits, _Value
 
 Clause = tuple[int, int]
 Assignment = tuple[bool, ...]
@@ -78,8 +79,13 @@ def solve_implications(out: list[int]) -> Assignment | None:
 
     # Roots go by variable: -v then v, or the live successors of a dead x_v.
     # The model, and so every graph the deciders write, depends on this order.
+    # A variable that is dead and has no successor roots nothing (under
+    # skew-symmetry x_v is live iff -x_v has a successor), and once every
+    # live literal is visited no later root finds any.
     finished = []
-    for v in range(half):
+    for v in compress(range(half), map(or_, out[:half], out[half:])):
+        if not unvisited:
+            break
         roots = 1 << v | 1 << half + v if live >> v & 1 else out[half + v]
         while nxt := roots & unvisited:
             finished += search((nxt & -nxt).bit_length() - 1, out.__getitem__)
@@ -94,7 +100,10 @@ def solve_implications(out: list[int]) -> Assignment | None:
                 return None
             true |= component >> half & seen
             seen |= component
-    return tuple(bool(true >> v & 1) for v in range(half))
+    model = [False] * half
+    for v in _bits(true):
+        model[v] = True
+    return tuple(model)
 
 
 def solve(inst: TwoSatInstance) -> Assignment | None:

@@ -4,9 +4,10 @@ Everything here deliberately avoids the library code paths it is used to
 check: the 2-SAT oracle enumerates assignments as a bitmap, the Kosaraju
 oracle searches every literal of an implication graph, the weighted
 APSP oracle is Dijkstra (the library searches the path expansion),
-distances are re-derived with a standalone BFS, the level masks with a loop
-over each row, and labelled trees come from sequence decoding rather than
-the incremental builder.
+distances are re-derived with a standalone BFS, the gadget matrix by a
+search of the whole gadget graph rather than ``reduce``'s closed form, the
+level masks with a loop over each row, and labelled trees come from
+sequence decoding rather than the incremental builder.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from operator import or_
 from hypothesis import strategies as st
 
 from combdmr import generate
-from combdmr.graph import SimpleGraph, _assignment_graph, unit_graph, verify_realisation
+from combdmr.graph import (
+    SimpleGraph,
+    _assignment_graph,
+    bfs_apsp,
+    unit_graph,
+    verify_realisation,
+)
 from combdmr.matrix import (
     DistanceMatrix,
     RawMatrix,
@@ -335,6 +342,33 @@ def anchor_metric(g: SimpleGraph):
     n = g.anchor_count
     rows = bfs_rows(g.vertex_count, g.edges, range(1, n + 1))
     return tuple(tuple(row[1 : n + 1]) for row in rows)
+
+
+def gadget_matrix_oracle(g: SimpleGraph) -> DistanceMatrix:
+    """The gadget matrix of a connected source graph, by a breadth-first
+    search of the whole gadget graph (``bfs_apsp``) rather than the closed
+    form ``reduce`` builds it by."""
+    nc = g.vertex_count
+    nxt = nc + 1
+    gadget_edges: list[tuple[int, int]] = []
+    for u, v in sorted(g.edges):
+        a, b = nxt, nxt + 1
+        nxt += 2
+        gadget_edges.extend([(u, a), (a, b), (v, b)])
+    for u in range(1, nc + 1):
+        for v in range(u + 1, nc + 1):
+            if (u, v) not in g.edges:
+                mid = nxt
+                nxt += 1
+                gadget_edges.extend([(u, mid), (v, mid)])
+    ng = nxt - 1
+    gadget = SimpleGraph(ng, ng, frozenset(gadget_edges))
+    gd = bfs_apsp(gadget).entries
+    rows = [
+        tuple(gd[i]) + (2 if i < nc else 3,) for i in range(ng)
+    ]
+    rows.append(tuple(2 if i < nc else 3 for i in range(ng)) + (0,))
+    return DistanceMatrix(tuple(rows))
 
 
 def first_verified_assignment(d: DistanceMatrix, k: int):

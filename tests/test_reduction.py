@@ -117,6 +117,29 @@ def test_gadgets_of_random_sources_pass_the_triangle_scan(n_c, seed, p):
     assert validate(RawMatrix(inst.matrix.entries)) == inst.matrix
 
 
+def test_closed_form_matrix_equals_the_gadget_search_on_small_sources():
+    # reduce() builds its matrix from the source graph; the oracle searches
+    # the whole gadget graph.  Every connected graph on up to 5 vertices,
+    # then the complete graphs K1-K9 (no middle vertices at all).
+    complete = [
+        SimpleGraph.make(n, n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+        for n in range(1, 10)
+    ]
+    for g in helpers.connected_graphs_up_to(5) + complete:
+        assert reduce(g).matrix == helpers.gadget_matrix_oracle(g), sorted(g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=6, max_value=16),
+    st.integers(0, 2**32),
+    st.sampled_from((0.0, 0.2, 0.5, 0.9)),
+)
+def test_closed_form_matrix_equals_the_gadget_search_on_random_sources(n_c, seed, p):
+    g = generate.random_connected_graph(random.Random(seed), n_c, p)
+    assert reduce(g).matrix == helpers.gadget_matrix_oracle(g)
+
+
 def test_reduce_rejects_a_huge_declared_vertex_count_without_sizing_it():
     # Fewer than vertex_count - 1 edges cannot connect the graph, so no
     # adjacency of a million lists is built to find that out.
