@@ -11,7 +11,6 @@ from pathlib import Path
 
 from combdmr.reduction import (
     Colouring,
-    chromatic_number_bruteforce,
     extract_colouring,
     proper_colouring,
     realise_from_colouring,
@@ -19,6 +18,9 @@ from combdmr.reduction import (
 )
 from combdmr.solvers import solve_k1, solve_k2
 from combdmr.textio import parse_graph
+
+# The colouring search is exponential; larger inputs are refused up front.
+MAX_VERTICES = 10
 
 
 def main():
@@ -28,17 +30,21 @@ def main():
     args = ap.parse_args()
 
     g = parse_graph(Path(args.graph).read_text())
+    if g.vertex_count > MAX_VERTICES:
+        print(f"error: {g.vertex_count} vertices exceeds the guard of {MAX_VERTICES}")
+        return 3
     inst = reduce(g)
     print(f"input: {g.vertex_count} vertices, {len(g.edges)} edges")
     print(f"gadget: {inst.n_g} vertices; matrix dimension {inst.n}")
 
-    chi = chromatic_number_bruteforce(g)
+    chi = 1
+    while (base := proper_colouring(g, chi)) is None:
+        chi += 1
     print(f"chromatic number (brute force): {chi}")
     print(f"matrix solvable with 1 extra vertex:  {solve_k1(inst.matrix) is not None}")
     print(f"matrix solvable with 2 extra vertices: {solve_k2(inst.matrix) is not None}")
 
     for k in range(chi, args.max_k + 1):
-        base = proper_colouring(g, chi)
         lifted = Colouring(k, base.colours)
         r = realise_from_colouring(inst, lifted)
         back = extract_colouring(inst, r, k)

@@ -211,8 +211,8 @@ def cmd_colour_realise(args: argparse.Namespace) -> Verdict:
 def cmd_extract_colouring(args: argparse.Namespace) -> Verdict:
     from . import reduction
     g = _load_graph(args.graph)
-    inst = reduction.reduce(g)
     rg = _load_graph(args.realisation)
+    inst = reduction.reduce(g)
     try:
         r = Realisation(rg, inst.matrix)
     except NotARealisation as exc:

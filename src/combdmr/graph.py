@@ -286,14 +286,13 @@ def q_skeleton(d: DistanceMatrix, q: int) -> WeightedSkeleton:
     """Weighted anchor graph keeping pairs with D_ij <= q, weight D_ij."""
     if q < 1:
         raise ValueError("q must be positive")
-    n = d.n
     edges = tuple(
-        (i, j, d.dist(i, j))
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if d.dist(i, j) <= q
+        (i, j, dij)
+        for i, row in enumerate(d.entries, 1)
+        for j, dij in enumerate(row[i:], i + 1)
+        if dij <= q
     )
-    return WeightedSkeleton(n, edges)
+    return WeightedSkeleton(d.n, edges)
 
 
 def skeleton_distances(s: WeightedSkeleton) -> ExtendedDistances:

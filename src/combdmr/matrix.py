@@ -113,10 +113,6 @@ class RawMatrix(_Value):
             if min(row) < 0:
                 raise ValueError(f"negative entry in row {idx}")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "RawMatrix":
         """Read entries with ``operator.index``: floats and strings raise TypeError."""
@@ -176,10 +172,6 @@ class DistanceMatrix(_Value):
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def dist(self, i: int, j: int) -> int:
-        """Entry at row i, column j, 1-based."""
-        return self.entries[i - 1][j - 1]
 
     @cached_property
     def levels(self) -> tuple[dict[int, int], ...]:
@@ -300,7 +292,7 @@ def check_structure(m: RawMatrix) -> DistanceMatrix:
     ):
         return DistanceMatrix(e)
     # The matrix failed the check above, so one of these loops raises.
-    n = m.n
+    n = len(e)
     for i in range(n):
         if e[i][i] != 0:
             raise ValidationError(ViolationKind.DIAGONAL_NONZERO, (i + 1,))
@@ -331,8 +323,3 @@ def validate(m: RawMatrix) -> DistanceMatrix:
     then the triangle inequality, each in row-major index order.
     """
     return check_triangles(check_structure(m))
-
-
-def distance_matrix(rows: Iterable[Sequence[int]]) -> DistanceMatrix:
-    """Convenience: build and validate in one step."""
-    return validate(RawMatrix.from_rows(rows))

@@ -13,7 +13,7 @@ leaves its piece through, so the gadget graph is never searched.
 
 from __future__ import annotations
 
-from .graph import Realisation, SearchSpaceTooLarge, SimpleGraph, _assignment_graph
+from .graph import Realisation, SimpleGraph, _assignment_graph
 # Nothing here calls bfs_apsp; bench/test_bench.py traces it under this name.
 from .graph import _is_connected, bfs_apsp  # noqa: F401
 from .matrix import DistanceMatrix, _Value
@@ -43,9 +43,6 @@ class Colouring(_Value):
         for c in self.colours:
             if not 1 <= c <= self.k:
                 raise ValueError(f"colour {c} out of range 1..{self.k}")
-
-    def colour_of(self, vertex: int) -> int:
-        return self.colours[vertex - 1]
 
 
 class GadgetInstance(_Value):
@@ -170,14 +167,15 @@ def realise_from_colouring(inst: GadgetInstance, c: Colouring) -> Realisation:
     colouring is what keeps original edges at distance 3.
     """
     nc = inst.n_c
-    if len(c.colours) != nc:
+    colours = c.colours
+    if len(colours) != nc:
         raise ValueError("colouring size does not match the source graph")
     for u, v in inst.source.edges:
-        if c.colour_of(u) == c.colour_of(v):
+        if colours[u - 1] == colours[v - 1]:
             raise ImproperColouring(f"vertices {u} and {v} share colour")
     n = inst.n
     chosen = [
-        i == n or i <= nc and c.colour_of(i) == t + 1 for t in range(c.k) for i in range(1, n + 1)
+        i == n or i <= nc and colours[i - 1] == t + 1 for t in range(c.k) for i in range(1, n + 1)
     ]
     unit = SimpleGraph(n, n, inst.gadget.edges)
     return Realisation(_assignment_graph(unit, chosen, c.k), inst.matrix)
@@ -236,18 +234,3 @@ def proper_colouring(g: SimpleGraph, k: int) -> Colouring | None:
     if not bt(1):
         return None
     return Colouring(k, tuple(assign[1:]))
-
-
-_MAX_CHROMATIC_VERTICES = 10
-
-
-def chromatic_number_bruteforce(g: SimpleGraph) -> int:
-    """Least k admitting a proper colouring, by exhaustive search."""
-    if g.vertex_count > _MAX_CHROMATIC_VERTICES:
-        raise SearchSpaceTooLarge(
-            f"{g.vertex_count} vertices exceeds the guard of {_MAX_CHROMATIC_VERTICES}"
-        )
-    for k in range(1, g.vertex_count + 1):
-        if proper_colouring(g, k) is not None:
-            return k
-    raise AssertionError("unreachable: n colours always suffice")

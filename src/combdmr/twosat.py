@@ -120,17 +120,6 @@ def solve(inst: TwoSatInstance) -> Assignment | None:
     return solve_implications(out)
 
 
-def check(inst: TwoSatInstance, assignment: Assignment) -> bool:
-    """True iff every clause has a true literal under the assignment."""
-    if len(assignment) != inst.variable_count:
-        raise ValueError("assignment length does not match variable count")
-
-    def truth(lit: int) -> bool:
-        return assignment[abs(lit) - 1] == (lit > 0)
-
-    return all(truth(a) or truth(b) for a, b in inst.clauses)
-
-
 def dimacs(inst: TwoSatInstance) -> str:
     """DIMACS CNF dump for cross-checking with external solvers."""
     lines = [f"p cnf {inst.variable_count} {len(inst.clauses)}"]

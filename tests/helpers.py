@@ -1,13 +1,28 @@
 """Independent oracles and shared generators for the test suite.
 
 Everything here deliberately avoids the library code paths it is used to
-check: the 2-SAT oracle enumerates assignments as a bitmap, the Kosaraju
-oracle searches every literal of an implication graph, the weighted
-APSP oracle is Dijkstra (the library searches the path expansion),
-distances are re-derived with a standalone BFS, the gadget matrix by a
-search of the whole gadget graph rather than ``reduce``'s closed form, the
-level masks with a loop over each row, and labelled trees come from
-sequence decoding rather than the incremental builder.
+check, and the library keeps none of it:
+
+- matrices: ``dm`` (``validate`` of ``RawMatrix.from_rows``, in one call),
+  ``brute_is_distance_matrix`` and ``first_violation_oracle`` (loops over
+  every triple), ``triangle_oracle`` (per-pair level masks rather than
+  packed rows), ``parse_matrix_oracle`` (per token), and
+  ``level_masks_oracle`` and ``row_masks_oracle`` (a loop over each row);
+- trees: ``four_point_oracle`` and ``zareckii_oracle`` (every quadruple),
+  and labelled trees from sequence decoding (``decode_tree``,
+  ``all_labelled_trees``) rather than the incremental builder;
+- distances: ``bfs_rows``, ``bfs_distances``, ``anchor_metric`` and
+  ``graph_realises`` (a standalone BFS), ``dijkstra_apsp`` and
+  ``skeleton_closure_oracle`` (Dijkstra, where the library searches the
+  path expansion), ``primitive_partners_oracle`` and ``q_zero_oracle``,
+  and ``gadget_matrix_oracle`` (a search of the whole gadget graph rather
+  than ``reduce``'s closed form);
+- 2-SAT: ``model_bitmap``, ``brute_satisfiable`` and ``enumerate_models``
+  (every assignment as a bitmap), ``kosaraju_oracle`` (every literal of an
+  implication graph) and ``check_assignment`` (clause by clause);
+- deciders: ``first_verified_assignment`` (``verify_realisation`` on every
+  candidate-edge mask, where ``solve_exact`` runs one BFS per anchor);
+- colourings: ``brute_chromatic`` (every colouring, smallest k first).
 """
 
 from __future__ import annotations
@@ -578,6 +593,17 @@ def enumerate_models(inst: TwoSatInstance):
         a = low.bit_length() - 1
         yield tuple(bool(a >> i & 1) for i in range(v))
         bitmap ^= low
+
+
+def check_assignment(inst: TwoSatInstance, assignment) -> bool:
+    """True iff every clause has a true literal under the assignment."""
+    if len(assignment) != inst.variable_count:
+        raise ValueError("assignment length does not match variable count")
+
+    def truth(lit: int) -> bool:
+        return assignment[abs(lit) - 1] == (lit > 0)
+
+    return all(truth(a) or truth(b) for a, b in inst.clauses)
 
 
 # -- labelled trees via sequence decoding -------------------------------------

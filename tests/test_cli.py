@@ -148,7 +148,7 @@ def test_reduce_and_pipeline(tmp_path, capsys):
     matrix = tmp_path / "k2.mat"
     assert main(["reduce", str(graph), "--out", str(matrix)]) == 0
     m = parse_matrix(matrix.read_text())
-    assert m.n == 5
+    assert len(m.entries) == 5
 
     colouring = tmp_path / "k2.col"
     colouring.write_text("1 1\n2 2\n")
@@ -190,6 +190,22 @@ def test_extract_colouring_from_non_realisation_is_invalid_input(tmp_path, capsy
     assert lines[-1] == "verdict=NO vertices=0 extra=0"
 
 
+def test_extract_colouring_reads_both_graphs_before_it_reduces(tmp_path, capsys, monkeypatch):
+    # A missing realisation file fails before the gadget is built.
+    from combdmr import reduction
+
+    reduced = []
+    monkeypatch.setattr(reduction, "reduce", lambda g: reduced.append(g))
+    missing = tmp_path / "missing.graph"
+    assert main(["extract-colouring", str(DATA / "k2.graph"), str(missing), "--k", "2"]) == 2
+    assert reduced == []
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}",
+        "verdict=NO vertices=0 extra=0",
+    ]
+
+
 def test_colour_realise_rejects_improper(tmp_path):
     graph = tmp_path / "k2.graph"
     graph.write_text("graph 2 2\n1 2\n")
@@ -218,7 +234,7 @@ def test_gen_modes_are_deterministic(tmp_path, capsys):
         line + "\n" for line in first.splitlines() if not line.startswith("verdict=")
     )
     m = parse_matrix(payload)
-    assert m.n == 4
+    assert len(m.entries) == 4
     assert helpers.brute_is_distance_matrix([list(r) for r in m.entries])
 
 
@@ -229,10 +245,9 @@ def test_gen_tree_metric_is_tree_realisable(capsys):
         line + "\n" for line in out.splitlines() if not line.startswith("verdict=")
     )
     from combdmr.tree import check_zareckii
-    from combdmr.matrix import distance_matrix
 
     rows = [list(map(int, line.split())) for line in payload.strip().splitlines()]
-    assert check_zareckii(distance_matrix(rows)) is None
+    assert check_zareckii(helpers.dm(rows)) is None
 
 
 def test_gen_reduction_mode(tmp_path, capsys):

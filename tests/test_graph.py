@@ -21,7 +21,6 @@ from combdmr.graph import (
     unit_graph,
     verify_realisation,
 )
-from combdmr.matrix import distance_matrix
 from combdmr.solvers import solve_k2
 
 
@@ -97,7 +96,7 @@ def test_self_loop_rejected():
         (lambda: SimpleGraph(2, 2, frozenset({(1, 3)})), "bad edge (1, 3)"),
         (lambda: SimpleGraph(2, 2, frozenset({(0, 1)})), "bad edge (0, 1)"),
         (lambda: SimpleGraph.make(2, 2, [(1, 1)]), "self-loop at 1"),
-        (lambda: q_skeleton(distance_matrix(helpers.ALL_TWOS_3), 0), "q must be positive"),
+        (lambda: q_skeleton(helpers.dm(helpers.ALL_TWOS_3), 0), "q must be positive"),
     ],
 )
 def test_graph_refusals_and_their_messages(build, message):
@@ -107,23 +106,23 @@ def test_graph_refusals_and_their_messages(build, message):
 
 
 def test_unit_graph_all_ones_is_triangle():
-    d = distance_matrix(helpers.ALL_ONES_3)
+    d = helpers.dm(helpers.ALL_ONES_3)
     assert unit_graph(d).edges == frozenset({(1, 2), (1, 3), (2, 3)})
 
 
 def test_unit_graph_all_twos_is_empty():
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    d = helpers.dm(helpers.ALL_TWOS_3)
     assert unit_graph(d).edges == frozenset()
 
 
 def test_unit_graph_eight_matrix():
-    d = distance_matrix(helpers.EIGHT_BY_EIGHT)
+    d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     expected = {(1, 5), (1, 8), (2, 6), (2, 8), (3, 6), (3, 7), (4, 5), (4, 7)}
     assert unit_graph(d).edges == frozenset(expected)
 
 
 def test_q_skeleton_all_twos():
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    d = helpers.dm(helpers.ALL_TWOS_3)
     assert q_skeleton(d, 1).weighted_edges == ()
     assert q_skeleton(d, 2).weighted_edges == ((1, 2, 2), (1, 3, 2), (2, 3, 2))
     empty = skeleton_distances(q_skeleton(d, 1))
@@ -133,7 +132,7 @@ def test_q_skeleton_all_twos():
 
 
 def test_q_skeleton_eight_unit_edges():
-    d = distance_matrix(helpers.EIGHT_BY_EIGHT)
+    d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     assert q_skeleton(d, 1).weighted_edges == (
         (1, 5, 1),
         (1, 8, 1),
@@ -147,7 +146,7 @@ def test_q_skeleton_eight_unit_edges():
 
 
 def test_skeleton_distances_match_dijkstra_oracle():
-    d = distance_matrix(helpers.EIGHT_BY_EIGHT)
+    d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     for q in range(1, 5):
         got = skeleton_distances(q_skeleton(d, q))
         want = helpers.skeleton_closure_oracle(helpers.EIGHT_BY_EIGHT, q)
@@ -155,20 +154,20 @@ def test_skeleton_distances_match_dijkstra_oracle():
 
 
 def test_skeleton_distance_example_via_unit_path():
-    d = distance_matrix(helpers.EIGHT_BY_EIGHT)
+    d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     one = skeleton_distances(q_skeleton(d, 1))
     assert one.dist(1, 2) == 2  # through the shared unit neighbour
 
 
 def test_q_zero_small_cases():
-    assert q_zero(distance_matrix(helpers.ALL_ONES_3)) == 1
-    assert q_zero(distance_matrix([[0]])) == 1
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    assert q_zero(helpers.dm(helpers.ALL_ONES_3)) == 1
+    assert q_zero(helpers.dm([[0]])) == 1
+    d = helpers.dm(helpers.ALL_TWOS_3)
     assert q_zero(d) == helpers.q_zero_oracle(helpers.ALL_TWOS_3) == 2
 
 
 def test_q_zero_eight_matrix_frozen():
-    d = distance_matrix(helpers.EIGHT_BY_EIGHT)
+    d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     assert helpers.q_zero_oracle(helpers.EIGHT_BY_EIGHT) == 2
     assert q_zero(d) == 2
 
@@ -189,7 +188,7 @@ def test_skeleton_ordering_chain():
 
 
 def test_expand_all_twos_gives_six_cycle():
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    d = helpers.dm(helpers.ALL_TWOS_3)
     g = expand_elementary_paths(q_skeleton(d, 2))
     assert g.vertex_count == 6
     assert len(g.edges) == 6
@@ -198,7 +197,7 @@ def test_expand_all_twos_gives_six_cycle():
 
 
 def test_expand_single_long_edge():
-    d = distance_matrix([[0, 3], [3, 0]])
+    d = helpers.dm([[0, 3], [3, 0]])
     g = expand_elementary_paths(q_skeleton(d, 3))
     assert g.vertex_count == 4
     assert g.edges == frozenset({(1, 3), (3, 4), (2, 4)})
@@ -212,7 +211,7 @@ def test_expand_skeleton_realises_everything():
 
 
 def test_verify_realisation_star_vs_path():
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    d = helpers.dm(helpers.ALL_TWOS_3)
     star = SimpleGraph.make(4, 3, [(1, 4), (2, 4), (3, 4)])
     path = SimpleGraph.make(3, 3, [(1, 2), (2, 3)])
     assert verify_realisation(star, d)
@@ -225,11 +224,11 @@ def test_verify_realisation_star_vs_path():
 @example((SimpleGraph(3, 2, frozenset()), [[0, 2], [2, 0]]))
 def test_verify_realisation_matches_the_standalone_bfs(case):
     g, rows = case
-    assert verify_realisation(g, distance_matrix(rows)) == helpers.graph_realises(g, rows)
+    assert verify_realisation(g, helpers.dm(rows)) == helpers.graph_realises(g, rows)
 
 
 def test_verify_realisation_names_mismatched_anchor_counts():
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    d = helpers.dm(helpers.ALL_TWOS_3)
     with pytest.raises(ValueError, match="^graph has 2 anchors but the matrix has dimension 3$"):
         verify_realisation(SimpleGraph.make(3, 2, [(1, 3), (2, 3)]), d)
 
@@ -237,7 +236,7 @@ def test_verify_realisation_names_mismatched_anchor_counts():
 def test_verify_realisation_sizes_its_masks_by_the_edges_not_the_header():
     # Vertices above every edge endpoint are isolated and never reached, so
     # a header declaring a million vertices costs nothing to check.
-    d = distance_matrix([[0, 1], [1, 0]])
+    d = helpers.dm([[0, 1], [1, 0]])
     g = SimpleGraph(10**6, 2, frozenset({(1, 2)}))
     far = SimpleGraph(10**6, 2, frozenset({(1, 3), (2, 3)}))
     tracemalloc.start()
@@ -253,7 +252,7 @@ def test_verify_realisation_sizes_its_masks_by_the_edges_not_the_header():
 def test_verify_realisation_memory_grows_with_vertices_times_anchors():
     # The search from both ends of a path of 10 001 vertices keeps two bits
     # per vertex, not a neighbour mask as wide as the graph.
-    d = distance_matrix([[0, 10000], [10000, 0]])
+    d = helpers.dm([[0, 10000], [10000, 0]])
     path = [1, *range(3, 10002), 2]
     g = SimpleGraph.make(10001, 2, zip(path, path[1:]))
     tracemalloc.start()
@@ -274,7 +273,7 @@ def _yes_case(family, seed):
         d = reduction.reduce(source).matrix
         return [list(row) for row in d.entries], solve_k2(d).graph
     rows = helpers.planted_or_tree_rows(seed, n, family)
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     r = tree.solve_tree(d) if family == "tree" else solve_k2(d)
     return rows, r.graph
 
@@ -296,14 +295,14 @@ def test_verify_realisation_matches_the_standalone_bfs_at_larger_n(family, seed)
         SimpleGraph(m, n, frozenset(e for e in edges if cut not in e)),
         SimpleGraph.make(trail[-1], n, edges + list(zip(trail, trail[1:]))),
     ]
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     answers = [verify_realisation(h, d) for h in variants]
     assert answers == [helpers.graph_realises(h, rows) for h in variants]
     assert answers[0] and not answers[2] and answers[3]
 
 
 def test_realisation_constructor_rejects_mismatch():
-    d = distance_matrix(helpers.ALL_TWOS_3)
+    d = helpers.dm(helpers.ALL_TWOS_3)
     path = SimpleGraph.make(3, 3, [(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         Realisation(path, d)
@@ -320,4 +319,4 @@ def test_bfs_agrees_with_unit_weight_skeleton():
 @given(helpers.metric_cases())
 def test_q_zero_matches_the_skeleton_closure_oracle(rows):
     assume(helpers.first_violation_oracle(rows) is None)
-    assert q_zero(distance_matrix(rows)) == helpers.q_zero_oracle(rows)
+    assert q_zero(helpers.dm(rows)) == helpers.q_zero_oracle(rows)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 import helpers
 from combdmr import generate
-from combdmr.graph import Realisation, SearchSpaceTooLarge, SimpleGraph, verify_realisation
+from combdmr.graph import Realisation, SimpleGraph, verify_realisation
 from combdmr.matrix import RawMatrix, validate
 from combdmr.reduction import (
     Colouring,
     DisconnectedInput,
     ImproperColouring,
     MalformedRealisation,
-    chromatic_number_bruteforce,
     extract_colouring,
     proper_colouring,
     realise_from_colouring,
@@ -217,25 +216,17 @@ def test_extract_rejects_missing_extra_neighbour():
     # without an extra neighbour, so smuggle in a realisation of a different
     # matrix to exercise the diagnostic.
     inst = reduce(K1)
-    from combdmr.matrix import distance_matrix
-
     other = Realisation(
-        SimpleGraph.make(2, 2, [(1, 2)]), distance_matrix([[0, 1], [1, 0]])
+        SimpleGraph.make(2, 2, [(1, 2)]), helpers.dm([[0, 1], [1, 0]])
     )
     with pytest.raises(MalformedRealisation):
         extract_colouring(inst, other, 1)
 
 
 def test_chromatic_numbers():
-    assert chromatic_number_bruteforce(K1) == 1
-    assert chromatic_number_bruteforce(K2) == 2
-    assert chromatic_number_bruteforce(QUAD) == 3 == helpers.brute_chromatic(QUAD)
-
-
-def test_chromatic_guard():
-    big = SimpleGraph.make(11, 11, [(i, i + 1) for i in range(1, 11)])
-    with pytest.raises(SearchSpaceTooLarge, match="11 vertices exceeds the guard of 10"):
-        chromatic_number_bruteforce(big)
+    assert helpers.brute_chromatic(K1) == 1
+    assert helpers.brute_chromatic(K2) == 2
+    assert helpers.brute_chromatic(QUAD) == 3
 
 
 def test_proper_colouring_matches_chromatic():

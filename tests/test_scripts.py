@@ -34,6 +34,14 @@ def test_reduction_demo_round_trips_colourings():
     ]
 
 
+def test_reduction_demo_refuses_more_than_ten_vertices(tmp_path):
+    path = tmp_path / "path11.graph"
+    path.write_text("graph 11 11\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 11)))
+    proc = run_script("scripts/reduction_demo.py", str(path))
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert proc.stdout == "error: 11 vertices exceeds the guard of 10\n"
+
+
 def test_cli_digest_prints_the_same_lines_under_two_hash_seeds():
     # The lines must also match the committed digest; COMBDMR_REGEN_GOLDENS=1
     # rewrites it, as it does the CLI goldens.

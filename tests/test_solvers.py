@@ -16,7 +16,7 @@ from combdmr.graph import (
     unit_graph,
     verify_realisation,
 )
-from combdmr.matrix import _first_triangle_violation, distance_matrix
+from combdmr.matrix import _first_triangle_violation
 from combdmr.reduction import reduce
 from combdmr.solvers import (
     _PHI1,
@@ -39,10 +39,10 @@ from combdmr.solvers import (
     solve_k2,
 )
 
-ALL_TWOS = distance_matrix(helpers.ALL_TWOS_3)
-ALL_ONES = distance_matrix(helpers.ALL_ONES_3)
-EIGHT = distance_matrix(helpers.EIGHT_BY_EIGHT)
-PHI1_UNSAT = distance_matrix([[0, 2, 2], [2, 0, 4], [2, 4, 0]])
+ALL_TWOS = helpers.dm(helpers.ALL_TWOS_3)
+ALL_ONES = helpers.dm(helpers.ALL_ONES_3)
+EIGHT = helpers.dm(helpers.EIGHT_BY_EIGHT)
+PHI1_UNSAT = helpers.dm([[0, 2, 2], [2, 0, 4], [2, 4, 0]])
 
 
 def k2_gadget_matrix():
@@ -58,7 +58,7 @@ def induced_anchor_edges(g):
 def test_bounds_examples():
     b1 = bounds(ALL_ONES)
     assert (b1.q0, b1.lower, b1.upper) == (1, 3, 3)
-    b2 = bounds(distance_matrix([[0]]))
+    b2 = bounds(helpers.dm([[0]]))
     assert (b2.q0, b2.lower, b2.upper) == (1, 1, 1)
     b = bounds(ALL_TWOS)
     assert (b.q0, b.lower, b.upper) == (helpers.q_zero_oracle(helpers.ALL_TWOS_3), 4, 6)
@@ -167,7 +167,7 @@ def test_phi2_prime_all_twos_identical_to_phi2():
 
 
 def test_phi2_prime_far_pair_clauses():
-    d = distance_matrix([[0, 5, 3, 2], [5, 0, 2, 3], [3, 2, 0, 5], [2, 3, 5, 0]])
+    d = helpers.dm([[0, 5, 3, 2], [5, 0, 2, 3], [3, 2, 0, 5], [2, 3, 5, 0]])
     n = d.n
     clauses = set(build_phi2_prime(d).clauses)
     i, j = 1, 2  # distance 5
@@ -196,7 +196,7 @@ def test_forced_pairs_match_their_definitions(rows):
     # apart; phi2' forces pairs at distance 3 that the 2-skeleton closure
     # leaves further apart.
     assume(helpers.first_violation_oracle(rows) is None)
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     n = d.n
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     unit_edges = [(i, j) for i, j in pairs if rows[i - 1][j - 1] == 1]
@@ -254,7 +254,7 @@ def test_k2_k2_gadget_yes():
 
 
 def test_k2_adjacent_extras_branch():
-    d = distance_matrix([[0, 3], [3, 0]])
+    d = helpers.dm([[0, 3], [3, 0]])
     assert solve_k1(d) is None
     out = solve_k2(d)
     assert out is not None
@@ -311,7 +311,7 @@ def test_k2_builds_the_distance_2_row_masks_once_per_decider(monkeypatch):
     units = []
     monkeypatch.setattr(solvers, "unit_graph", lambda d: units.append(d) or unit_graph(d))
     rows = _planted_adjacent_rows()
-    g = solve_k2(distance_matrix(rows)).graph
+    g = solve_k2(helpers.dm(rows)).graph
     assert g.vertex_count - g.anchor_count == 2
     assert (61, 62) in g.edges
     assert helpers.graph_realises(g, rows)
@@ -327,7 +327,7 @@ def test_k2_skips_phi2_on_a_primitive_pair_at_3(monkeypatch, rows):
     # n + q0 - 1), so phi2's graph is never checked.  phi2 is solved first,
     # since an unsatisfiable phi2 ends the ladder before the a = 3 row masks
     # are built; phi1 is read off its row masks.
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     assert any(primitive for _, primitive in _row_masks(d, 3))
     calls = _spy_rungs(monkeypatch)
     checks = _spy_checks(monkeypatch)
@@ -417,7 +417,7 @@ def test_exact_trivial_cases():
 
 
 def test_exact_guard():
-    big = distance_matrix(
+    big = helpers.dm(
         [[0 if i == j else 2 for j in range(8)] for i in range(8)]
     )
     with pytest.raises(SearchSpaceTooLarge):
@@ -484,7 +484,7 @@ def test_every_yes_is_the_unit_graph_plus_candidate_edges(rows):
     # free edges) build every graph with extra vertices from one list of
     # candidate edges on top of the unit graph.
     assume(helpers.first_violation_oracle(rows) is None)
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     outcomes = [solve_k0(d), solve_k1(d), solve_k2(d)]
     for k in (0, 1, 2):
         try:
@@ -518,7 +518,7 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
     # same formulas as clauses.  Both must agree on satisfiability, and a
     # mask model must satisfy the clauses.
     assume(helpers.first_violation_oracle(rows) is None)
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     row_masks = _RowMasks(d)
     for rung in _RUNGS[1:]:
         inst = _instance(rung, row_masks)
@@ -527,7 +527,7 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
         assert masks == helpers.implication_masks(inst)
         model = twosat.solve_implications(masks)
         assert (model is None) == (twosat.solve(inst) is None)
-        assert model is None or twosat.check(inst, model)
+        assert model is None or helpers.check_assignment(inst, model)
 
 
 @settings(max_examples=100, deadline=None)
@@ -610,7 +610,7 @@ def test_each_builder_writes_the_clauses_of_its_rung_in_the_dump(rows):
     # solve --dump-cnf renders the rungs itself, so the builders that the
     # tests and the traced bench call must stay in step with it.
     assume(helpers.first_violation_oracle(rows) is None)
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     dumped = _dimacs_formulas(solvers.ladder_cnf(d, 2))
     built = [build_phi1(d), build_phi2(d), build_phi2_prime(d)]
     assert dumped == [(inst.variable_count, inst.clauses) for inst in built]
@@ -643,7 +643,7 @@ def test_solve_exact_finds_the_first_mask_the_verifier_accepts(rows, k):
     # solve_exact checks each mask by one BFS per anchor, not by the
     # verifier; both must pick the same first mask, or none.
     assume(helpers.first_violation_oracle(rows) is None)
-    d = distance_matrix(rows)
+    d = helpers.dm(rows)
     try:
         out = solve_exact(d, k, max_free_edges=12)
     except SearchSpaceTooLarge:
@@ -657,7 +657,7 @@ def test_solve_exact_finds_the_first_mask_the_verifier_accepts(rows, k):
 def test_planted_matrices_beyond_brute_force_are_yes_at_their_hidden_count(seed):
     hidden = seed % 3
     rows = helpers.planted_or_tree_rows(seed, (40, 80, 120, 200)[seed // 3], "planted", hidden)
-    g = (solve_k0, solve_k1, solve_k2)[hidden](distance_matrix(rows)).graph
+    g = (solve_k0, solve_k1, solve_k2)[hidden](helpers.dm(rows)).graph
     assert g.vertex_count - g.anchor_count <= hidden
     assert helpers.graph_realises(g, rows)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import helpers
 from combdmr.graph import SimpleGraph
-from combdmr.matrix import RawMatrix, distance_matrix
+from combdmr.matrix import RawMatrix
 from combdmr.reduction import Colouring
 from combdmr.textio import (
     ParseError,
@@ -29,7 +29,7 @@ def test_parse_matrix_example():
 
 def test_parse_matrix_ignores_comments_and_blanks():
     raw = parse_matrix("# header\n\n0 1\n1 0\n\n")
-    assert raw.n == 2
+    assert len(raw.entries) == 2
 
 
 def test_parse_matrix_ragged_line_number():
@@ -173,7 +173,7 @@ def test_parse_matrix_matches_the_per_token_loop_on_each_edge_token():
 
 
 def test_matrix_round_trip():
-    d = distance_matrix(helpers.EIGHT_BY_EIGHT)
+    d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     assert parse_matrix(emit_matrix(d)).entries == d.entries
 
 

@@ -10,7 +10,7 @@ import helpers
 from combdmr import generate, tree
 from combdmr.cli import main
 from combdmr.graph import SimpleGraph, verify_realisation
-from combdmr.matrix import DistanceMatrix, ValidationError, ViolationKind, distance_matrix
+from combdmr.matrix import DistanceMatrix, ValidationError, ViolationKind
 from combdmr.tree import WeightedTree, build_weighted_tree, check_zareckii, solve_tree
 
 
@@ -35,11 +35,11 @@ def anchor_rows(g: SimpleGraph):
 # -- condition checker ----------------------------------------------------------
 
 def test_zareckii_single_pair_holds():
-    assert check_zareckii(distance_matrix([[0, 2], [2, 0]])) is None
+    assert check_zareckii(helpers.dm([[0, 2], [2, 0]])) is None
 
 
 def test_zareckii_parity_witness():
-    rep = check_zareckii(distance_matrix(helpers.ALL_ONES_3))
+    rep = check_zareckii(helpers.dm(helpers.ALL_ONES_3))
     assert rep is not None
     kind, witness = rep
     assert kind is ViolationKind.PARITY_TRIPLE
@@ -48,7 +48,7 @@ def test_zareckii_parity_witness():
 
 def test_zareckii_four_point_witness():
     rows = helpers.FOUR_CYCLE_METRIC
-    rep = check_zareckii(distance_matrix(rows))
+    rep = check_zareckii(helpers.dm(rows))
     assert rep is not None
     kind, witness = rep
     assert kind is ViolationKind.FOUR_POINT
@@ -81,7 +81,7 @@ def test_zareckii_matches_the_all_tuple_oracle():
     @example(anchor_rows(SimpleGraph.make(5, 5, triangle_on_a_stem)))
     def check(rows):
         try:
-            d = distance_matrix(rows)
+            d = helpers.dm(rows)
         except ValidationError:
             return
         report = check_zareckii(d)
@@ -99,7 +99,7 @@ def test_zareckii_decides_yes_without_the_witness_scan(monkeypatch):
         raise AssertionError("witness scan ran on a passing metric")
 
     monkeypatch.setattr(tree, "_four_point_witness", no_scan)
-    assert check_zareckii(distance_matrix(helpers.planted_or_tree_rows(3, 150, "tree"))) is None
+    assert check_zareckii(helpers.dm(helpers.planted_or_tree_rows(3, 150, "tree"))) is None
     # The path metric is a metric by construction; validating it at n = 300
     # would cost far more than the check.
     path = tuple(tuple(abs(i - j) for j in range(300)) for i in range(300))
@@ -120,13 +120,13 @@ def _doubled(rows):
 
 
 def test_single_edge_tree():
-    wt = build_weighted_tree(distance_matrix([[0, 2], [2, 0]]))
+    wt = build_weighted_tree(helpers.dm([[0, 2], [2, 0]]))
     assert wt == WeightedTree(2, 2, frozenset({(1, 2, 4)}))
 
 
 def test_all_twos_four_is_star():
     wt = build_weighted_tree(
-        distance_matrix([[0 if i == j else 2 for j in range(4)] for i in range(4)])
+        helpers.dm([[0 if i == j else 2 for j in range(4)] for i in range(4)])
     )
     assert wt.vertex_count == 5
     assert wt.edges == frozenset({(1, 5, 2), (2, 5, 2), (3, 5, 2), (4, 5, 2)})
@@ -183,7 +183,7 @@ def test_builder_realises_half_integer_weighted_trees():
         if seed % 2:
             perm = random.Random(seed).sample(range(len(rows)), len(rows))
             rows = [[rows[a][b] for b in perm] for a in perm]
-        wt = build_weighted_tree(distance_matrix(rows))
+        wt = build_weighted_tree(helpers.dm(rows))
         assert wt is not None
         assert wt.vertex_count == vertex_count
         assert _weighted_anchor_distances(wt) == _doubled(rows)
@@ -205,7 +205,7 @@ def test_steiner_points_are_numbered_in_the_order_they_were_made(tmp_path):
     edges = {
         (1, 5, 2), (2, 7, 2), (3, 7, 2), (4, 8, 2), (5, 7, 2), (5, 8, 2), (6, 8, 2)
     }
-    assert build_weighted_tree(distance_matrix(rows)) == WeightedTree(
+    assert build_weighted_tree(helpers.dm(rows)) == WeightedTree(
         8, 6, frozenset(edges)
     )
     matrix = tmp_path / "six.mat"
@@ -229,7 +229,7 @@ def test_builder_fails_exactly_on_a_four_point_violation():
     @example(helpers.ALL_ONES_3)
     def check(rows):
         try:
-            d = distance_matrix(rows)
+            d = helpers.dm(rows)
         except ValidationError:
             return
         wt = build_weighted_tree(d)
@@ -241,13 +241,13 @@ def test_builder_fails_exactly_on_a_four_point_violation():
 
 
 def test_four_cycle_metric_has_no_tree():
-    assert build_weighted_tree(distance_matrix(helpers.FOUR_CYCLE_METRIC)) is None
+    assert build_weighted_tree(helpers.dm(helpers.FOUR_CYCLE_METRIC)) is None
 
 
 def test_half_integer_weights_are_built_then_rejected():
     # The triangle metric has a weighted star realisation on half weights,
     # so the builder succeeds but the unweighted decider must say no.
-    d = distance_matrix(helpers.ALL_ONES_3)
+    d = helpers.dm(helpers.ALL_ONES_3)
     wt = build_weighted_tree(d)
     assert wt is not None
     assert wt.edges == frozenset({(1, 4, 1), (2, 4, 1), (3, 4, 1)})
@@ -321,20 +321,20 @@ def test_canonical_preserves_anchor_distances_on_messy_trees():
 # -- full decider -------------------------------------------------------------------
 
 def test_solve_tree_single_edge():
-    r = solve_tree(distance_matrix([[0, 2], [2, 0]]))
+    r = solve_tree(helpers.dm([[0, 2], [2, 0]]))
     assert r.graph.vertex_count == 3
     assert r.graph.edges == frozenset({(1, 3), (2, 3)})
 
 
 def test_solve_tree_star():
-    d = distance_matrix([[0 if i == j else 2 for j in range(4)] for i in range(4)])
+    d = helpers.dm([[0 if i == j else 2 for j in range(4)] for i in range(4)])
     r = solve_tree(d)
     assert r.graph.vertex_count == 5
     assert r.graph.edges == frozenset({(1, 5), (2, 5), (3, 5), (4, 5)})
 
 
 def test_solve_tree_single_anchor():
-    r = solve_tree(distance_matrix([[0]]))
+    r = solve_tree(helpers.dm([[0]]))
     assert r.graph.vertex_count == 1
 
 
@@ -378,8 +378,8 @@ def test_tree_guard_admits_exactly_its_vertex_count(tmp_path, capsys, monkeypatc
 def test_decider_equivalence_on_random_metrics():
     cases = [d for d, _ in helpers.metric_stream(60, seed0=6200)]
     cases += [d for _, d in helpers.minimal_tree_stream(40, seed0=6300)]
-    cases.append(distance_matrix(helpers.ALL_ONES_3))
-    cases.append(distance_matrix(helpers.FOUR_CYCLE_METRIC))
+    cases.append(helpers.dm(helpers.ALL_ONES_3))
+    cases.append(helpers.dm(helpers.FOUR_CYCLE_METRIC))
     for d in cases:
         holds = check_zareckii(d) is None
         result = solve_tree(d)
@@ -400,7 +400,7 @@ def test_weighted_tree_metrics_expand_correctly():
             t.vertex_count, [(u, v, w) for (u, v), w in weights.items()]
         )
         rows = [[int(closure[i - 1][j - 1]) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        d = distance_matrix(rows)
+        d = helpers.dm(rows)
         result = solve_tree(d)
         assert result is not None
         assert verify_realisation(result.graph, d)
@@ -421,9 +421,9 @@ def test_uniqueness_under_anchor_relabelling():
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         rows = [
-            [d.dist(perm[i], perm[j]) for j in range(n)] for i in range(n)
+            [d.entries[perm[i] - 1][perm[j] - 1] for j in range(n)] for i in range(n)
         ]
-        permuted = distance_matrix(rows)
+        permuted = helpers.dm(rows)
         result = solve_tree(permuted)
         assert result is not None
         # Relabel the source's anchors the same way; Steiner labels are free.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from combdmr.solvers import _RUNGS, _RowMasks, _implications
-from combdmr.twosat import TwoSatInstance, check, dimacs, solve, solve_implications
+from combdmr.twosat import TwoSatInstance, dimacs, solve, solve_implications
 
 
 def test_simple_satisfiable():
@@ -19,7 +19,7 @@ def test_simple_satisfiable():
         a = solve(inst)
         assert a is not None
         assert all(a[i] is value for i, value in forced.items())
-        assert check(inst, a)
+        assert helpers.check_assignment(inst, a)
 
 
 def test_forced_contradiction():
@@ -38,10 +38,10 @@ def test_empty_instance_defaults_false():
 
 def test_check_examples():
     inst = TwoSatInstance(2, ((1, 2),))
-    assert check(inst, (True, False))
+    assert helpers.check_assignment(inst, (True, False))
     inst2 = TwoSatInstance(1, ((-1, -1),))
-    assert not check(inst2, (True,))
-    assert check(TwoSatInstance(0, ()), ())
+    assert not helpers.check_assignment(inst2, (True,))
+    assert helpers.check_assignment(TwoSatInstance(0, ()), ())
 
 
 LENGTH_MISMATCH = "assignment length does not match variable count"
@@ -50,8 +50,8 @@ LENGTH_MISMATCH = "assignment length does not match variable count"
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: check(TwoSatInstance(2, ((1, 2),)), (True,)), LENGTH_MISMATCH),
-        (lambda: check(TwoSatInstance(0, ()), (False,)), LENGTH_MISMATCH),
+        (lambda: helpers.check_assignment(TwoSatInstance(2, ((1, 2),)), (True,)), LENGTH_MISMATCH),
+        (lambda: helpers.check_assignment(TwoSatInstance(0, ()), (False,)), LENGTH_MISMATCH),
         (lambda: TwoSatInstance(2, ((1, 3),)), "literal 3 over undeclared variable"),
         (lambda: TwoSatInstance(2, ((0, 1),)), "literal 0 over undeclared variable"),
     ],
@@ -101,7 +101,7 @@ def test_completeness_against_exhaustive_enumeration():
         if a is None:
             assert not helpers.brute_satisfiable(inst), f"seed {seed}"
         else:
-            assert check(inst, a), f"seed {seed}"
+            assert helpers.check_assignment(inst, a), f"seed {seed}"
             assert helpers.brute_satisfiable(inst), f"seed {seed}"
 
 
@@ -111,7 +111,7 @@ def test_soundness_property(rng):
     inst = _random_instance(rng, max_vars=10, max_clauses=16)
     a = solve(inst)
     if a is not None:
-        assert check(inst, a)
+        assert helpers.check_assignment(inst, a)
     else:
         assert not helpers.brute_satisfiable(inst)
 
