@@ -131,12 +131,10 @@ def cmd_solve(args: argparse.Namespace) -> Verdict:
     from . import solvers
     d = check_structure(_read_matrix(args.input))
     solver = {0: solvers.solve_k0, 1: solvers.solve_k1, 2: solvers.solve_k2}[args.k]
-    # The decider, the proof of a NO's metric and the dump share one build
-    # of each row mask.
-    rows = solvers._RowMasks(d)
-    r = _decided(d, lambda: solver(d, rows), lambda: solvers._proves_metric(d, rows))
+    # The decider, the proof of a NO's metric and the dump share d.masks.
+    r = _decided(d, lambda: solver(d), lambda: solvers._proves_metric(d))
     if args.dump_cnf:
-        Path(args.dump_cnf).write_text(solvers.ladder_cnf(d, args.k, rows))
+        Path(args.dump_cnf).write_text(solvers.ladder_cnf(d, args.k))
     return _finish(args, r)
 
 

@@ -19,7 +19,7 @@ import struct
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
-from .matrix import _LANE_CODES, DistanceMatrix, _bits, _Value
+from .matrix import _LANE_CODES, DistanceMatrix, _bits, _primitive_pairs, _Value
 
 INF = math.inf
 
@@ -305,49 +305,11 @@ def skeleton_distances(s: WeightedSkeleton) -> ExtendedDistances:
     return anchor_distances(expand_elementary_paths(s))
 
 
-def _primitive_pairs(d: DistanceMatrix) -> tuple[int, list[list[int]]]:
-    """q0, the largest primitive entry and at least 1, and each row's
-    primitive partners, ascending, 0-based.
-
-    A pair is primitive when no third index w has D_iw + D_wj = D_ij.  Each
-    pair i < j is tested once: row i's levels a below D_ij, ascending,
-    against row j's level D_ij - a, and the first shared column ends it.
-    Primitive pairs are the ones no realisation can route through another
-    anchor, so every realisation joins them by a path whose interior is all
-    auxiliary.
-    """
-    levels = d.levels
-    n = d.n
-    partners: list[list[int]] = [[] for _ in range(n)]
-    best = 1
-    for i, (row, at) in enumerate(zip(d.entries, levels)):
-        # Level 0 of row i holds i alone.
-        steps = list(at.items())[1:]
-        mine = partners[i]
-        for j, dij, at_j in zip(range(i + 1, n), row[i + 1 :], levels[i + 1 :]):
-            for a, mask in steps:
-                if a >= dij:
-                    mine.append(j)
-                    partners[j].append(i)
-                    if dij > best:
-                        best = dij
-                    break
-                if mask & at_j.get(dij - a, 0):
-                    break
-    return best, partners
-
-
 def q_zero(d: DistanceMatrix) -> int:
-    """Least q whose skeleton closure reproduces the matrix.
-
-    This is the largest primitive entry of :func:`_primitive_pairs`, and at
-    least 1.  A primitive pair has no path of its own length through other
-    anchors, so its edge must be in the skeleton; conversely, by induction
-    on D_ij, every other pair is closed through an anchor w with
-    D_iw + D_wj = D_ij, both smaller.  ``solvers.bounds`` runs the same
-    pass and proves the triangle inequality through its primitive
-    partners, so it scans the matrix only to name a non-metric's witness.
-    """
+    """Least q whose skeleton closure reproduces the matrix: the largest
+    primitive entry of ``matrix._primitive_pairs``, and at least 1.  A
+    primitive pair's edge must be in the skeleton, and by induction on D_ij
+    every other pair closes through an anchor w with D_iw + D_wj = D_ij."""
     return _primitive_pairs(d)[0]
 
 

@@ -13,7 +13,7 @@ leaves its piece through, so the gadget graph is never searched.
 
 from __future__ import annotations
 
-from .graph import Realisation, SimpleGraph, _assignment_graph
+from .graph import Realisation, SimpleGraph
 # Nothing here calls bfs_apsp; bench/test_bench.py traces it under this name.
 from .graph import _is_connected, bfs_apsp  # noqa: F401
 from .matrix import DistanceMatrix, _Value
@@ -164,7 +164,8 @@ def realise_from_colouring(inst: GadgetInstance, c: Colouring) -> Realisation:
 
     Extra vertex n + j holds colour class j: it is adjacent to vertex n and
     to exactly the original vertices coloured j.  Properness of the
-    colouring is what keeps original edges at distance 3.
+    colouring is what keeps original edges at distance 3.  The edges are
+    written directly, so no pair of extras is ever listed.
     """
     nc = inst.n_c
     colours = c.colours
@@ -174,11 +175,8 @@ def realise_from_colouring(inst: GadgetInstance, c: Colouring) -> Realisation:
         if colours[u - 1] == colours[v - 1]:
             raise ImproperColouring(f"vertices {u} and {v} share colour")
     n = inst.n
-    chosen = [
-        i == n or i <= nc and colours[i - 1] == t + 1 for t in range(c.k) for i in range(1, n + 1)
-    ]
-    unit = SimpleGraph(n, n, inst.gadget.edges)
-    return Realisation(_assignment_graph(unit, chosen, c.k), inst.matrix)
+    edges = {(n, n + j) for j in range(1, c.k + 1)} | {(i, n + j) for i, j in enumerate(colours, 1)}
+    return Realisation(SimpleGraph(n + c.k, n, inst.gadget.edges | edges), inst.matrix)
 
 
 def extract_colouring(inst: GadgetInstance, r: Realisation, k: int) -> Colouring:
@@ -187,21 +185,22 @@ def extract_colouring(inst: GadgetInstance, r: Realisation, k: int) -> Colouring
     Each original vertex takes the colour of the lowest-indexed extra vertex
     adjacent to it.  In a genuine realisation every original vertex has such
     a neighbour (its distance-2 requirement to vertex n forces one) and no
-    extra vertex can serve both ends of an original edge.
+    extra vertex can serve both ends of an original edge.  The neighbours
+    are read off the edges, since the header may declare far more vertices.
     """
     n = inst.n
     g = r.graph
     if g.anchor_count != n or g.vertex_count > n + k:
         raise ValueError("realisation does not fit the gadget instance")
-    adj = g.adjacency()
+    # Edges in falling order leave each vertex's lowest extra neighbour last.
+    lowest = {u: v for u, v in sorted(g.edges, reverse=True) if v > n}
     colours = []
     for i in range(1, inst.n_c + 1):
-        extras = [u - n for u in adj[i] if u > n]
-        if not extras:
+        if i not in lowest:
             raise MalformedRealisation(
                 f"original vertex {i} has no extra-vertex neighbour"
             )
-        colours.append(min(extras))
+        colours.append(lowest[i] - n)
     for u, v in inst.source.edges:
         if colours[u - 1] == colours[v - 1]:
             raise MalformedRealisation(

@@ -9,7 +9,8 @@ graph is in every realisation, so the free choices are which anchors the
 extras attach to, and any model is as good as any other (the induced
 anchor metric is assignment-invariant).  Each formula is stated once, as a
 table of the clauses that one far or primitive pair adds; the ladder
-renders a rung's table as implication masks, and ``build_phi*`` and
+renders a rung's table as implication masks over ``d.masks``, the row
+masks each matrix builds once per distance, and ``build_phi*`` and
 ``ladder_cnf`` (for ``solve --dump-cnf``) as clause lists.  The variables
 are ``graph._candidate_edges``.
 
@@ -30,7 +31,7 @@ first all the same, since an unsatisfiable phi2 ends the walk before the
 a = 3 row masks are built.
 
 A NO proves d a metric when the graph of its pairs at 1 and of paths for
-the primitive pairs in the ladder's row masks realises d
+the primitive pairs in the row masks the ladder built realises d
 (:func:`_proves_metric`); ``cli.cmd_solve`` scans d for a triangle
 violation only when that graph does not.
 
@@ -47,8 +48,8 @@ from __future__ import annotations
 from . import twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
 from .graph import _assignment_graph, _bfs, _candidate_edges, _levels_match, _neighbour_lists
-from .graph import _primitive_pairs, unit_graph
-from .matrix import DistanceMatrix, _bits, _holds_through, _Value, check_triangles
+from .graph import unit_graph
+from .matrix import DistanceMatrix, _bits, _primitive_pairs, _Value, check_triangles
 from .twosat import TwoSatInstance
 
 
@@ -69,13 +70,11 @@ def bounds(d: DistanceMatrix) -> Bounds:
     """The bounds of a matrix that passed ``matrix.check_structure``.
 
     Raises ``ValidationError`` at d's first triangle violation.  The pass
-    that finds q0 lists the primitive pairs, and they prove d a metric
-    (``matrix._holds_through``); the full scan runs only when they do not,
-    to name the witness.
+    that finds q0 lists the primitive pairs, and ``check_triangles`` proves
+    d a metric through them; it scans only to name a non-metric's witness.
     """
     q0, partners = _primitive_pairs(d)
-    if not _holds_through(d, partners):
-        check_triangles(d)
+    check_triangles(d, partners)
     n = d.n
     # Each pair at a sits in the level masks of both of its rows.
     extra = sum(
@@ -85,36 +84,6 @@ def bounds(d: DistanceMatrix) -> Bounds:
         if 2 <= a <= q0
     ) // 2
     return Bounds(q0, n + q0 - 1, n + extra)
-
-
-def _row_masks(d: DistanceMatrix, a: int) -> list[tuple[int, int]]:
-    """Per row i: the j with D_ij > a, and i's primitive partners at a.
-
-    Bit j - 1 stands for index j.  The pairs at a that are not primitive
-    are those joined through a w with D_iw = b and D_wj = a - b.  Row i
-    rules out b = 1 at once, by the level a - 1 masks of its neighbours;
-    each partner j left then tests its own level a - b against i's level b
-    for the other b, which for a = 3 is one test of j's neighbours against
-    i's level 2.
-    """
-    levels = d.levels
-    full = (1 << d.n) - 1
-    rows = []
-    for at in levels:
-        near = shortcut = 0
-        for b in range(a):
-            near |= at.get(b, 0)
-        for w in _bits(at.get(1, 0)):
-            shortcut |= levels[w].get(a - 1, 0)
-        mine = at.get(a, 0)
-        primitive = mine & ~shortcut
-        for b in range(2, a):
-            mask = at.get(b, 0)
-            for j in _bits(primitive):
-                if mask & levels[j].get(a - b, 0):
-                    primitive ^= 1 << j
-        rows.append((full & ~(near | mine), primitive))
-    return rows
 
 
 # Each formula as a table from pair kind to the clauses that one pair i < j
@@ -145,31 +114,20 @@ _RUNGS = (
 )
 
 
-class _RowMasks(dict):
-    """``_row_masks(d, a)`` by distance a, each built on first use."""
-
-    def __init__(self, d: DistanceMatrix) -> None:
-        self.d = d
-
-    def __missing__(self, a: int) -> list[tuple[int, int]]:
-        self[a] = rows = _row_masks(self.d, a)
-        return rows
-
-
-def _proves_metric(d: DistanceMatrix, rows: _RowMasks) -> bool:
+def _proves_metric(d: DistanceMatrix) -> bool:
     """True when the graph H of d's pairs at 1 and of a fresh path for each
-    primitive pair at 2, and at 3 if ``rows`` holds those masks, realises d.
+    primitive pair at 2, and at 3 if ``d.masks`` holds those, realises d.
 
     H's anchor distances are a metric, so a match proves d one.  A metric is
-    the shortest-path metric of its primitive pairs (``matrix._holds_through``),
-    so H realises every metric whose primitive pairs it holds.  The a = 2
-    masks are built here if the decider did not need them.  H goes to
-    ``graph._levels_match`` as neighbour lists: as a ``graph.SimpleGraph``
-    for ``verify_realisation`` it would cost about a tenth more.
+    the shortest-path metric of its primitive pairs (proved at
+    ``matrix._first_triangle_violation``), so H realises every metric whose
+    primitive pairs it holds.  The a = 2 masks are built here if the decider
+    did not need them.  H goes to ``graph._levels_match`` as neighbour lists:
+    as a ``SimpleGraph`` for ``verify_realisation`` it would cost a tenth more.
     """
     adj = [[]] + [[w + 1 for w in _bits(at.get(1, 0))] for at in d.levels]
-    for a in (2, 3) if 3 in rows else (2,):
-        for i, (_, primitive) in enumerate(rows[a], 1):
+    for a in (2, 3) if 3 in d.masks else (2,):
+        for i, (_, primitive) in enumerate(d.masks[a], 1):
             for b in _bits(primitive >> i):
                 fresh = len(adj)
                 path = [i, *range(fresh, fresh + a - 1), i + 1 + b]
@@ -180,14 +138,14 @@ def _proves_metric(d: DistanceMatrix, rows: _RowMasks) -> bool:
     return _levels_match(adj, d)
 
 
-def _instance(rung: tuple, rows: _RowMasks) -> TwoSatInstance:
+def _instance(rung: tuple, d: DistanceMatrix) -> TwoSatInstance:
     """A rung's formula as clauses, kind by kind, pairs in lexicographic order."""
     extras, _, table = rung
-    n = rows.d.n
+    n = d.n
     return TwoSatInstance(extras * n, tuple(
         clause
         for (a, kind), template in table.items()
-        for i, masks in enumerate(rows[a], 1)
+        for i, masks in enumerate(d.masks[a], 1)
         for j in _bits(masks[kind] >> i)
         for clause in template(i, i + 1 + j, n)
     ))
@@ -201,7 +159,7 @@ def build_phi1(d: DistanceMatrix) -> TwoSatInstance:
     in the unit graph) have no other way to meet, so both their variables
     are forced.
     """
-    return _instance(_RUNGS[1], _RowMasks(d))
+    return _instance(_RUNGS[1], d)
 
 
 def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
@@ -212,7 +170,7 @@ def build_phi2(d: DistanceMatrix) -> TwoSatInstance:
     only need one of the two extras to carry both endpoints; expanding that
     disjunction of conjunctions distributively gives four clauses per pair.
     """
-    return _instance(_RUNGS[2], _RowMasks(d))
+    return _instance(_RUNGS[2], d)
 
 
 def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
@@ -224,15 +182,12 @@ def build_phi2_prime(d: DistanceMatrix) -> TwoSatInstance:
     serve them) must be routed through that path in one of the two
     orientations.
     """
-    return _instance(_RUNGS[3], _RowMasks(d))
+    return _instance(_RUNGS[3], d)
 
 
-def ladder_cnf(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> str:
-    """The DIMACS text of each formula rung that k allows, for ``solve --dump-cnf``.
-
-    ``rows`` may be the decider's row masks, so the dump builds none again.
-    """
-    rows = _RowMasks(d) if rows is None else rows
+def ladder_cnf(d: DistanceMatrix, k: int) -> str:
+    """The DIMACS text of each formula rung that k allows (``solve --dump-cnf``),
+    over ``d.masks``, so a dump after the decider builds no mask again."""
     parts = []
     for rung in _RUNGS[1:]:
         extras, adjacent, _ = rung
@@ -240,12 +195,12 @@ def ladder_cnf(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> str:
             break
         if extras == 2:
             parts.append(f"c two extra vertices, {'' if adjacent else 'non-'}adjacent\n")
-        parts.append(twosat.dimacs(_instance(rung, rows)))
+        parts.append(twosat.dimacs(_instance(rung, d)))
     return "".join(parts) or "c no formula involved for k=0\n"
 
 
-def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
-    """The implication graph of a rung's formula, from its table and ``rows``.
+def _implications(rung: tuple, d: DistanceMatrix) -> list[int]:
+    """The implication graph of a rung's formula, from its table and ``d.masks``.
 
     Variable b + 1 is at node b (negated) and node V + b, for V = extras * n.
     An entry at the pair (1, 2) with n = 2 names i's literals 1 and 3 and
@@ -254,7 +209,7 @@ def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
     are symmetric in i and j, so the rows of j add the rest.
     """
     extras, _, table = rung
-    n = rows.d.n
+    n = d.n
     v = extras * n
 
     def node(lit: int) -> int:
@@ -264,7 +219,7 @@ def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
     for (a, kind), template in table.items():
         clauses = template(1, 2, 2)
         arcs = [(node(-x), y % 2, node(y)) for c in clauses for x, y in (c, c[::-1]) if x % 2]
-        for i, masks in enumerate(rows[a]):
+        for i, masks in enumerate(d.masks[a]):
             partners = masks[kind]
             if partners:
                 for source, own, target in arcs:
@@ -272,12 +227,13 @@ def _implications(rung: tuple, rows: _RowMasks) -> list[int]:
     return out
 
 
-def _phi1_model(rows: list[tuple[int, int]]) -> tuple[bool, ...] | None:
-    """phi1's least model F from the a = 2 row masks ``rows``, or None.
+def _phi1_model(d: DistanceMatrix) -> tuple[bool, ...] | None:
+    """phi1's least model F from the a = 2 row masks of d, or None.
 
     ``twosat.solve_implications`` returns F too: no arc enters x_v for an
     anchor v outside F, so its rule for dead variables sets x_v false.
     """
+    rows = d.masks[2]
     model = tuple(bool(primitive) for _, primitive in rows)
     forced = sum(1 << v for v, on in enumerate(model) if on)
     if any(rows[v][0] & forced for v in _bits(forced)):
@@ -285,32 +241,30 @@ def _phi1_model(rows: list[tuple[int, int]]) -> tuple[bool, ...] | None:
     return model
 
 
-def _ladder(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> Realisation | None:
+def _ladder(d: DistanceMatrix, k: int) -> Realisation | None:
     """The first graph of the rungs that k allows that realises d, or None.
 
-    The rungs share ``rows``, so each row mask is built once, and the
-    :class:`Realisation` constructor is the one check of each graph.  A
-    caller that dumps the formulas too passes its own ``rows`` to share.
+    The rungs share ``d.masks``, so each row mask is built once, and the
+    :class:`Realisation` constructor is the one check of each graph.
     """
     unit = unit_graph(d)
-    rows = _RowMasks(d) if rows is None else rows
     for rung in _RUNGS:
         extras, adjacent, table = rung
         if extras > k:
             break
-        if not table and k and any(p for _, p in rows[2]):
+        if not table and k and any(p for _, p in d.masks[2]):
             continue  # the unit graph puts a primitive pair at 2 beyond 2
         graph = unit
         if table:
             if extras == 1:
-                model = _phi1_model(rows[2])
+                model = _phi1_model(d)
             else:
-                model = twosat.solve_implications(_implications(rung, rows))
+                model = twosat.solve_implications(_implications(rung, d))
             if model is None:
                 if extras == 2:
                     return None  # phi2' holds phi2
                 continue
-            if extras == 2 and not adjacent and any(p for _, p in rows[3]):
+            if extras == 2 and not adjacent and any(p for _, p in d.masks[3]):
                 continue  # a primitive pair at 3 needs two adjacent extras
             graph = _assignment_graph(unit, (*model, adjacent), extras)
         try:
@@ -320,19 +274,19 @@ def _ladder(d: DistanceMatrix, k: int, rows: _RowMasks | None = None) -> Realisa
     return None
 
 
-def solve_k0(d: DistanceMatrix, rows: _RowMasks | None = None) -> Realisation | None:
+def solve_k0(d: DistanceMatrix) -> Realisation | None:
     """Realisable on exactly the anchors iff the unit graph already works."""
-    return _ladder(d, 0, rows)
+    return _ladder(d, 0)
 
 
-def solve_k1(d: DistanceMatrix, rows: _RowMasks | None = None) -> Realisation | None:
+def solve_k1(d: DistanceMatrix) -> Realisation | None:
     """Decide realisability with at most one extra vertex."""
-    return _ladder(d, 1, rows)
+    return _ladder(d, 1)
 
 
-def solve_k2(d: DistanceMatrix, rows: _RowMasks | None = None) -> Realisation | None:
+def solve_k2(d: DistanceMatrix) -> Realisation | None:
     """Decide realisability with at most two extra vertices."""
-    return _ladder(d, 2, rows)
+    return _ladder(d, 2)
 
 
 def solve_exact(

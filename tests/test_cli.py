@@ -8,6 +8,7 @@ import contextlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -332,9 +333,11 @@ def test_solve_builds_clause_lists_only_to_dump_them(tmp_path, capsys, monkeypat
     # for --dump-cnf, and the clause solver is never called.  The decider
     # and the dump share one build of the row masks of each distance.
     calls = []
-    row_masks, instance = solvers._row_masks, solvers._instance
+    row_masks, instance = matrix._row_masks, solvers._instance
     ladder_cnf, solve = solvers.ladder_cnf, twosat.solve
-    monkeypatch.setattr(solvers, "_row_masks", lambda d, a: calls.append(a) or row_masks(d, a))
+    monkeypatch.setattr(
+        matrix, "_row_masks", lambda levels, a: calls.append(a) or row_masks(levels, a)
+    )
     monkeypatch.setattr(solvers, "_instance", lambda *a: calls.append("clauses") or instance(*a))
     monkeypatch.setattr(solvers, "ladder_cnf", lambda *a: calls.append("dump") or ladder_cnf(*a))
     monkeypatch.setattr(twosat, "solve", lambda inst: calls.append("solve") or solve(inst))
@@ -482,6 +485,43 @@ def test_large_entries_answer_no_without_walking_every_level(tmp_path):
         assert proc.stdout.splitlines()[-1] == summary
 
 
+def _capped_cli(*argv):
+    """The CLI in a fresh process whose address space is capped at 1 GiB."""
+    cap = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "combdmr.cli", *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+
+
+def test_colour_realise_memory_grows_with_k_not_with_its_square(tmp_path):
+    # The path 1-2-3 reduces to n = 9 anchors.  Each of 10**5 colour
+    # classes is one extra vertex; no pair of extras may be listed.
+    graph, colouring, real = tmp_path / "p3.graph", tmp_path / "p3.col", tmp_path / "p3.real"
+    graph.write_text("graph 3 3\n1 2\n2 3\n")
+    colouring.write_text("1 1\n2 2\n3 1\n")
+    proc = _capped_cli("colour-realise", graph, colouring, "--k", 100000, "--out", real)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert real.read_text().splitlines()[0] == "graph 100009 9"
+
+
+def test_extract_colouring_memory_follows_the_edges_not_the_header(tmp_path):
+    # The same realisation with 2**31 vertices declared, and k to match:
+    # the colouring comes off its edges, as at its true size.
+    header, body = (DATA / "k2_real.graph").read_text().split("\n", 1)
+    anchors = int(header.split()[2])
+    huge = tmp_path / "huge.graph"
+    huge.write_text(f"graph {2**31} {anchors}\n{body}")
+    k = 2**31 - anchors
+    want = _capped_cli("extract-colouring", DATA / "k2.graph", DATA / "k2_real.graph", "--k", k)
+    got = _capped_cli("extract-colouring", DATA / "k2.graph", huge, "--k", k)
+    assert want.returncode == 0, want.stdout + want.stderr
+    assert got.returncode == 0, got.stdout + got.stderr
+    assert got.stdout == want.stdout
+
+
 def _disagreeing_certificate(d, *_):
     return ViolationKind.PARITY_TRIPLE, (1, 2, 3)
 
@@ -620,6 +660,12 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _full_scans(calls):
+    """The full scans among ``_first_triangle_violation`` calls: the pass
+    through the primitive partners is the one with a second argument."""
+    return [args for args in calls if len(args) == 1]
+
+
 @pytest.mark.parametrize("edges, bipartite", [
     ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], True),
     ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)], False),
@@ -641,7 +687,7 @@ def test_the_gadget_pipeline_runs_no_triangle_scan(
         main(["extract-colouring", str(src), str(real), "--k", "2", "--out", str(col)]),
     ]
     assert codes == ([0, 0, 0] if bipartite else [0, 1, 2])
-    assert not calls
+    assert not _full_scans(calls)
 
 
 # The files of tests/data that break the triangle inequality.
@@ -657,7 +703,7 @@ def test_bounds_scans_only_a_non_metric(capsys, monkeypatch, name):
     metric = name not in NON_METRICS
     calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
     assert main(["bounds", str(DATA / name)]) == (0 if metric else 2)
-    assert len(calls) == (0 if metric else 1)
+    assert len(_full_scans(calls)) == (0 if metric else 1)
 
 
 # The metrics of tests/data with a primitive pair beyond 2: the proof of a
@@ -679,10 +725,10 @@ def test_solve_scans_only_a_non_metric_or_a_no_its_proof_misses(capsys, monkeypa
     code = main(["solve", "--k", k, str(DATA / name)])
     if name in NON_METRICS:
         assert code == 2
-        assert len(calls) == 1
+        assert len(_full_scans(calls)) == 1
     else:
         assert code in (0, 1)
-        assert len(calls) == (code == 1 and name in BEYOND_TWO)
+        assert len(_full_scans(calls)) == (code == 1 and name in BEYOND_TWO)
     if name == "ladder/far_pair.mat":
         assert code == 1
 

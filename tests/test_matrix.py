@@ -5,13 +5,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import graph, matrix
+from combdmr import matrix
 from combdmr.matrix import (
     DistanceMatrix,
     RawMatrix,
     ValidationError,
     ViolationKind,
     check_structure,
+    check_triangles,
     validate,
 )
 
@@ -295,12 +296,38 @@ def test_primitive_partners_prove_the_triangle_inequality_exactly_on_metrics(row
     d = helpers.structural_matrix(rows)
     if d is None:
         return
-    q0, partners = graph._primitive_pairs(d)
+    q0, partners = matrix._primitive_pairs(d)
     assert partners == helpers.primitive_partners_oracle(rows)
     metric = matrix._first_triangle_violation(d) is None
-    assert matrix._holds_through(d, partners) is metric
+    assert (matrix._first_triangle_violation(d, partners) is None) is metric
     if metric and max(map(max, rows)) <= ORACLE_Q0_TOP:
         assert q0 == helpers.q_zero_oracle(rows)
+
+
+def _triangle_outcome(d, *partners):
+    try:
+        return check_triangles(d, *partners)
+    except ValidationError as err:
+        return err.kind, err.witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(helpers.metric_cases(), helpers.non_metric_cases()))
+@example([[0, 4, 1], [4, 0, 1], [1, 1, 0]])
+@example([[0, 2**62, 2**62 - 2], [2**62, 0, 1], [2**62 - 2, 1, 0]])
+def test_the_partner_pass_returns_the_metric_or_raises_the_scans_witness(rows):
+    # Given the primitive partners, check_triangles proves a metric through
+    # them alone, and names a non-metric's first witness like the full scan.
+    d = helpers.structural_matrix(rows)
+    if d is None:
+        return
+    witness = helpers.triangle_oracle(d)
+    outcome = _triangle_outcome(d, matrix._primitive_pairs(d)[1])
+    assert outcome == _triangle_outcome(d)
+    if witness is None:
+        assert outcome is d
+    else:
+        assert outcome == (ViolationKind.TRIANGLE_VIOLATION, witness)
 
 
 def test_path_metric_on_400_points_validates_and_names_its_one_shortcut():

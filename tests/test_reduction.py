@@ -205,6 +205,16 @@ def test_extract_roundtrip_k2():
     assert c.colours[0] != c.colours[1]
 
 
+def test_extract_takes_the_lowest_extra_neighbour():
+    # Extra n + 3 holds no colour class, so joining it to vertex 1 keeps a
+    # realisation (it only reaches the hub), and vertex 1 keeps colour 1.
+    inst = reduce(K2)
+    n = inst.n
+    g = realise_from_colouring(inst, Colouring(3, (1, 2))).graph
+    r = Realisation(SimpleGraph(g.vertex_count, n, g.edges | {(1, n + 3)}), inst.matrix)
+    assert extract_colouring(inst, r, 3).colours == (1, 2)
+
+
 def test_extract_single_vertex():
     inst = reduce(K1)
     r = realise_from_colouring(inst, Colouring(1, (1,)))

@@ -23,7 +23,7 @@ from combdmr import generate, twosat
 from combdmr.graph import _assignment_graph, unit_graph
 from combdmr.matrix import DistanceMatrix
 from combdmr.reduction import reduce
-from combdmr.solvers import _RUNGS, _RowMasks, _implications, solve_k2
+from combdmr.solvers import _RUNGS, _implications, solve_k2
 from combdmr.tree import check_zareckii, solve_tree
 
 
@@ -119,10 +119,9 @@ def test_forcing_a_variable_against_a_model_keeps_the_anchor_metric():
             tuple(map(tuple, helpers.planted_or_tree_rows(seed, n, "planted", 1 + seed % 2)))
         )
         unit = unit_graph(d)
-        row_masks = _RowMasks(d)
         for rung in _RUNGS[1:]:
             extras, adjacent, _ = rung
-            out = _implications(rung, row_masks)
+            out = _implications(rung, d)
             model = twosat.solve_implications(out)
             if model is None:
                 continue

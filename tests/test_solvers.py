@@ -5,7 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import generate, solvers, twosat
+from combdmr import generate, matrix, solvers, twosat
 from combdmr.graph import (
     SearchSpaceTooLarge,
     SimpleGraph,
@@ -16,19 +16,17 @@ from combdmr.graph import (
     unit_graph,
     verify_realisation,
 )
-from combdmr.matrix import _first_triangle_violation
+from combdmr.matrix import _first_triangle_violation, _row_masks
 from combdmr.reduction import reduce
 from combdmr.solvers import (
     _PHI1,
     _PHI2,
     _PHI2_ADJACENT,
     _RUNGS,
-    _RowMasks,
     _implications,
     _instance,
     _phi1_model,
     _proves_metric,
-    _row_masks,
     bounds,
     build_phi1,
     build_phi2,
@@ -265,8 +263,10 @@ def test_k2_adjacent_extras_branch():
 
 def _count_row_masks(monkeypatch):
     calls = []
-    row_masks = solvers._row_masks
-    monkeypatch.setattr(solvers, "_row_masks", lambda d, a: calls.append(a) or row_masks(d, a))
+    row_masks = matrix._row_masks
+    monkeypatch.setattr(
+        matrix, "_row_masks", lambda levels, a: calls.append(a) or row_masks(levels, a)
+    )
     return calls
 
 
@@ -276,7 +276,7 @@ def _spy_rungs(monkeypatch):
     implications = solvers._implications
     monkeypatch.setattr(
         solvers, "_implications",
-        lambda rung, rows: calls.append(_RUNGS.index(rung)) or implications(rung, rows),
+        lambda rung, d: calls.append(_RUNGS.index(rung)) or implications(rung, d),
     )
     return calls
 
@@ -328,7 +328,7 @@ def test_k2_skips_phi2_on_a_primitive_pair_at_3(monkeypatch, rows):
     # since an unsatisfiable phi2 ends the ladder before the a = 3 row masks
     # are built; phi1 is read off its row masks.
     d = helpers.dm(rows)
-    assert any(primitive for _, primitive in _row_masks(d, 3))
+    assert any(primitive for _, primitive in _row_masks(d.levels, 3))
     calls = _spy_rungs(monkeypatch)
     checks = _spy_checks(monkeypatch)
     g = solve_k2(d).graph
@@ -389,14 +389,14 @@ def test_a_no_proof_holds_exactly_on_metrics_whose_primitive_pairs_it_reaches(ro
     # proof passes whenever it holds a path for each of them.
     d = helpers.structural_matrix(rows)
     assume(d is not None)
-    masks = _RowMasks(d)
+    masks = d.masks
     if with_3:
         masks[3]
     reach = 3 if with_3 else 2
     partners = helpers.primitive_partners_oracle(rows)
     top = max((rows[i][j] for i, js in enumerate(partners) for j in js), default=1)
     metric = _first_triangle_violation(d) is None
-    proved = _proves_metric(d, masks)
+    proved = _proves_metric(d)
     if proved:
         assert metric
     assert proved == (metric and top <= reach)
@@ -519,10 +519,9 @@ def test_implication_masks_solve_like_the_clause_lists(rows):
     # mask model must satisfy the clauses.
     assume(helpers.first_violation_oracle(rows) is None)
     d = helpers.dm(rows)
-    row_masks = _RowMasks(d)
     for rung in _RUNGS[1:]:
-        inst = _instance(rung, row_masks)
-        masks = _implications(rung, row_masks)
+        inst = _instance(rung, d)
+        masks = _implications(rung, d)
         # Equal graphs have equal models, so the emitted graphs agree too.
         assert masks == helpers.implication_masks(inst)
         model = twosat.solve_implications(masks)
@@ -545,19 +544,17 @@ def test_phi1_model_is_the_model_the_implication_search_finds(rows):
     # None with it.  The argument needs only the structural check.
     d = helpers.structural_matrix(rows)
     assume(d is not None)
-    row_masks = _RowMasks(d)
-    expected = twosat.solve_implications(_implications(_RUNGS[1], row_masks))
-    assert _phi1_model(row_masks[2]) == expected
+    expected = twosat.solve_implications(_implications(_RUNGS[1], d))
+    assert _phi1_model(d) == expected
 
 
 def test_phi1_model_on_fixed_matrices():
     for d, satisfiable in ((ALL_TWOS, True), (ALL_ONES, True), (EIGHT, True),
                            (PHI1_UNSAT, False), (k2_gadget_matrix(), False)):
-        row_masks = _RowMasks(d)
-        model = _phi1_model(row_masks[2])
+        model = _phi1_model(d)
         assert (model is not None) == satisfiable
-        assert model == twosat.solve_implications(_implications(_RUNGS[1], row_masks))
-    assert _phi1_model(_RowMasks(ALL_TWOS)[2]) == (True, True, True)
+        assert model == twosat.solve_implications(_implications(_RUNGS[1], d))
+    assert _phi1_model(ALL_TWOS) == (True, True, True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -572,7 +569,7 @@ def test_one_sided_row_masks_match_the_two_sided_pass(rows):
     d = helpers.structural_matrix(rows)
     assume(d is not None)
     for a in (2, 3, 4):
-        assert _row_masks(d, a) == helpers.row_masks_oracle(d, a), a
+        assert _row_masks(d.levels, a) == helpers.row_masks_oracle(d, a), a
 
 
 def _dimacs_formulas(text):

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr.solvers import _RUNGS, _RowMasks, _implications
+from combdmr.solvers import _RUNGS, _implications
 from combdmr.twosat import TwoSatInstance, dimacs, solve, solve_implications
 
 
@@ -159,7 +159,6 @@ def test_the_live_literal_search_returns_the_full_search_model_on_the_ladder(row
     # phi2 and phi2' leave every anchor without a primitive partner dead.
     d = helpers.structural_matrix(rows)
     assume(d is not None)
-    row_masks = _RowMasks(d)
     for rung in _RUNGS[2:]:
-        out = _implications(rung, row_masks)
+        out = _implications(rung, d)
         assert solve_implications(out) == helpers.kosaraju_oracle(out)
