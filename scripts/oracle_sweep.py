@@ -54,7 +54,7 @@ def main():
             answers[(k, fast)] += 1
             if fast != brute:
                 mismatches += 1
-                print(f"MISMATCH seed={args.seed0 + i} k={k}: {d.entries}")
+                print(f"MISMATCH seed={args.seed0 + i} k={k}: {[list(row) for row in d.entries]}")
 
     print(f"instances: {args.count}  (n up to {args.max_vertices} anchors)")
     for k in (0, 1, 2):

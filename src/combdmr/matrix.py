@@ -4,10 +4,12 @@ A distance matrix is a square symmetric matrix of non-negative integers with
 zero diagonal, strictly positive off-diagonal entries, and the triangle
 inequality.  These are exactly the matrices that arise as pairwise
 shortest-path hop counts among a set of anchor vertices in some unweighted
-graph.  Validation has two parts: :func:`check_structure` covers everything
-but the triangle inequality in O(n^2), and :func:`check_triangles` scans for
-a violating triple in O(n^2) additions of rows packed into ints, lane by
-lane, whatever the size of the entries.  :func:`validate` runs both.
+graph.  A matrix holds its rows as ``bytes`` when every entry fits in a
+byte, and as int tuples otherwise.  Validation has two parts:
+:func:`check_structure` covers everything but the triangle inequality in
+O(n^2), and :func:`check_triangles` scans for a violating triple in O(n^2)
+additions of rows packed into ints, lane by lane, whatever the size of the
+entries.  :func:`validate` runs both.
 
 The per-matrix facts live here too: a :class:`DistanceMatrix` builds its
 ``levels`` and the deciders' row ``masks`` once, on first use, and
@@ -97,19 +99,46 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-class RawMatrix(_Value):
-    """A square matrix of non-negative integers, not yet validated."""
+class _Rows(_Value):
+    """Base of the two matrix records.  Its rows are ``bytes`` when
+    ``bytes()`` takes every row, so when every entry is an int from 0 to
+    255, and int tuples otherwise.  Equal values thus make equal, equally
+    hashed matrices whatever the rows were built from, and a matrix prints
+    its rows as int tuples."""
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.entries)
+        e = self.entries
+        try:
+            # bytes(k) of an int k is k zero bytes, where tuple(k) refuses it.
+            if any(isinstance(row, int) for row in e):
+                raise TypeError
+            rows = tuple(map(bytes, e))
+        except (TypeError, ValueError):
+            rows = tuple(map(tuple, e))
+        self.__dict__["entries"] = rows
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(entries={tuple(map(tuple, self.entries))!r})"
+
+
+class RawMatrix(_Rows):
+    """A square matrix of non-negative integers, not yet validated."""
+
+    entries: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        e = self.entries
+        n = len(e)
         if n == 0:
             raise ValidationError(ViolationKind.NOT_SQUARE, ())
-        for idx, row in enumerate(self.entries, 1):
+        for idx, row in enumerate(e, 1):
             if len(row) != n:
                 raise ValidationError(ViolationKind.NOT_SQUARE, (idx,))
-            if min(row) < 0:
+            # A bytes row holds no negative entry.
+            if type(row) is tuple and min(row) < 0:
                 raise ValueError(f"negative entry in row {idx}")
 
     @staticmethod
@@ -146,7 +175,8 @@ def _row_levels(row: Sequence[int]) -> dict[int, int]:
     # n = 50, 100, 200 and 1000.  With more, as in a path metric's rows,
     # they would take up to 5x as long as the loop.
     if values[-1] < 256 and len(values) * (n + 256) < 56 * n:
-        digits = bytes(reversed(row))
+        # bytes() of a bytes row is the row itself, not a copy.
+        digits = bytes(row[::-1])
         return {a: int(digits.translate(_ONE_AMID_ZEROS[255 - a : 511 - a]), 2) for a in values}
     at = dict.fromkeys(values, 0)
     bit = 1
@@ -156,7 +186,7 @@ def _row_levels(row: Sequence[int]) -> dict[int, int]:
     return at
 
 
-class DistanceMatrix(_Value):
+class DistanceMatrix(_Rows):
     """A matrix that passed :func:`check_structure`, or one built where its
     axioms hold by construction (the gadget of ``reduction.reduce``, the
     BFS metrics of ``generate``).
@@ -166,7 +196,7 @@ class DistanceMatrix(_Value):
     deciders need no more than the structure to run.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -220,12 +250,13 @@ def _row_masks(levels: Sequence[dict[int, int]], a: int) -> list[tuple[int, int]
     """Per row i: the j with D_ij > a, and i's primitive partners at a.
 
     Bit j - 1 stands for index j.  The pairs at a that are not primitive
-    are those joined through a w with D_iw = b and D_wj = a - b.  Row i
-    rules out b = 1 at once, by the level a - 1 masks of its neighbours;
-    each partner j left then tests its own level a - b against i's level b
-    for the other b, which for a = 3 is one test of j's neighbours against
-    i's level 2.  The ladder needs masks at 2 and 3 only, where
-    :func:`_primitive_pairs` would test every pair at every distance.
+    are those joined through a w with D_iw = b and D_wj = a - b for some b
+    from 1 to a - 1, so every pair at 1 is primitive.  Row i rules out
+    b = 1 at once, by the level a - 1 masks of its neighbours; each partner
+    j left then tests its own level a - b against i's level b for the other
+    b, which for a = 3 is one test of j's neighbours against i's level 2.
+    The ladder needs masks at 2 and 3 only, where :func:`_primitive_pairs`
+    would test every pair at every distance.
     """
     full = (1 << len(levels)) - 1
     rows = []
@@ -233,7 +264,7 @@ def _row_masks(levels: Sequence[dict[int, int]], a: int) -> list[tuple[int, int]
         near = shortcut = 0
         for b in range(a):
             near |= at.get(b, 0)
-        for w in _bits(at.get(1, 0)):
+        for w in _bits(at.get(1, 0) if a > 1 else 0):
             shortcut |= levels[w].get(a - 1, 0)
         mine = at.get(a, 0)
         primitive = mine & ~shortcut
@@ -259,6 +290,7 @@ class _RowMasks(dict):
 
 # struct codes of little-endian lanes of 1, 2, 4 and 8 bytes.
 _LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BELOW_64 = bytes(range(64))
 
 
 def _packed_rows(d: DistanceMatrix) -> tuple[list[int], int, int, int]:
@@ -266,18 +298,20 @@ def _packed_rows(d: DistanceMatrix) -> tuple[list[int], int, int, int]:
     every lane), ``half`` (the top bit of every lane) and the lane width in
     bits.  A lane of b bits holds entries below 2**(b - 2), and is 1, 2, 4
     or 8 bytes wide when the largest entry allows (wider entries get as many
-    bytes as they need).  One-byte lanes are the row's own bytes."""
+    bytes as they need).  One-byte lanes are bytes rows themselves, when
+    deleting every byte below 64 from them leaves nothing."""
     e = d.entries
     n = d.n
-    bits = max(map(max, e)).bit_length() + 2
-    size = next((b for b in (1, 2, 4, 8) if bits <= 8 * b), (bits + 7) // 8)
-    if size == 1:
-        raws = map(bytes, e)
-    elif size in _LANE_CODES:
-        fmt = f"<{n}{_LANE_CODES[size]}"
-        raws = (struct.pack(fmt, *row) for row in e)
+    if type(e[0]) is bytes and not b"".join(e).translate(None, _BELOW_64):
+        raws, size = e, 1
     else:
-        raws = (b"".join(x.to_bytes(size, "little") for x in row) for row in e)
+        bits = max(map(max, e)).bit_length() + 2
+        size = next((b for b in (2, 4, 8) if bits <= 8 * b), (bits + 7) // 8)
+        if size in _LANE_CODES:
+            fmt = f"<{n}{_LANE_CODES[size]}"
+            raws = (struct.pack(fmt, *row) for row in e)
+        else:
+            raws = (b"".join(x.to_bytes(size, "little") for x in row) for row in e)
     packed = [int.from_bytes(raw, "little") for raw in raws]
     width = 8 * size
     ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
@@ -347,15 +381,19 @@ def check_structure(m: RawMatrix) -> DistanceMatrix:
     Raises :class:`ValidationError` carrying the first violation found, in a
     fixed scan order: diagonal, then symmetry, then off-diagonal positivity,
     each in row-major index order.  A matrix that passes is recognised by
-    whole-row comparisons; the ordered loops run only to name a witness.
+    whole-row comparisons, bytes rows against the columns sliced out of
+    their concatenation; the ordered loops run only to name a witness.
     """
     e = m.entries
-    if tuple(zip(*e)) == tuple(map(tuple, e)) and all(
-        row[i] == 0 and row.count(0) == 1 for i, row in enumerate(e)
-    ):
+    n = len(e)
+    if type(e[0]) is bytes:
+        flat = b"".join(e)
+        symmetric = all(flat[j::n] == row for j, row in enumerate(e))
+    else:
+        symmetric = tuple(zip(*e)) == e
+    if symmetric and all(row[i] == 0 and row.count(0) == 1 for i, row in enumerate(e)):
         return DistanceMatrix(e)
     # The matrix failed the check above, so one of these loops raises.
-    n = len(e)
     for i in range(n):
         if e[i][i] != 0:
             raise ValidationError(ViolationKind.DIAGONAL_NONZERO, (i + 1,))

@@ -8,7 +8,8 @@ the input graph is k-colourable: extra vertices act as colour classes, since
 no extra vertex may be adjacent to both endpoints of an original edge.
 :func:`reduce` writes the matrix in closed form from the source graph: each
 new vertex's distances are the lanewise min over the two originals it
-leaves its piece through, so the gadget graph is never searched.
+leaves its piece through, so the gadget graph is never searched, and the
+matrix holds the ``bytes`` rows it is built from.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def reduce(g: SimpleGraph) -> GadgetInstance:
     for row, (_, _, _, at, own) in zip(_through_exits(rows, pieces), pieces):
         rows.append(row[: at - 1] + own + row[at - 1 + len(own) :])
     rows.append(b"\2" * nc + b"\3" * (ng - nc) + b"\0")
-    matrix = DistanceMatrix(tuple(map(tuple, rows)))
+    matrix = DistanceMatrix(tuple(rows))
     return GadgetInstance(g, gadget, matrix, subdivision, nonadjacent)
 
 

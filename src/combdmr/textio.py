@@ -4,11 +4,13 @@ Matrix files are n lines of n whitespace-separated integers; the dimension
 is inferred from the line count.  A line of single ASCII digits between
 single spaces is read as bytes: its even characters, translated from
 ``b"0"``-``b"9"`` to 0-9.  Any other line is read at C speed, as
-``tuple(map(int, ...))``, and passes when it holds no ``-`` and its ``max``
-fits in 32 bits; only a line that fails is read again token by token,
-which accepts ``-0`` and otherwise names the line's first bad token.  A
-matrix whose entries are all below 10 is written the same way round, as
-one byte string of digits and separators.
+``bytes(map(int, ...))``, or else as ``tuple(map(int, ...))``, which passes
+when it holds no ``-`` and its ``max`` fits in 32 bits; only a line that
+fails both is read again token by token, which accepts ``-0`` and otherwise
+names the line's first bad token.  So a matrix holds ``bytes`` rows when
+its entries fit in a byte (see ``matrix.RawMatrix``).  One whose entries
+are all below 10 is written the same way round, as one byte string of
+digits and separators.
 
 Graph files start with a header line
 ``graph <vertex_count> <anchor_count>`` followed by one ``u v`` edge per
@@ -57,16 +59,21 @@ def _int_fields(lineno: int, s: str) -> list[int]:
     return vals
 
 
-# Bytes b"0"-b"9" to the values 0-9, and back.
+# Bytes b"0"-b"9" to the values 0-9, and back; every other value to b"-".
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-DIGIT_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+DIGIT_CHARS = b"0123456789" + b"-" * 246
 
 
-def _matrix_row(lineno: int, s: str) -> tuple[int, ...]:
+def _matrix_row(lineno: int, s: str) -> bytes | tuple[int, ...]:
     # isascii leaves "³" (which int refuses) and "٣" (which it reads) to int.
     digits = s[::2]
     if digits.isascii() and digits.isdigit() and s[1::2] == " " * (len(s) // 2):
-        return tuple(digits.encode().translate(DIGIT_VALUES))
+        return digits.encode().translate(DIGIT_VALUES)
+    # bytes() refuses a negative entry, and int reads "-0" as 0 either way.
+    try:
+        return bytes(map(int, s.split()))
+    except ValueError:
+        pass
     try:
         row = tuple(map(int, s.split()))
     except ValueError:
@@ -96,11 +103,13 @@ def parse_matrix(text: str) -> RawMatrix:
 
 def emit_matrix(m: RawMatrix | DistanceMatrix) -> str:
     rows = m.entries
-    if max(map(max, rows)) < 10:
-        # Digits at the even bytes, a space or the line's newline after each.
+    digits = b"".join(rows).translate(DIGIT_CHARS) if type(rows[0]) is bytes else b""
+    if digits.isdigit():
+        # Every entry is below 10: digits at the even bytes, a space or the
+        # line's newline after each.
         n = len(rows)
         out = bytearray(2 * n * n)
-        out[::2] = b"".join(map(bytes, rows)).translate(DIGIT_CHARS)
+        out[::2] = digits
         out[1::2] = (b" " * (n - 1) + b"\n") * n
         return out.decode()
     return "".join(" ".join([str(x) for x in row]) + "\n" for row in rows)

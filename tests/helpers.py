@@ -4,6 +4,7 @@ Everything here deliberately avoids the library code paths it is used to
 check, and the library keeps none of it:
 
 - matrices: ``dm`` (``validate`` of ``RawMatrix.from_rows``, in one call),
+  ``rows`` (a matrix's entries as tuples, to compare with literals),
   ``brute_is_distance_matrix`` and ``first_violation_oracle`` (loops over
   every triple), ``triangle_oracle`` (per-pair level masks rather than
   packed rows), ``parse_matrix_oracle`` (per token), and
@@ -80,6 +81,13 @@ QUAD_GRAPH_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]
 
 def dm(rows) -> DistanceMatrix:
     return validate(RawMatrix.from_rows(rows))
+
+
+def rows(m) -> tuple[tuple, ...]:
+    """The entries of a matrix or distance table as tuples, whichever row
+    type it holds: a matrix of byte-sized entries keeps ``bytes`` rows, and
+    ``b"\\x00\\x01" != (0, 1)``."""
+    return tuple(map(tuple, m.entries))
 
 
 # -- independent metric check ------------------------------------------------

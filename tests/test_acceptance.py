@@ -168,7 +168,7 @@ def test_c06_assignment_invariance(metric_cases):
                 for m in helpers.enumerate_models(inst)
             }
             assert len(metrics) == 1, (name, d.entries)
-            expected = skeleton_distances(q_skeleton(d, q)).entries
+            expected = helpers.rows(skeleton_distances(q_skeleton(d, q)))
             assert metrics == {expected}, (name, d.entries)
             counts[name] += 1
     assert all(c >= 50 for c in counts.values()), counts
@@ -305,6 +305,16 @@ GOLDEN_CASES = [
         0,
     ),
     ("gen_reduction", ["gen", "--mode", "reduction", "--input", "k2.graph"], 0),
+    # An entry of 300 keeps int-tuple rows; two-digit entries make bytes rows
+    # by bytes(map(int, ...)).
+    ("validate_wide", ["validate", "rows/wide.mat"], 0),
+    ("bounds_wide", ["bounds", "rows/wide.mat"], 0),
+    ("tree_wide", ["tree", "--certify", "rows/wide.mat"], 0),
+    ("solve_k2_wide", ["solve", "--k", "2", "rows/wide.mat"], 1),
+    ("validate_two_digit", ["validate", "rows/two_digit.mat"], 0),
+    ("bounds_two_digit", ["bounds", "rows/two_digit.mat"], 0),
+    ("tree_two_digit", ["tree", "--certify", "rows/two_digit.mat"], 0),
+    ("solve_k2_two_digit", ["solve", "--k", "2", "rows/two_digit.mat"], 1),
 ]
 
 

@@ -709,8 +709,12 @@ def test_bounds_scans_only_a_non_metric(capsys, monkeypatch, name):
 # The metrics of tests/data with a primitive pair beyond 2: the proof of a
 # NO holds paths for the primitive pairs at 2, and at 3 only when the
 # ladder built those masks, so a NO on these still scans.  far_pair's
-# pair lies at 5, beyond any proof of the ladder.
-BEYOND_TWO = {"ladder/adjacent.mat", "ladder/dead_root_adjacent.mat", "ladder/far_pair.mat"}
+# pair lies at 5, beyond any proof of the ladder; two_digit's q0 is 4 and
+# wide's 300.
+BEYOND_TWO = {
+    "ladder/adjacent.mat", "ladder/dead_root_adjacent.mat", "ladder/far_pair.mat",
+    "rows/two_digit.mat", "rows/wide.mat",
+}
 
 
 @pytest.mark.parametrize("k", ["0", "1", "2"])

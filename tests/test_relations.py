@@ -71,7 +71,7 @@ def _with_pendant(d: DistanceMatrix, w: int) -> DistanceMatrix:
     e = d.entries
     column = [x + 1 for x in e[w]]
     column[w] = 1
-    rows = [row + (x,) for row, x in zip(e, column)]
+    rows = [tuple(row) + (x,) for row, x in zip(e, column)]
     return DistanceMatrix(tuple(rows) + (tuple(column) + (0,),))
 
 

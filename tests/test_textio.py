@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -24,7 +24,7 @@ from combdmr.tree import WeightedTree
 
 def test_parse_matrix_example():
     raw = parse_matrix("0 2 2\n2 0 2\n2 2 0\n")
-    assert raw.entries == tuple(tuple(r) for r in helpers.ALL_TWOS_3)
+    assert helpers.rows(raw) == tuple(tuple(r) for r in helpers.ALL_TWOS_3)
 
 
 def test_parse_matrix_ignores_comments_and_blanks():
@@ -78,7 +78,7 @@ def test_parse_matrix_reads_entries_with_int():
     # Signs, leading zeros, digit-group underscores and non-ASCII decimal
     # digits are integers to Python's int, so they are entries.
     raw = parse_matrix("0 +3 007\n+3 0 1_0\n7 10 ٣\n")
-    assert raw.entries == ((0, 3, 7), (3, 0, 10), (7, 10, 3))
+    assert helpers.rows(raw) == ((0, 3, 7), (3, 0, 10), (7, 10, 3))
 
 
 # Tokens int accepts or refuses at the edges of the entry range; the longest
@@ -117,7 +117,7 @@ def matrix_texts(draw):
 def assert_parses_like_the_per_token_loop(text):
     rows, error = helpers.parse_matrix_oracle(text)
     if error is None:
-        assert parse_matrix(text).entries == rows
+        assert helpers.rows(parse_matrix(text)) == rows
     else:
         with pytest.raises(ParseError) as err:
             parse_matrix(text)
@@ -172,9 +172,53 @@ def test_parse_matrix_matches_the_per_token_loop_on_each_edge_token():
             assert_parses_like_the_per_token_loop(text)
 
 
+# Entries at the edges of a digit (9/10) and of a byte (255/256).
+EDGE_ENTRIES = (0, 9, 10, 255, 256, 4294967295)
+
+
+@st.composite
+def row_kind_texts(draw):
+    """Well-formed matrix files whose lines are single digits between single
+    spaces, or entries up to 255, or entries with at least one above 255,
+    mixed in any order; some entries written as "-0"."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    lines = []
+    for _ in range(n):
+        top = draw(st.sampled_from((9, 255, 2**32 - 1)))
+        edges = [x for x in EDGE_ENTRIES if x <= top]
+        row = [draw(st.one_of(st.integers(0, top), st.sampled_from(edges))) for _ in range(n)]
+        if top > 255 and max(row) < 256:
+            row[draw(st.integers(0, n - 1))] = 256
+        tokens = ["-0" if x == 0 and draw(st.integers(0, 3)) == 0 else str(x) for x in row]
+        sep = " " if top == 9 else draw(st.sampled_from((" ", "  ", "\t")))
+        lines.append(sep.join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_kind_texts())
+@example("0 9\n10 0\n")
+@example("0 255\n256 0\n")
+@example("0 -0 1\n1 2 9\n12 255 256\n")
+@example("-0 9 255\n0 10 256\n1 2 3\n")
+def test_parse_and_emit_match_the_per_token_loop_for_both_row_kinds(text):
+    # bytes rows when every entry fits in a byte, else int tuples, and emit
+    # writes the oracle's values back, whichever the rows are.
+    rows, error = helpers.parse_matrix_oracle(text)
+    assert error is None
+    m = parse_matrix(text)
+    assert helpers.rows(m) == rows
+    row_type = bytes if max(map(max, rows)) < 256 else tuple
+    assert {type(row) for row in m.entries} == {row_type}
+    assert m == RawMatrix(rows) and hash(m) == hash(RawMatrix(rows))
+    text = emit_matrix(m)
+    assert text == "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert parse_matrix(text) == m
+
+
 def test_matrix_round_trip():
     d = helpers.dm(helpers.EIGHT_BY_EIGHT)
-    assert parse_matrix(emit_matrix(d)).entries == d.entries
+    assert helpers.rows(parse_matrix(emit_matrix(d))) == helpers.rows(d)
 
 
 @pytest.mark.parametrize("top", [0, 9, 10, 255, 256])

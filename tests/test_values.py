@@ -7,18 +7,22 @@ its fields where they are hashable, refuses assignment, and prints as
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
+import helpers
 from combdmr import reduction
 from combdmr.graph import ExtendedDistances, Realisation, SimpleGraph, WeightedSkeleton
-from combdmr.matrix import DistanceMatrix, RawMatrix
+from combdmr.matrix import DistanceMatrix, RawMatrix, check_structure
 from combdmr.reduction import Colouring
 from combdmr.solvers import Bounds
+from combdmr.textio import parse_matrix
 from combdmr.tree import WeightedTree
 from combdmr.twosat import TwoSatInstance
 
 PATH3 = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+DATA = Path(__file__).parent / "data"
 
 
 def _fields():
@@ -119,6 +123,48 @@ def test_read_masks_do_not_count_towards_equality_or_hash():
     assert hash(read) == hash(fresh)
     with pytest.raises(AttributeError):
         read.masks = ()
+
+
+def test_every_pair_at_1_is_a_primitive_partner():
+    # No third point splits a distance of 1.
+    assert DistanceMatrix(PATH3).masks[1] == [(4, 2), (0, 5), (1, 2)]
+
+
+GADGET = reduction.reduce(SimpleGraph(4, 4, frozenset(helpers.QUAD_GRAPH_EDGES))).matrix
+
+
+@pytest.mark.parametrize(
+    "values, made",
+    [
+        (helpers.rows(GADGET), [GADGET]),
+        (helpers.rows(parse_matrix((DATA / "rows" / "two_digit.mat").read_text())), []),
+        (((0, 300), (300, 0)), []),
+        (((0, 1, 256), (1, 0, 255), (256, 255, 0)), []),
+    ],
+    ids=["gadget", "two-digit", "wide", "255-256"],
+)
+def test_matrices_of_equal_values_are_equal_however_built(values, made):
+    # bytes rows when every entry fits in a byte, int tuples otherwise,
+    # whatever the rows were built from.
+    raws = [
+        RawMatrix(values),
+        RawMatrix(tuple(map(list, values))),
+        RawMatrix.from_rows(values),
+        parse_matrix("".join(" ".join(map(str, row)) + "\n" for row in values)),
+    ]
+    builds = [check_structure(raw) for raw in raws] + made + [
+        DistanceMatrix(values),
+        DistanceMatrix([list(row) for row in values]),
+    ]
+    row_type = bytes if max(map(max, values)) < 256 else tuple
+    for records in (raws, builds):
+        for m in records:
+            assert m == records[0] and hash(m) == hash(records[0])
+            assert helpers.rows(m) == values
+            assert {type(row) for row in m.entries} == {row_type}
+    for d in builds:
+        assert d.levels == builds[0].levels
+        assert d.masks[2] == builds[0].masks[2]
 
 
 def test_records_print_their_fields_by_name():
