@@ -28,6 +28,14 @@ class SearchSpaceTooLarge(Exception):
     """A search or size guard was exceeded."""
 
 
+# Most vertices an expanded tree (``tree.expand_tree``) or a gadget
+# realisation built from a colouring (``reduction.realise_from_colouring``)
+# may have.  A tree run costs about 0.3 KiB and 2-5 us per vertex (16.5 to
+# 21.8 MiB peak for 2.5k to 20k vertices), so this stays near 100 MiB and
+# 1 s, where the entries alone allow 2^32.
+_MAX_VERTICES = 2**18
+
+
 class SimpleGraph(_Value):
     """Undirected simple graph with anchors 1..anchor_count."""
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
+from itertools import compress, repeat
 from operator import attrgetter, index
 
 # Hop counts in any realisation are bounded by the vertex count, so entries
@@ -155,35 +156,97 @@ def _bits(m: int):
         m ^= bit
 
 
-# The 256 bytes from 255 - a translate byte a to b"1" and every other byte
-# to b"0"; one string holds that table for every a.
-_ONE_AMID_ZEROS = b"0" * 255 + b"1" + b"0" * 255
-
-
-def _row_levels(row: Sequence[int]) -> dict[int, int]:
-    """Each distinct entry a of row i, ascending, to the mask of the w with
-    D_iw = a (bit w for index w + 1).  A row of byte-sized entries with few
-    distinct values gets each mask in C: the row, last entry first, as
-    bytes, translated to ``b"1"`` where the byte is a and ``b"0"``
-    elsewhere, and read as a binary int.  Other rows are read entry by
-    entry."""
-    values = sorted(set(row))
-    n = len(row)
-    # One pass per distinct value costs about (n + 256) / 56 steps of the
-    # entry loop (fitted to timings at n = 20-1000, Python 3.11 on a 2-vCPU
-    # Xeon), so the passes win below about 9, 16, 25 and 45 values at
-    # n = 50, 100, 200 and 1000.  With more, as in a path metric's rows,
-    # they would take up to 5x as long as the loop.
-    if values[-1] < 256 and len(values) * (n + 256) < 56 * n:
-        # bytes() of a bytes row is the row itself, not a copy.
-        digits = bytes(row[::-1])
-        return {a: int(digits.translate(_ONE_AMID_ZEROS[255 - a : 511 - a]), 2) for a in values}
-    at = dict.fromkeys(values, 0)
+def _entry_levels(row: Sequence[int]) -> dict[int, int]:
+    """Each distinct entry a of row, ascending, to the mask of the w with
+    row[w] = a (bit w for index w + 1), read entry by entry."""
+    at = dict.fromkeys(sorted(set(row)), 0)
     bit = 1
     for x in row:
         at[x] |= bit
         bit <<= 1
     return at
+
+
+# struct codes of little-endian lanes of 1, 2, 4 and 8 bytes.
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# Rows per band of the plane build; more rows share a band's fixed costs,
+# fewer keep its value count near a row's.
+_BAND_ROWS = 64
+# _RANK_BITS[k] turns a byte r to b"1" when bit k of r is set, else b"0".
+_RANK_BITS = tuple(bytes(48 + (r >> k & 1) for r in range(256)) for k in range(8))
+
+
+def _plane_levels(band: Sequence[bytes], values: list[int]) -> Iterator[dict[int, int]]:
+    """The levels of each bytes row of band, whose distinct entries are
+    values, ascending.
+
+    Each row, last entry first and padded to a whole number of bytes, takes
+    its own byte-aligned slot of one binary numeral, so one ``translate``
+    and one ``int(..., 2)`` make a plane: bit k of each entry's rank among
+    values, for every entry of the band at once.  Splitting the band's
+    entries by each rank bit in turn leaves one int per value, which
+    ``to_bytes`` and ``struct`` cut into the rows' masks; slots of 1, 2, 4
+    or 8 bytes unpack as ints at once.
+    """
+    k, m = len(band), len(band[0])
+    size = next((s for s in (1, 2, 4, 8) if 8 * s >= m), (m + 7) // 8)
+    pad = bytes(8 * size - m)
+    digits = pad + pad.join(band)[::-1]
+    ranks = bytearray(256)
+    for r, a in enumerate(values):
+        ranks[a] = r
+    # Entry w of row i is bit 8 * size * i + w; by[r] holds the entries
+    # whose rank agrees with r in the bits split so far, and no pad bit.
+    by = [int.from_bytes(((1 << m) - 1).to_bytes(size, "little") * k, "little")]
+    for bit in range((len(values) - 1).bit_length()):
+        plane = int(digits.translate(ranks.translate(_RANK_BITS[bit])), 2)
+        hits = [c & plane for c in by]
+        by = [c ^ h for c, h in zip(by, hits)] + hits
+        del by[len(values) :]
+    code = _LANE_CODES.get(size)
+    split = struct.Struct(f"<{k}{code}" if code else f"{size}s" * k).unpack
+    cut = [split(c.to_bytes(size * k, "little")) for c in by]
+    if code is None:
+        cut = [map(int.from_bytes, slots, repeat("little")) for slots in cut]
+    rows = list(zip(*cut))
+    # Each row's dict keeps the values whose mask is not zero, in order.
+    return map(dict, map(compress, map(zip, repeat(values), rows), rows))
+
+
+def _levels(rows: Sequence[Sequence[int]]) -> tuple[dict[int, int], ...]:
+    """Each row's entries, ascending, to the masks of their columns.
+
+    Bytes rows go in bands of at most ``_BAND_ROWS`` rows, split evenly.  A
+    band's values are those of its first and last rows, and those left
+    after ``translate`` deletes these from the band, which is skipped when
+    the two rows alone hold too many.  :func:`_plane_levels` takes the band
+    when its value count v and row width m give
+    v * (m + 256) + 12288 / rows < 256 * m, and the entry loop takes it
+    otherwise, as it takes int-tuple rows.  The rule is fitted to timings
+    of both on bands of 4 to 64 random rows of 4 to 800 entries (Python
+    3.11, 2-vCPU Xeon), and kept below where the planes stop winning: at
+    64 rows they won up to about 24, 64, 96 and 192 values at m = 8, 32,
+    100 and 400, where the rule takes fewer than 8, 28, 72 and 156, since a
+    path metric at n = 100, 100 values to a band, took about 10 % longer
+    by planes.
+    """
+    if type(rows[0]) is not bytes:
+        return tuple(map(_entry_levels, rows))
+    n, m = len(rows), len(rows[0])
+    # As few bands as _BAND_ROWS allows, of ceil(n / bands) rows each.
+    step = -(-n // -(-n // _BAND_ROWS))
+    out: list[dict[int, int]] = []
+    for start in range(0, n, step):
+        band = rows[start : start + step]
+        most = (256 * m - 12288 // len(band)) / (m + 256)
+        values = set(band[0]).union(band[-1])
+        if len(values) < most:
+            values.update(b"".join(band).translate(None, bytes(values)))
+        if len(values) < most:
+            out.extend(_plane_levels(band, sorted(values)))
+        else:
+            out.extend(map(_entry_levels, band))
+    return tuple(out)
 
 
 class DistanceMatrix(_Rows):
@@ -205,8 +268,11 @@ class DistanceMatrix(_Rows):
     @cached_property
     def levels(self) -> tuple[dict[int, int], ...]:
         """Each row's distance levels, built once per matrix (0-based rows):
-        entry value to the mask of its columns, keys ascending."""
-        return tuple(_row_levels(row) for row in self.entries)
+        entry value to the mask of its columns, keys ascending.  Bytes rows
+        are read one distance at a time over bands of rows, and rows with
+        too many distinct values, or int tuples, entry by entry (see
+        :func:`_levels`)."""
+        return _levels(self.entries)
 
     @cached_property
     def masks(self) -> _RowMasks:
@@ -288,8 +354,6 @@ class _RowMasks(dict):
         return rows
 
 
-# struct codes of little-endian lanes of 1, 2, 4 and 8 bytes.
-_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BELOW_64 = bytes(range(64))
 
 

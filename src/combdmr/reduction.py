@@ -14,7 +14,7 @@ matrix holds the ``bytes`` rows it is built from.
 
 from __future__ import annotations
 
-from .graph import Realisation, SimpleGraph
+from .graph import _MAX_VERTICES, Realisation, SearchSpaceTooLarge, SimpleGraph
 # Nothing here calls bfs_apsp; bench/test_bench.py traces it under this name.
 from .graph import _is_connected, bfs_apsp  # noqa: F401
 from .matrix import DistanceMatrix, _Value
@@ -166,7 +166,9 @@ def realise_from_colouring(inst: GadgetInstance, c: Colouring) -> Realisation:
     Extra vertex n + j holds colour class j: it is adjacent to vertex n and
     to exactly the original vertices coloured j.  Properness of the
     colouring is what keeps original edges at distance 3.  The edges are
-    written directly, so no pair of extras is ever listed.
+    written directly, so no pair of extras is ever listed.  A graph of
+    more than ``graph._MAX_VERTICES`` vertices raises
+    ``SearchSpaceTooLarge`` before any edge is built.
     """
     nc = inst.n_c
     colours = c.colours
@@ -176,6 +178,8 @@ def realise_from_colouring(inst: GadgetInstance, c: Colouring) -> Realisation:
         if colours[u - 1] == colours[v - 1]:
             raise ImproperColouring(f"vertices {u} and {v} share colour")
     n = inst.n
+    if n + c.k > _MAX_VERTICES:
+        raise SearchSpaceTooLarge(f"{n + c.k} vertices exceeds the guard of {_MAX_VERTICES}")
     edges = {(n, n + j) for j in range(1, c.k + 1)} | {(i, n + j) for i, j in enumerate(colours, 1)}
     return Realisation(SimpleGraph(n + c.k, n, inst.gadget.edges | edges), inst.matrix)
 

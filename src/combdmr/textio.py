@@ -10,7 +10,8 @@ fails both is read again token by token, which accepts ``-0`` and otherwise
 names the line's first bad token.  So a matrix holds ``bytes`` rows when
 its entries fit in a byte (see ``matrix.RawMatrix``).  One whose entries
 are all below 10 is written the same way round, as one byte string of
-digits and separators.
+digits and separators; other bytes rows take each entry's text from a
+table of the 256 decimals.
 
 Graph files start with a header line
 ``graph <vertex_count> <anchor_count>`` followed by one ``u v`` edge per
@@ -23,6 +24,8 @@ from ``reduction`` when a colouring is parsed.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from .matrix import MAX_ENTRY, DistanceMatrix, RawMatrix
 from .graph import SimpleGraph
@@ -62,6 +65,8 @@ def _int_fields(lineno: int, s: str) -> list[int]:
 # Bytes b"0"-b"9" to the values 0-9, and back; every other value to b"-".
 DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 DIGIT_CHARS = b"0123456789" + b"-" * 246
+# The decimal text of every value a bytes row holds.
+_DECIMALS = tuple(map(str, range(256)))
 
 
 def _matrix_row(lineno: int, s: str) -> bytes | tuple[int, ...]:
@@ -112,6 +117,8 @@ def emit_matrix(m: RawMatrix | DistanceMatrix) -> str:
         out[::2] = digits
         out[1::2] = (b" " * (n - 1) + b"\n") * n
         return out.decode()
+    if type(rows[0]) is bytes:
+        return "\n".join(map(" ".join, map(map, repeat(_DECIMALS.__getitem__), rows))) + "\n"
     return "".join(" ".join([str(x) for x in row]) + "\n" for row in rows)
 
 

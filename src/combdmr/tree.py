@@ -24,13 +24,15 @@ once.
 
 from __future__ import annotations
 
-from .graph import Realisation, SearchSpaceTooLarge, _expand_paths, _is_connected, _neighbour_lists
+from .graph import (
+    _MAX_VERTICES,
+    Realisation,
+    SearchSpaceTooLarge,
+    _expand_paths,
+    _is_connected,
+    _neighbour_lists,
+)
 from .matrix import DistanceMatrix, ViolationKind, _Value
-
-# Most vertices an expanded tree may have.  A run costs about 0.3 KiB and
-# 2-5 us per vertex (16.5 to 21.8 MiB peak for 2.5k to 20k vertices), so
-# this stays near 100 MiB and 1 s, where the entries alone allow 2^32.
-_MAX_TREE_VERTICES = 2**18
 
 
 class WeightedTree(_Value):
@@ -226,13 +228,13 @@ def solve_tree(d: DistanceMatrix) -> Realisation | None:
 
 def expand_tree(d: DistanceMatrix, wt: WeightedTree | None) -> Realisation | None:
     """``solve_tree`` from an already built ``build_weighted_tree(d)``; raises
-    ``SearchSpaceTooLarge`` above ``_MAX_TREE_VERTICES`` expanded vertices."""
+    ``SearchSpaceTooLarge`` above ``_MAX_VERTICES`` expanded vertices."""
     if wt is None or any(w % 2 for _, _, w in wt.edges):
         return None
     halved = [(u, v, w2 // 2) for u, v, w2 in wt.edges]
     vertices = wt.vertex_count + sum(w - 1 for _, _, w in halved)
-    if vertices > _MAX_TREE_VERTICES:
+    if vertices > _MAX_VERTICES:
         raise SearchSpaceTooLarge(
-            f"{vertices} vertices exceeds the guard of {_MAX_TREE_VERTICES}"
+            f"{vertices} vertices exceeds the guard of {_MAX_VERTICES}"
         )
     return Realisation(_expand_paths(d.n, wt.vertex_count + 1, halved), d)

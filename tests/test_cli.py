@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import helpers
-from combdmr import cli, matrix, solvers, tree, twosat
+from combdmr import cli, matrix, reduction, solvers, tree, twosat
 from combdmr.graph import Realisation, SimpleGraph
 from combdmr.cli import main
 from combdmr.matrix import RawMatrix, ValidationError, ViolationKind, validate
@@ -505,6 +505,29 @@ def test_colour_realise_memory_grows_with_k_not_with_its_square(tmp_path):
     proc = _capped_cli("colour-realise", graph, colouring, "--k", 100000, "--out", real)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert real.read_text().splitlines()[0] == "graph 100009 9"
+
+
+def test_colour_realise_refuses_more_vertices_than_the_guard(tmp_path, capsys, monkeypatch):
+    # The path 1-2-3 reduces to n = 9 anchors, so --k 10**7 asks for 10**7
+    # + 9 vertices; the guard the tree builder uses exits 3 before any edge
+    # is built, and admits exactly its own vertex count.
+    graph, colouring = tmp_path / "p3.graph", tmp_path / "p3.col"
+    graph.write_text("graph 3 3\n1 2\n2 3\n")
+    colouring.write_text("1 1\n2 2\n3 1\n")
+    argv = ["colour-realise", str(graph), str(colouring), "--k"]
+    assert main([*argv, "10000000"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: 10000009 vertices exceeds the guard of {tree._MAX_VERTICES}",
+        "verdict=NO vertices=0 extra=0",
+    ]
+    monkeypatch.setattr(reduction, "_MAX_VERTICES", 11)
+    assert main([*argv, "2"]) == 0
+    assert last_line(capsys) == "verdict=YES vertices=11 extra=2"
+    assert main([*argv, "3"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "error: 12 vertices exceeds the guard of 11",
+        "verdict=NO vertices=0 extra=0",
+    ]
 
 
 def test_extract_colouring_memory_follows_the_edges_not_the_header(tmp_path):

@@ -145,6 +145,52 @@ def test_levels_of_a_matrix_mixing_small_and_large_rows_match_the_entry_loop(row
         assert tuple(at) == tuple(sorted(at))
 
 
+@st.composite
+def byte_matrices(draw):
+    """A seeded square bytes matrix of 1 to 150 rows, whose first rows draw
+    from one pool of 1 to 256 values and the rest from another.  Sizes at
+    the band edges (63 to 65 and 127 to 129 rows) come up often, as do
+    widths that are not a multiple of 8.  The pools put bands on both sides
+    of the rule between the planes and the entry loop, at times in one
+    matrix, and from about 100 rows a band's plane is longer than the
+    default int digit limit of 4300."""
+    n = draw(st.one_of(st.integers(1, 150), st.sampled_from((63, 64, 65, 127, 128, 129, 150))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    counts = (1, 2, 3, 6, 20, 50, 100, 256)
+    pools = [rng.sample(range(256), draw(st.sampled_from(counts))) for _ in range(2)]
+    split = rng.randrange(n + 1)
+    return tuple(bytes(rng.choices(pools[i >= split], k=n)) for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(byte_matrices())
+def test_levels_of_square_byte_matrices_match_the_entry_loop(rows):
+    d = DistanceMatrix(rows)
+    assert d.levels == tuple(map(helpers.level_masks_oracle, rows))
+    for at in d.levels:
+        assert tuple(at) == tuple(sorted(at))
+
+
+def test_levels_take_planes_for_few_values_and_the_entry_loop_for_many(monkeypatch):
+    # A dense metric has 3 values to a band of 50 rows and a path metric
+    # 100: the planes take both bands of the first, the loop every row of
+    # the second, and either route gives the entry loop's levels.
+    bands = []
+    plane_levels = matrix._plane_levels
+
+    def spy(band, values):
+        bands.append(len(band))
+        return plane_levels(band, values)
+
+    monkeypatch.setattr(matrix, "_plane_levels", spy)
+    dense = helpers.dm([[0 if i == j else 1 + (i ^ j) % 2 for j in range(100)] for i in range(100)])
+    path = helpers.dm([[abs(i - j) for j in range(100)] for i in range(100)])
+    for d, want in ((dense, [50, 50]), (path, [])):
+        bands.clear()
+        assert d.levels == tuple(map(helpers.level_masks_oracle, d.entries))
+        assert bands == want
+
+
 def test_validate_idempotent():
     d = helpers.dm(helpers.EIGHT_BY_EIGHT)
     again = validate(RawMatrix(d.entries))

@@ -357,13 +357,13 @@ def test_far_pair_exits_3_before_expanding(tmp_path, capsys, monkeypatch):
     assert time.perf_counter() - t0 < 1
     assert code == 3
     assert lines == [
-        f"error: {2**32} vertices exceeds the guard of {tree._MAX_TREE_VERTICES}",
+        f"error: {2**32} vertices exceeds the guard of {tree._MAX_VERTICES}",
         "verdict=NO vertices=0 extra=0",
     ]
 
 
 def test_tree_guard_admits_exactly_its_vertex_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tree, "_MAX_TREE_VERTICES", 10)
+    monkeypatch.setattr(tree, "_MAX_VERTICES", 10)
     code, lines = _tree_run(tmp_path, capsys, 9)
     assert code == 0
     assert lines[-1] == "verdict=YES vertices=10 extra=8"
