@@ -18,6 +18,11 @@ them :func:`check_triangles` proves a metric, and scans only to name a
 non-metric's witness.  A graph whose anchor distances equal the matrix
 proves the inequality too, so a verified realisation needs no scan;
 ``solve`` builds such a graph after a NO (``solvers._proves_metric``).
+
+The levels of bytes rows are read one distance at a time over bands of
+rows, from a few binary numerals per band (:func:`_plane_levels`); a band
+with too many distinct values for its width, and int-tuple rows, are read
+entry by entry (the rule is in :func:`_levels`).
 """
 
 from __future__ import annotations
@@ -216,21 +221,15 @@ def _plane_levels(band: Sequence[bytes], values: list[int]) -> Iterator[dict[int
 def _levels(rows: Sequence[Sequence[int]]) -> tuple[dict[int, int], ...]:
     """Each row's entries, ascending, to the masks of their columns.
 
-    Bytes rows go in bands of at most ``_BAND_ROWS`` rows, split evenly.  A
-    band's values are those of its first and last rows, and those left
-    after ``translate`` deletes these from the band, which is skipped when
-    the two rows alone hold too many.  :func:`_plane_levels` takes the band
-    when its value count v and row width m give
-    v * (m + 256) + 12288 / rows < 256 * m, and the entry loop takes it
-    otherwise, as it takes int-tuple rows.  The rule is fitted to timings
-    of both on bands of 4 to 64 random rows of 4 to 800 entries (Python
-    3.11, 2-vCPU Xeon), and kept below where the planes stop winning: at
-    64 rows they won up to about 24, 64, 96 and 192 values at m = 8, 32,
-    100 and 400, where the rule takes fewer than 8, 28, 72 and 156, since a
-    path metric at n = 100, 100 values to a band, took about 10 % longer
-    by planes.
+    Bytes rows go in even bands of at most ``_BAND_ROWS`` rows.  A band's
+    values are its first and last rows' and those ``translate`` leaves when
+    it deletes these.  The planes take a band of v values and width m when
+    v * (m + 256) + 12288 / rows < 256 * m, which keeps below where they
+    stopped winning over the entry loop on bands of 4 to 64 random rows of
+    4 to 800 entries (Python 3.11, 2-vCPU Xeon); the loop takes the other
+    bands, as it takes int-tuple rows.
     """
-    if type(rows[0]) is not bytes:
+    if not rows or type(rows[0]) is not bytes:
         return tuple(map(_entry_levels, rows))
     n, m = len(rows), len(rows[0])
     # As few bands as _BAND_ROWS allows, of ceil(n / bands) rows each.

@@ -24,14 +24,8 @@ once.
 
 from __future__ import annotations
 
-from .graph import (
-    _MAX_VERTICES,
-    Realisation,
-    SearchSpaceTooLarge,
-    _expand_paths,
-    _is_connected,
-    _neighbour_lists,
-)
+from .graph import _MAX_VERTICES, Realisation, SearchSpaceTooLarge, _expand_paths
+from .graph import _is_connected, _neighbour_lists
 from .matrix import DistanceMatrix, ViolationKind, _Value
 
 
