@@ -171,6 +171,10 @@ def test_levels_of_square_byte_matrices_match_the_entry_loop(rows):
         assert tuple(at) == tuple(sorted(at))
 
 
+def test_levels_of_a_matrix_of_no_rows_are_empty():
+    assert DistanceMatrix(()).levels == ()
+
+
 def test_levels_take_planes_for_few_values_and_the_entry_loop_for_many(monkeypatch):
     # A dense metric has 3 values to a band of 50 rows and a path metric
     # 100: the planes take both bands of the first, the loop every row of
