@@ -19,7 +19,7 @@ import struct
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
-from .matrix import _LANE_CODES, DistanceMatrix, _bits, _primitive_pairs, _Value
+from .matrix import _LANE_CODES, DistanceMatrix, _bits, _packed_rows, _primitive_pairs, _Value
 
 INF = math.inf
 
@@ -123,7 +123,8 @@ def _search(
     sources, and ``seen`` is the search's own reach list, up to date.  A
     vertex meets new sources on at most min(n, diameter + 1) levels, so a
     search costs O(n + E * min(n, diameter)) operations on n-bit integers
-    plus one step per level.
+    plus one step per level.  Only the distance tables of :func:`_bfs_rows`
+    use it.
     """
     seen = [0] * len(adj)
     new = {}
@@ -198,42 +199,134 @@ def anchor_distances(g: SimpleGraph) -> ExtendedDistances:
     return _bfs_rows(g, g.anchor_count)
 
 
-def _levels_match(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
-    """True iff hop distances from anchors 1..d.n over ``adj[v]`` equal d.
+def _realises(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
+    """True iff hop distances from anchors 1..d.n over ``adj[v]`` equal d,
+    for d that passed ``matrix.check_structure``, by a shortest-path
+    certificate (Bellman's optimality conditions) over the packed rows of
+    ``matrix._packed_rows``: lane s of a vertex's row stands for its
+    distance to anchor s.
 
-    One :func:`_search` runs from all anchors at once.  The anchors new to
-    anchor w at level l must be exactly row w's level mask at l.  An anchor
-    s that does not reach w at D_ws reaches it at a level whose mask lacks
-    s, or never, and then w's mask misses s at the end.  The search stops
-    after the first level with a mismatch or that reaches nothing new (the
-    pair at the largest entry is then never reached), and after the largest
-    entry's level, since vertices still growing beyond it cannot change
-    the answer.
+    Anchor v's row is D_v.  A chain of degree-2 extras counts as one edge
+    of its length, clamped to the lane headroom h = 2**(width - 2); a chain
+    back to where it started, or to an extra of degree 1, is left out, as
+    no shortest path between anchors enters it.  Every other extra x that
+    the anchors reach takes the fixpoint of r_x = min(cap, min over its
+    edges of r_u + w), lane by lane, with cap = h - 1 >= every entry: sweeps
+    in breadth-first order from the anchors, reversed after each sweep,
+    until one changes nothing.  Each anchor v then checks, over its edges,
+    that D_v <= r_u + w in every lane, and that every lane s != v has an
+    edge with r_u + w = D_sv.  Lanes never carry: r_u + w < 2h, and the
+    checks add the top bit of a lane, 2h, to it, as
+    ``matrix._first_triangle_violation`` does.
+
+    Why this decides: the first check and the fixpoint make r 1-Lipschitz
+    along every edge (a clamped or left-out chain only loosens that), and
+    r_s is 0 in lane s, so r <= d_G, and D <= d_G on the anchors.  The
+    second check at an anchor, and the fixpoint at an extra below cap, give
+    each lane s an edge down to a row smaller by that edge's weight.  No
+    such edge is clamped, as its row would exceed cap, and only anchor s
+    holds 0 in lane s (no entry off the diagonal is 0, and an extra's row
+    is at least 1), so the walk down from anchor v reaches s after D_sv
+    steps, and d_G <= D.  If the graph realises d, each r_x is
+    min(cap, d_G(x, s)) and both checks hold.
+
+    The checks and each sweep cost O(E) additions of n-lane ints; a graph
+    whose extras all lie on chains needs no sweep, and a chain costs one
+    step per vertex, walked from both ends.
     """
-    n, levels = d.n, d.levels
-    top = max(next(reversed(at)) for at in levels)
-    for level, new, seen in _search(adj, n):
-        for w, bits in new.items():
-            if w <= n and bits != levels[w - 1].get(level):
-                return False
-        if level == top:
-            return seen[1 : n + 1].count((1 << n) - 1) == n
-    return False
+    n = d.n
+    rows, ones, half, width = _packed_rows(d)
+    headroom = 1 << width - 2
+    cap = (half >> 1) - ones
+    # Each reached vertex's edges, found in breadth-first order from the
+    # anchors: single edges by their far end, chains by (end, length in
+    # every lane).  Most anchors have only anchors for neighbours.
+    order = list(range(1, n + 1))
+    links: dict = {}
+    for x in order:
+        if x <= n and max(adj[x], default=0) <= n:
+            links[x] = adj[x], []
+            continue
+        near, far = links[x] = [], []
+        for y in adj[x]:
+            prev, w = x, 1
+            while y > n and len(adj[y]) == 2:
+                a, b = adj[y]
+                prev, y = y, b if a == prev else a
+                w += 1
+            if y == x or y > n and len(adj[y]) == 1:
+                continue
+            if w == 1:
+                near.append(y)
+            else:
+                far.append((y, min(w, headroom) * ones))
+            if y > n and y not in links:
+                links[y] = None  # its own edges are read when it comes up
+                order.append(y)
+    r = [0] * len(adj)
+    r[1 : n + 1] = rows
+    shift = width - 1
+
+    def least(m: int, ends: Iterable[tuple[int, int]]) -> int:
+        """The lane-wise min of m and each r_u + w."""
+        for y, w in ends:
+            t = r[y] + w
+            # The top bit of each lane where m >= t, widened to the lane.
+            keep = (m + half - t) & half
+            m ^= (m ^ t) & (keep | keep - (keep >> shift))
+        return m
+
+    # An extra's edges to anchors give one term of its min that never
+    # changes, so the sweeps read only its edges to other extras.
+    extras = order[n:]
+    ground, edges = {}, {}
+    for x in extras:
+        near, far = links[x]
+        ends = [(y, ones) for y in near] + far
+        r[x] = ground[x] = least(cap, [(y, w) for y, w in ends if y <= n])
+        edges[x] = [(y, w) for y, w in ends if y > n]
+    changed = bool(extras)
+    while changed:
+        changed = False
+        for x in extras:
+            m = least(ground[x], edges[x])
+            if m != r[x]:
+                r[x] = m
+                changed = True
+        extras.reverse()
+    # The top bit of lane v - 1, where D_vv = 0 has no edge down.
+    own = 1 << width - 1
+    for v, row in enumerate(rows, 1):
+        near, far = links[v]
+        base = half + ones - row
+        low = high = half
+        for y in near:
+            s = r[y] + base
+            low &= s
+            high &= s - ones
+        base -= ones
+        for y, w in far:
+            s = r[y] + w + base
+            low &= s
+            high &= s - ones
+        if low & half != half or high & half != own:
+            return False
+        own <<= width
+    return True
 
 
 def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
-    """True iff anchor-to-anchor hop distances in g equal d exactly, by
-    :func:`_levels_match`: one search from all anchors at once, in
-    O(n + E * min(n, diameter)) operations on n-bit integers plus one step
-    per level, and O(V * n) bits."""
+    """True iff anchor-to-anchor hop distances in g equal d exactly, by the
+    shortest-path certificate of :func:`_realises`: O(E) additions of
+    n-lane ints per sweep, and O(V) ints of n lanes."""
     if g.anchor_count != d.n:
         raise ValueError(
             f"graph has {g.anchor_count} anchors but the matrix has dimension {d.n}"
         )
-    # The search from the anchors never reaches a vertex above every edge
-    # endpoint, so lists for those would only cost memory.
+    # No walk from the anchors reaches a vertex above every edge endpoint,
+    # so lists for those would only cost memory.
     top = max((v for _, v in g.edges), default=0)
-    return _levels_match(_neighbour_lists(max(g.anchor_count, top), g.edges), d)
+    return _realises(_neighbour_lists(max(g.anchor_count, top), g.edges), d)
 
 
 class NotARealisation(ValueError):

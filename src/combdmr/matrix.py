@@ -18,6 +18,8 @@ them :func:`check_triangles` proves a metric, and scans only to name a
 non-metric's witness.  A graph whose anchor distances equal the matrix
 proves the inequality too, so a verified realisation needs no scan;
 ``solve`` builds such a graph after a NO (``solvers._proves_metric``).
+That check, ``graph._realises``, reads the rows packed by
+:func:`_packed_rows`, as the scan does, and never the levels.
 
 The levels of bytes rows are read one distance at a time over bands of
 rows, from a few binary numerals per band (:func:`_plane_levels`); a band

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
-from .graph import _assignment_graph, _bfs, _candidate_edges, _levels_match, _neighbour_lists
+from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, _realises
 from .graph import unit_graph
 from .matrix import DistanceMatrix, _bits, _primitive_pairs, _Value, check_triangles
 from .twosat import TwoSatInstance
@@ -122,8 +122,9 @@ def _proves_metric(d: DistanceMatrix) -> bool:
     the shortest-path metric of its primitive pairs (proved at
     ``matrix._first_triangle_violation``), so H realises every metric whose
     primitive pairs it holds.  The a = 2 masks are built here if the decider
-    did not need them.  H goes to ``graph._levels_match`` as neighbour lists:
-    as a ``SimpleGraph`` for ``verify_realisation`` it would cost a tenth more.
+    did not need them.  H goes to ``graph._realises`` as neighbour lists;
+    each fresh path is a chain of degree-2 extras there, so one weighted
+    edge, and the check reads only the anchors' rows, with no sweep.
     """
     adj = [[]] + [[w + 1 for w in _bits(at.get(1, 0))] for at in d.levels]
     for a in (2, 3) if 3 in d.masks else (2,):
@@ -135,7 +136,7 @@ def _proves_metric(d: DistanceMatrix) -> bool:
                 for u, v in zip(path, path[1:]):
                     adj[u].append(v)
                     adj[v].append(u)
-    return _levels_match(adj, d)
+    return _realises(adj, d)
 
 
 def _instance(rung: tuple, d: DistanceMatrix) -> TwoSatInstance:

@@ -957,3 +957,77 @@ def graph_matrix_cases(draw, max_n=12):
         edges += zip(chain, chain[1:])
         h += tail
     return SimpleGraph(h, n, frozenset(edges)), rows
+
+
+@st.composite
+def chain_graph_cases(draw, max_n=6):
+    """A graph whose extras lie mostly on chains of degree-2 vertices, and
+    a matrix that passes the structural check.
+
+    A connected host on n anchors and up to three branch extras keeps each
+    edge or subdivides it into a chain of up to 1, 3 or 70 edges; now and
+    then one edge becomes a chain past 2**14 edges.  On top come a parallel
+    chain beside a host edge, a chain cycle through one vertex, a pendant
+    chain that may end in a K4 of extras, and isolated extras; then the
+    extras are relabelled at random.  The matrix is the graph's anchor
+    metric (entries past 64 or 2**14 need 2- or 4-byte lanes), that metric
+    with one mirrored entry moved, which may break the triangle inequality,
+    or a random structural matrix; or the graph loses one vertex of a chain.
+    """
+    n = draw(st.sampled_from(range(1, max_n + 1)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    host = generate.random_connected_graph(
+        rng, n + draw(st.sampled_from(range(4))), draw(st.sampled_from((0.0, 0.3, 0.7)))
+    )
+    span = draw(st.sampled_from((1, 3, 70)))
+    huge = draw(st.sampled_from((False,) * 7 + (True,)))
+    fresh = host.vertex_count + 1
+    edges, chains = [], []
+
+    def chain(path_ends, length):
+        nonlocal fresh
+        u, v = path_ends
+        path = [u, *range(fresh, fresh + length - 1), v]
+        fresh += length - 1
+        edges.extend(zip(path, path[1:]))
+        if length > 1:
+            chains.append(path)
+
+    for i, e in enumerate(sorted(host.edges)):
+        chain(e, 2**14 + rng.randint(1, 5) if huge and i == 0 else rng.randint(1, span))
+    vertices = range(1, fresh)
+    if draw(st.booleans()) and host.edges:
+        chain(rng.choice(sorted(host.edges)), rng.randint(2, span + 2))
+    if draw(st.booleans()):
+        x = rng.choice(vertices)
+        chain((x, x), rng.randint(3, span + 3))
+    if draw(st.booleans()):
+        x, end = rng.choice(vertices), fresh + rng.randint(0, span)
+        chain((x, end), end - fresh + 1)
+        fresh = end + 1
+        if draw(st.booleans()):
+            clump = [end, fresh, fresh + 1, fresh + 2]
+            fresh += 3
+            edges.extend(combinations(clump, 2))
+    fresh += draw(st.integers(0, 2))
+    size = fresh - 1
+    label = list(range(n + 1, size + 1))
+    rng.shuffle(label)
+    name = dict(zip(range(n + 1, size + 1), label)) | {v: v for v in range(1, n + 1)}
+    edges = [(name[u], name[v]) for u, v in edges]
+    chains = [[name[v] for v in path] for path in chains]
+    rows = [row[1 : n + 1] for row in bfs_rows(size, edges, range(1, n + 1))]
+    variant = draw(st.sampled_from(("exact", "moved", "random", "short")))
+    if variant == "moved" and n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i][j] = rows[j][i] = max(1, rows[i][j] + draw(st.sampled_from((-2, -1, 1, 2))))
+    elif variant == "random":
+        top = max(map(max, rows)) + 1
+        for i in range(n):
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(1, top)
+    elif variant == "short" and chains:
+        path = rng.choice(chains)
+        cut = path[-2]
+        edges = [e for e in edges if cut not in e] + [(path[-3], path[-1])]
+    return SimpleGraph.make(size, n, edges), rows

@@ -683,6 +683,26 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["tree", "--certify", "twos.mat"], 0),
+        (["tree", "--certify", "rows/two_digit.mat"], 0),
+        (["tree", "--certify", "rows/wide.mat"], 0),
+        (["extract-colouring", "k2.graph", "k2_real.graph", "--k", "2"], 0),
+        (["solve", "--k", "2", "twos.mat"], 1),
+        (["solve", "--k", "0", "ones.mat"], 1),
+    ],
+)
+def test_the_check_of_a_realisation_builds_no_levels(capsys, monkeypatch, argv, builds):
+    # The check reads the packed rows, so only a decider that reads the
+    # levels builds them, once per matrix.
+    calls = _counting(monkeypatch, matrix, "_levels")
+    assert main([str(DATA / a) if "." in a else a for a in argv]) == 0
+    assert "verdict=YES" in capsys.readouterr().out
+    assert len(calls) == builds
+
+
 def _full_scans(calls):
     """The full scans among ``_first_triangle_violation`` calls: the pass
     through the primitive partners is the one with a second argument."""
@@ -732,11 +752,11 @@ def test_bounds_scans_only_a_non_metric(capsys, monkeypatch, name):
 # The metrics of tests/data with a primitive pair beyond 2: the proof of a
 # NO holds paths for the primitive pairs at 2, and at 3 only when the
 # ladder built those masks, so a NO on these still scans.  far_pair's
-# pair lies at 5, beyond any proof of the ladder; two_digit's q0 is 4 and
-# wide's 300.
+# pair lies at 5, beyond any proof of the ladder; two_digit's q0 is 4,
+# wide's 300 and steiner's 90.
 BEYOND_TWO = {
     "ladder/adjacent.mat", "ladder/dead_root_adjacent.mat", "ladder/far_pair.mat",
-    "rows/two_digit.mat", "rows/wide.mat",
+    "rows/two_digit.mat", "rows/wide.mat", "verify/steiner.mat",
 }
 
 

@@ -227,6 +227,33 @@ def test_verify_realisation_matches_the_standalone_bfs(case):
     assert verify_realisation(g, helpers.dm(rows)) == helpers.graph_realises(g, rows)
 
 
+def _paths(n, *paths):
+    """The graph with anchors 1..n whose edges are those of the vertex paths."""
+    return SimpleGraph.make(max(map(max, paths)), n, [e for p in paths for e in zip(p, p[1:])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(helpers.chain_graph_cases())
+# A detour of 300 edges beside an edge: the chain's length is clamped to
+# what a one-byte lane can add.
+@example((_paths(2, [1, 2], [1, *range(3, 302), 2]), [[0, 1], [1, 0]]))
+# A K4 of extras 100 edges out: its rows stop at the cap.
+@example((
+    _paths(2, [1, 2], [1, *range(3, 102), 102], [102, 103, 104, 105, 102, 104], [103, 105]),
+    [[0, 1], [1, 0]],
+))
+# Extras 3 and 4 (pendants 55 and 56 keep them off chains) learn their
+# distance to anchor 2 through 5 only after 5 has read theirs.
+@example((_paths(2, [1, 3, 4, 5, 2], [1, *range(6, 55), 5], [3, 55], [4, 56]), [[0, 4], [4, 0]]))
+def test_verify_realisation_reads_chains_as_weighted_edges(case):
+    # Chains of every length against 1-, 2- and 4-byte lanes, chains that
+    # lead nowhere, and matrices that no graph realises.
+    g, rows = case
+    d = helpers.structural_matrix(rows)
+    assert d is not None
+    assert verify_realisation(g, d) == helpers.graph_realises(g, rows)
+
+
 def test_verify_realisation_names_mismatched_anchor_counts():
     d = helpers.dm(helpers.ALL_TWOS_3)
     with pytest.raises(ValueError, match="^graph has 2 anchors but the matrix has dimension 3$"):
