@@ -69,10 +69,11 @@ def _decided(
 
     The deciders need only the structural check.  A graph whose anchor
     distances equal d proves d a metric, so a verified YES needs no scan,
-    and neither does a NO whose ``proves`` builds such a graph from what
-    the decider computed.  Any other NO or an exception may stem from a
-    triangle violation instead; the scan then raises ``validate``'s error
-    in its place, before anything of the decider's is printed or written.
+    and neither does a NO whose ``proves`` passes the same certificate
+    over links that the decider computed.  Any other NO or an exception
+    may stem from a triangle violation instead; the scan then raises
+    ``validate``'s error in its place, before anything of the decider's is
+    printed or written.
     """
     try:
         answer = decide()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .matrix import _LANE_CODES, DistanceMatrix, _bits, _packed_rows, _primitive_pairs, _Value
 
@@ -201,53 +201,20 @@ def anchor_distances(g: SimpleGraph) -> ExtendedDistances:
 
 def _realises(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
     """True iff hop distances from anchors 1..d.n over ``adj[v]`` equal d,
-    for d that passed ``matrix.check_structure``, by a shortest-path
-    certificate (Bellman's optimality conditions) over the packed rows of
-    ``matrix._packed_rows``: lane s of a vertex's row stands for its
-    distance to anchor s.
-
-    Anchor v's row is D_v.  A chain of degree-2 extras counts as one edge
-    of its length, clamped to the lane headroom h = 2**(width - 2); a chain
-    back to where it started, or to an extra of degree 1, is left out, as
-    no shortest path between anchors enters it.  Every other extra x that
-    the anchors reach takes the fixpoint of r_x = min(cap, min over its
-    edges of r_u + w), lane by lane, with cap = h - 1 >= every entry: sweeps
-    in breadth-first order from the anchors, reversed after each sweep,
-    until one changes nothing.  Each anchor v then checks, over its edges,
-    that D_v <= r_u + w in every lane, and that every lane s != v has an
-    edge with r_u + w = D_sv.  Lanes never carry: r_u + w < 2h, and the
-    checks add the top bit of a lane, 2h, to it, as
-    ``matrix._first_triangle_violation`` does.
-
-    Why this decides: the first check and the fixpoint make r 1-Lipschitz
-    along every edge (a clamped or left-out chain only loosens that), and
-    r_s is 0 in lane s, so r <= d_G, and D <= d_G on the anchors.  The
-    second check at an anchor, and the fixpoint at an extra below cap, give
-    each lane s an edge down to a row smaller by that edge's weight.  No
-    such edge is clamped, as its row would exceed cap, and only anchor s
-    holds 0 in lane s (no entry off the diagonal is 0, and an extra's row
-    is at least 1), so the walk down from anchor v reaches s after D_sv
-    steps, and d_G <= D.  If the graph realises d, each r_x is
-    min(cap, d_G(x, s)) and both checks hold.
-
-    The checks and each sweep cost O(E) additions of n-lane ints; a graph
-    whose extras all lie on chains needs no sweep, and a chain costs one
-    step per vertex, walked from both ends.
+    for d that passed ``matrix.check_structure``, by :func:`_certifies`
+    over the graph's links.  A chain of degree-2 extras is one link of its
+    length, walked from both ends; a chain back to where it started, or to
+    an extra of degree 1, is left out, as no shortest path between anchors
+    enters it.  The other extras the anchors reach are listed breadth-first.
     """
     n = d.n
-    rows, ones, half, width = _packed_rows(d)
-    headroom = 1 << width - 2
-    cap = (half >> 1) - ones
-    # Each reached vertex's edges, found in breadth-first order from the
-    # anchors: single edges by their far end, chains by (end, length in
-    # every lane).  Most anchors have only anchors for neighbours.
     order = list(range(1, n + 1))
     links: dict = {}
     for x in order:
         if x <= n and max(adj[x], default=0) <= n:
-            links[x] = adj[x], []
+            links[x] = {1: adj[x]}  # most anchors have no extra neighbour
             continue
-        near, far = links[x] = [], []
+        by = links[x] = {}
         for y in adj[x]:
             prev, w = x, 1
             while y > n and len(adj[y]) == 2:
@@ -256,14 +223,54 @@ def _realises(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
                 w += 1
             if y == x or y > n and len(adj[y]) == 1:
                 continue
-            if w == 1:
-                near.append(y)
-            else:
-                far.append((y, min(w, headroom) * ones))
+            by.setdefault(w, []).append(y)
             if y > n and y not in links:
-                links[y] = None  # its own edges are read when it comes up
+                links[y] = None  # its own links are read when it comes up
                 order.append(y)
-    r = [0] * len(adj)
+    return _certifies(d, links, order[n:])
+
+
+def _certifies(
+    d: DistanceMatrix, links: Mapping[int, Mapping[int, Sequence[int]]], extras: Sequence[int] = ()
+) -> bool:
+    """True iff d, which passed ``matrix.check_structure``, is the
+    shortest-path metric on anchors 1..d.n of the links: vertex v has a
+    link of weight w to each y in ``links[v][w]``, listed at both ends, and
+    ``extras`` lists every other vertex that a link reaches.  So links that
+    pass prove d a metric, and a metric passes over links that hold its
+    primitive pairs (``matrix._primitive_pairs``), weighted by d: every
+    other pair splits through some w into two with smaller entries.
+
+    The check is a shortest-path certificate (Bellman's optimality
+    conditions) over the rows of ``matrix._packed_rows``: lane s of a
+    vertex's row stands for its distance to anchor s, and anchor v's row is
+    D_v.  Weights are clamped to the lane headroom h = 2**(width - 2).
+    Each extra x takes the fixpoint of r_x = min(cap, min over its links of
+    r_u + w), lane by lane, with cap = h - 1 >= every entry: sweeps in the
+    order of ``extras``, reversed after each, until one changes nothing.
+    Each anchor v then checks, over its links, that D_v <= r_u + w in every
+    lane, and that every lane s != v has a link with r_u + w = D_sv.  Lanes
+    never carry: r_u + w < 2h, and the checks add the top bit of a lane,
+    2h, to it, as ``matrix._first_triangle_violation`` does.
+
+    Why this decides: the first check and the fixpoint give
+    r_x <= r_u + w along every link (a clamped link only loosens that, as
+    r_x <= cap < h), and r_s is 0 in lane s, so r <= d_G, and D <= d_G on
+    the anchors.  The second check at an anchor, and the fixpoint at an
+    extra below cap, give each lane s a link down to a row smaller by that
+    link's weight.  No such link is clamped, as its row would exceed cap,
+    and only anchor s holds 0 in lane s (no entry off the diagonal is 0,
+    and an extra's row is at least 1), so the walk down from anchor v
+    reaches s by links of total weight D_sv, and d_G <= D.  If d is d_G,
+    each r_x is min(cap, d_G(x, s)) and both checks hold.  The checks and
+    each sweep cost O(E) additions of n-lane ints.
+    """
+    n = d.n
+    rows, ones, half, width = _packed_rows(d)
+    headroom = 1 << width - 2
+    cap = (half >> 1) - ones
+    lanes = {w: min(w, headroom) * ones for w in set().union(*links.values())}
+    r = [0] * (max(extras, default=n) + 1)
     r[1 : n + 1] = rows
     shift = width - 1
 
@@ -276,13 +283,12 @@ def _realises(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
             m ^= (m ^ t) & (keep | keep - (keep >> shift))
         return m
 
-    # An extra's edges to anchors give one term of its min that never
-    # changes, so the sweeps read only its edges to other extras.
-    extras = order[n:]
+    # An extra's links to anchors give one term of its min that never
+    # changes, so the sweeps read only its links to other extras.
+    extras = list(extras)
     ground, edges = {}, {}
     for x in extras:
-        near, far = links[x]
-        ends = [(y, ones) for y in near] + far
+        ends = [(y, lanes[w]) for w, ys in links[x].items() for y in ys]
         r[x] = ground[x] = least(cap, [(y, w) for y, w in ends if y <= n])
         edges[x] = [(y, w) for y, w in ends if y > n]
     changed = bool(extras)
@@ -294,21 +300,17 @@ def _realises(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
                 r[x] = m
                 changed = True
         extras.reverse()
-    # The top bit of lane v - 1, where D_vv = 0 has no edge down.
+    # The top bit of lane v - 1, where D_vv = 0 has no link down.
     own = 1 << width - 1
     for v, row in enumerate(rows, 1):
-        near, far = links[v]
-        base = half + ones - row
         low = high = half
-        for y in near:
-            s = r[y] + base
-            low &= s
-            high &= s - ones
-        base -= ones
-        for y, w in far:
-            s = r[y] + w + base
-            low &= s
-            high &= s - ones
+        top = half - row
+        for w, ends in links[v].items():
+            base = lanes[w] + top
+            for y in ends:
+                s = r[y] + base
+                low &= s
+                high &= s - ones
         if low & half != half or high & half != own:
             return False
         own <<= width
@@ -317,8 +319,9 @@ def _realises(adj: Sequence[Sequence[int]], d: DistanceMatrix) -> bool:
 
 def verify_realisation(g: SimpleGraph, d: DistanceMatrix) -> bool:
     """True iff anchor-to-anchor hop distances in g equal d exactly, by the
-    shortest-path certificate of :func:`_realises`: O(E) additions of
-    n-lane ints per sweep, and O(V) ints of n lanes."""
+    shortest-path certificate of :func:`_certifies` over the links that
+    :func:`_realises` reads off g: O(E) additions of n-lane ints per sweep,
+    and O(V) ints of n lanes."""
     if g.anchor_count != d.n:
         raise ValueError(
             f"graph has {g.anchor_count} anchors but the matrix has dimension {d.n}"

@@ -13,13 +13,13 @@ entries.  :func:`validate` runs both.
 
 The per-matrix facts live here too: a :class:`DistanceMatrix` builds its
 ``levels`` and the deciders' row ``masks`` once, on first use, and
-:func:`_primitive_pairs` lists the pairs no third index splits.  Through
-them :func:`check_triangles` proves a metric, and scans only to name a
-non-metric's witness.  A graph whose anchor distances equal the matrix
-proves the inequality too, so a verified realisation needs no scan;
-``solve`` builds such a graph after a NO (``solvers._proves_metric``).
-That check, ``graph._realises``, reads the rows packed by
-:func:`_packed_rows`, as the scan does, and never the levels.
+:func:`_primitive_pairs` lists the pairs no third index splits.  A metric
+is the shortest-path metric of its primitive pairs, so the certificate
+``graph._certifies`` over them proves one with no scan (``solvers.bounds``),
+as it does over a verified realisation, or over the ladder's primitive
+pairs after a ``solve`` NO (``solvers._proves_metric``).  It reads the
+rows packed by :func:`_packed_rows`, as the scan does, and never the
+levels.
 
 The levels of bytes rows are read one distance at a time over bands of
 rows, from a few binary numerals per band (:func:`_plane_levels`); a band
@@ -281,9 +281,10 @@ class DistanceMatrix(_Rows):
         return _RowMasks(self.levels)
 
 
-def _primitive_pairs(d: DistanceMatrix) -> tuple[int, list[list[int]]]:
-    """q0, the largest primitive entry and at least 1, and each row's
-    primitive partners, ascending, 0-based.
+def _primitive_pairs(d: DistanceMatrix) -> tuple[int, dict[int, dict[int, list[int]]]]:
+    """q0, the largest primitive entry and at least 1, and the primitive
+    pairs as the links of ``graph._certifies``: each index v, 1-based, to
+    its primitive partners, ascending, by their entry in row v.
 
     A pair is primitive when no third index w has D_iw + D_wj = D_ij.  Each
     pair i < j is tested once: row i's levels a below D_ij, ascending,
@@ -294,23 +295,23 @@ def _primitive_pairs(d: DistanceMatrix) -> tuple[int, list[list[int]]]:
     """
     levels = d.levels
     n = d.n
-    partners: list[list[int]] = [[] for _ in range(n)]
+    links: dict[int, dict[int, list[int]]] = {v: {} for v in range(1, n + 1)}
     best = 1
-    for i, (row, at) in enumerate(zip(d.entries, levels)):
+    for i, (row, at) in enumerate(zip(d.entries, levels), 1):
         # Level 0 of row i holds i alone.
         steps = list(at.items())[1:]
-        mine = partners[i]
-        for j, dij, at_j in zip(range(i + 1, n), row[i + 1 :], levels[i + 1 :]):
+        mine = links[i]
+        for j, dij, at_j in zip(range(i + 1, n + 1), row[i:], levels[i:]):
             for a, mask in steps:
                 if a >= dij:
-                    mine.append(j)
-                    partners[j].append(i)
+                    mine.setdefault(dij, []).append(j)
+                    links[j].setdefault(dij, []).append(i)
                     if dij > best:
                         best = dij
                     break
                 if mask & at_j.get(dij - a, 0):
                     break
-    return best, partners
+    return best, links
 
 
 def _row_masks(levels: Sequence[dict[int, int]], a: int) -> list[tuple[int, int]]:
@@ -383,11 +384,8 @@ def _packed_rows(d: DistanceMatrix) -> tuple[list[int], int, int, int]:
     return packed, ones, ones << width - 1, width
 
 
-def _first_triangle_violation(
-    d: DistanceMatrix, through: Sequence[Sequence[int]] | None = None
-) -> tuple[int, int, int] | None:
-    """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij;
-    with ``through``, of the (i, j) that a w in ``through[i]`` shortcuts.
+def _first_triangle_violation(d: DistanceMatrix) -> tuple[int, int, int] | None:
+    """First (i, j, w), 1-based in row-major order, with D_iw + D_wj < D_ij.
 
     Each row is packed into one int by :func:`_packed_rows`.  With ``half``
     the top bit of a lane and ``ones`` a 1 in every lane, lane j of
@@ -397,35 +395,23 @@ def _first_triangle_violation(
     shortcuts i to j (many small lanes in one word, after Lamport, CACM
     1975).  ANDing these sums over w leaves the top bit of every lane j
     that no w shortcuts.  An index with D_iw = 0 or D_iw >= max(row i) - 1
-    shortcuts no pair of row i, and the full scan skips it.
+    shortcuts no pair of row i, and the scan skips it.
 
     The matrix is symmetric here, so only lanes j > i are read: the
     shortcut set of a pair is the same in both orders, and no pair p < q
     with q < i can violate when (i, j) is the first violating pair i < j.
     One pass over row i then names the smallest w.  A matrix costs O(n^2)
     additions of n-lane ints, whatever its entries.
-
-    ``through`` as the primitive partners (0-based) of
-    :func:`_primitive_pairs` finds a violation exactly when d is not a
-    metric.  Let d_P be the shortest-path distance over the primitive pairs
-    P weighted by D.  Every other pair splits through some w into two pairs
-    with smaller positive entries, so D >= d_P by induction on the entry.
-    For i < j, a shortest P-path from i with the fewest hops first goes to a
-    partner w of i, and its rest is such a path from w to j.  So if no lane
-    j > i breaks, D_ij <= D_iw + D_wj <= d_P(i, j) by induction on the
-    hops, and D = d_P is a metric.
     """
     e = d.entries
     packed, ones, half, width = _packed_rows(d)
     for i, row in enumerate(e):
         rest = half - packed[i]
-        # A partner pass adds too few w to repay the max; half exceeds every entry.
-        limit = max(row) - 1 if through is None else half
+        limit = max(row) - 1
         # (half + a) * ones - packed[i], once per value a of row i.
         offsets: dict[int, int] = {}
         kept = half
-        for w in range(len(row)) if through is None else through[i]:
-            a = row[w]
+        for w, a in enumerate(row):
             if 0 < a < limit:
                 t = offsets.get(a)
                 if t is None:
@@ -472,19 +458,12 @@ def check_structure(m: RawMatrix) -> DistanceMatrix:
                 raise ValidationError(ViolationKind.OFF_DIAGONAL_ZERO, (i + 1, j + 1))
 
 
-def check_triangles(
-    d: DistanceMatrix, partners: Sequence[Sequence[int]] | None = None
-) -> DistanceMatrix:
+def check_triangles(d: DistanceMatrix) -> DistanceMatrix:
     """Raise :class:`ValidationError` at the first triangle violation of d,
-    in row-major (i, j, w) order; return d when there is none.
-
-    Given d's primitive partners from :func:`_primitive_pairs`, one pass
-    through them decides, and the full scan runs only to name the witness.
-    """
-    if partners is None or _first_triangle_violation(d, partners):
-        witness = _first_triangle_violation(d)
-        if witness is not None:
-            raise ValidationError(ViolationKind.TRIANGLE_VIOLATION, witness)
+    in row-major (i, j, w) order; return d when there is none."""
+    witness = _first_triangle_violation(d)
+    if witness is not None:
+        raise ValidationError(ViolationKind.TRIANGLE_VIOLATION, witness)
     return d
 
 

@@ -30,10 +30,10 @@ phi2, whose extras are not adjacent, is checked then; phi2 is solved
 first all the same, since an unsatisfiable phi2 ends the walk before the
 a = 3 row masks are built.
 
-A NO proves d a metric when the graph of its pairs at 1 and of paths for
-the primitive pairs in the row masks the ladder built realises d
+A NO proves d a metric when ``graph._certifies`` passes over links for
+its pairs at 1 and the primitive pairs in the row masks the ladder built
 (:func:`_proves_metric`); ``cli.cmd_solve`` scans d for a triangle
-violation only when that graph does not.
+violation only when they fail.
 
 ``solve_exact`` is the brute-force oracle: it fixes the anchor subgraph to
 the unit graph (forced in every realisation), enumerates all subsets of the
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from . import twosat
 from .graph import NotARealisation, Realisation, SearchSpaceTooLarge
-from .graph import _assignment_graph, _bfs, _candidate_edges, _neighbour_lists, _realises
+from .graph import _assignment_graph, _bfs, _candidate_edges, _certifies, _neighbour_lists
 from .graph import unit_graph
 from .matrix import DistanceMatrix, _bits, _primitive_pairs, _Value, check_triangles
 from .twosat import TwoSatInstance
@@ -70,11 +70,13 @@ def bounds(d: DistanceMatrix) -> Bounds:
     """The bounds of a matrix that passed ``matrix.check_structure``.
 
     Raises ``ValidationError`` at d's first triangle violation.  The pass
-    that finds q0 lists the primitive pairs, and ``check_triangles`` proves
-    d a metric through them; it scans only to name a non-metric's witness.
+    that finds q0 lists the primitive pairs, weighted by d, and
+    ``graph._certifies`` over them proves d a metric; ``check_triangles``
+    scans only when it fails, to name a non-metric's witness.
     """
-    q0, partners = _primitive_pairs(d)
-    check_triangles(d, partners)
+    q0, links = _primitive_pairs(d)
+    if not _certifies(d, links):
+        check_triangles(d)
     n = d.n
     # Each pair at a sits in the level masks of both of its rows.
     extra = sum(
@@ -115,28 +117,24 @@ _RUNGS = (
 
 
 def _proves_metric(d: DistanceMatrix) -> bool:
-    """True when the graph H of d's pairs at 1 and of a fresh path for each
-    primitive pair at 2, and at 3 if ``d.masks`` holds those, realises d.
+    """True when ``graph._certifies`` passes over d's pairs at 1 and its
+    primitive pairs at 2, and at 3 if ``d.masks`` holds those, each a link
+    of its entry.
 
-    H's anchor distances are a metric, so a match proves d one.  A metric is
-    the shortest-path metric of its primitive pairs (proved at
-    ``matrix._first_triangle_violation``), so H realises every metric whose
-    primitive pairs it holds.  The a = 2 masks are built here if the decider
-    did not need them.  H goes to ``graph._realises`` as neighbour lists;
-    each fresh path is a chain of degree-2 extras there, so one weighted
-    edge, and the check reads only the anchors' rows, with no sweep.
+    Links that pass prove d a metric, and on a metric they pass whenever
+    they hold every primitive pair.  The a = 2 masks are built here if the
+    decider did not need them.  Every link joins two anchors, so the
+    certificate reads only the anchors' rows, with no sweep.
     """
-    adj = [[]] + [[w + 1 for w in _bits(at.get(1, 0))] for at in d.levels]
-    for a in (2, 3) if 3 in d.masks else (2,):
-        for i, (_, primitive) in enumerate(d.masks[a], 1):
-            for b in _bits(primitive >> i):
-                fresh = len(adj)
-                path = [i, *range(fresh, fresh + a - 1), i + 1 + b]
-                adj += [[] for _ in range(a - 1)]
-                for u, v in zip(path, path[1:]):
-                    adj[u].append(v)
-                    adj[v].append(u)
-    return _realises(adj, d)
+    reach = (2, 3) if 3 in d.masks else (2,)
+    links = {}
+    for i, at in enumerate(d.levels):
+        by = links[i + 1] = {1: [w + 1 for w in _bits(at.get(1, 0))]}
+        for a in reach:
+            primitive = d.masks[a][i][1]
+            if primitive:
+                by[a] = [w + 1 for w in _bits(primitive)]
+    return _certifies(d, links)
 
 
 def _instance(rung: tuple, d: DistanceMatrix) -> TwoSatInstance:

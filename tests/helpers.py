@@ -16,8 +16,9 @@ check, and the library keeps none of it:
   ``graph_realises`` (a standalone BFS), ``dijkstra_apsp`` and
   ``skeleton_closure_oracle`` (Dijkstra, where the library searches the
   path expansion), ``primitive_partners_oracle`` and ``q_zero_oracle``,
-  and ``gadget_matrix_oracle`` (a search of the whole gadget graph rather
-  than ``reduce``'s closed form);
+  ``weighted_links`` (a certificate's links for given partners, by
+  comprehension), and ``gadget_matrix_oracle`` (a search of the whole
+  gadget graph rather than ``reduce``'s closed form);
 - 2-SAT: ``model_bitmap``, ``brute_satisfiable`` and ``enumerate_models``
   (every assignment as a bitmap), ``kosaraju_oracle`` (every literal of an
   implication graph) and ``check_assignment`` (clause by clause);
@@ -473,6 +474,16 @@ def primitive_partners_oracle(rows) -> list[list[int]]:
         ]
         for i in range(n)
     ]
+
+
+def weighted_links(rows, partners) -> dict[int, dict[int, list[int]]]:
+    """The links of ``graph._certifies`` joining each row to its partners
+    (0-based lists, as ``primitive_partners_oracle`` gives them), each
+    weighted by its entry."""
+    return {
+        i: {w: [j + 1 for j in mine if row[j] == w] for w in sorted({row[j] for j in mine})}
+        for i, (row, mine) in enumerate(zip(rows, partners), 1)
+    }
 
 
 def q_zero_oracle(rows) -> int:

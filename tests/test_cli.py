@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import helpers
-from combdmr import cli, matrix, reduction, solvers, tree, twosat
+from combdmr import cli, generate, matrix, reduction, solvers, tree, twosat
 from combdmr.graph import Realisation, SimpleGraph
 from combdmr.cli import main
 from combdmr.matrix import RawMatrix, ValidationError, ViolationKind, validate
@@ -257,6 +257,29 @@ def test_gen_reduction_mode(tmp_path, capsys):
     assert main(["gen", "--mode", "reduction", "--input", str(graph)]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "0 3 1 2 2"
+
+
+def test_gen_random_metric_refuses_work_past_its_guard(capsys, monkeypatch):
+    # 1000 vertices, all anchors, ran for 10 s: the guard exits 3 before the
+    # graph is drawn, admits 400 vertices, and admits exactly its own work.
+    drawn = _counting(monkeypatch, generate, "random_connected_graph")
+    argv = ["gen", "--mode", "random-metric", "--vertices"]
+    assert main([*argv, "1000"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: 1000^2 * (1000 + 32) = 1032000000 exceeds the guard of {generate._MAX_WORK}",
+        "verdict=NO vertices=0 extra=0",
+    ]
+    assert not drawn
+    assert 400 * 400 * (400 + 32) <= generate._MAX_WORK
+    monkeypatch.setattr(generate, "_MAX_WORK", 6 * 6 * (4 + 32))
+    assert main([*argv, "6", "--anchors", "4"]) == 0
+    assert last_line(capsys) == "verdict=YES vertices=4 extra=0"
+    assert main([*argv, "6", "--anchors", "5"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "error: 6^2 * (5 + 32) = 1332 exceeds the guard of 1296",
+        "verdict=NO vertices=0 extra=0",
+    ]
+    assert len(drawn) == 1
 
 
 def test_gen_missing_params(capsys):
@@ -703,12 +726,6 @@ def test_the_check_of_a_realisation_builds_no_levels(capsys, monkeypatch, argv, 
     assert len(calls) == builds
 
 
-def _full_scans(calls):
-    """The full scans among ``_first_triangle_violation`` calls: the pass
-    through the primitive partners is the one with a second argument."""
-    return [args for args in calls if len(args) == 1]
-
-
 @pytest.mark.parametrize("edges, bipartite", [
     ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)], True),
     ([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)], False),
@@ -730,7 +747,7 @@ def test_the_gadget_pipeline_runs_no_triangle_scan(
         main(["extract-colouring", str(src), str(real), "--k", "2", "--out", str(col)]),
     ]
     assert codes == ([0, 0, 0] if bipartite else [0, 1, 2])
-    assert not _full_scans(calls)
+    assert not calls
 
 
 # The files of tests/data that break the triangle inequality.
@@ -746,7 +763,7 @@ def test_bounds_scans_only_a_non_metric(capsys, monkeypatch, name):
     metric = name not in NON_METRICS
     calls = _counting(monkeypatch, matrix, "_first_triangle_violation")
     assert main(["bounds", str(DATA / name)]) == (0 if metric else 2)
-    assert len(_full_scans(calls)) == (0 if metric else 1)
+    assert len(calls) == (0 if metric else 1)
 
 
 # The metrics of tests/data with a primitive pair beyond 2: the proof of a
@@ -772,10 +789,10 @@ def test_solve_scans_only_a_non_metric_or_a_no_its_proof_misses(capsys, monkeypa
     code = main(["solve", "--k", k, str(DATA / name)])
     if name in NON_METRICS:
         assert code == 2
-        assert len(_full_scans(calls)) == 1
+        assert len(calls) == 1
     else:
         assert code in (0, 1)
-        assert len(_full_scans(calls)) == (code == 1 and name in BEYOND_TWO)
+        assert len(calls) == (code == 1 and name in BEYOND_TWO)
     if name == "ladder/far_pair.mat":
         assert code == 1
 

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import generate, reduction, tree
+from combdmr import generate, graph, reduction, tree
 from combdmr.graph import (
     INF,
     Realisation,
@@ -252,6 +252,25 @@ def test_verify_realisation_reads_chains_as_weighted_edges(case):
     d = helpers.structural_matrix(rows)
     assert d is not None
     assert verify_realisation(g, d) == helpers.graph_realises(g, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(helpers.metric_cases(), st.integers(0, 2**32))
+@example([[0, 2, 1], [2, 0, 1], [1, 1, 0]], 1)
+@example([[0, 300], [300, 0]], 0)
+def test_the_certificate_fails_on_links_that_miss_a_primitive_pair(rows, pick):
+    # No third anchor lies on a shortest path of a primitive pair, so links
+    # without it leave that pair further apart than its entry.
+    d = helpers.structural_matrix(rows)
+    assume(d is not None and helpers.triangle_oracle(d) is None)
+    partners = helpers.primitive_partners_oracle(rows)
+    pairs = [(i, j) for i, mine in enumerate(partners) for j in mine if i < j]
+    assume(pairs)
+    i, j = pairs[pick % len(pairs)]
+    assert graph._certifies(d, helpers.weighted_links(rows, partners))
+    partners[i].remove(j)
+    partners[j].remove(i)
+    assert not graph._certifies(d, helpers.weighted_links(rows, partners))
 
 
 def test_verify_realisation_names_mismatched_anchor_counts():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from combdmr import matrix
+from combdmr import graph, matrix, solvers
 from combdmr.matrix import (
     DistanceMatrix,
     RawMatrix,
@@ -343,23 +343,23 @@ ORACLE_Q0_TOP = 64
 @example([[0, 4, 1], [4, 0, 1], [1, 1, 0]])
 @example([[0, 64, 62], [64, 0, 1], [62, 1, 0]])
 def test_primitive_partners_prove_the_triangle_inequality_exactly_on_metrics(rows):
-    # The check through each row's primitive partners passes iff the full
-    # scan finds no violation; rows that fail the structural check are
-    # outside its contract.
+    # The certificate over links to each row's primitive partners, weighted
+    # by the matrix, passes iff the full scan finds no violation; rows that
+    # fail the structural check are outside its contract.
     d = helpers.structural_matrix(rows)
     if d is None:
         return
-    q0, partners = matrix._primitive_pairs(d)
-    assert partners == helpers.primitive_partners_oracle(rows)
+    q0, links = matrix._primitive_pairs(d)
+    assert links == helpers.weighted_links(rows, helpers.primitive_partners_oracle(rows))
     metric = matrix._first_triangle_violation(d) is None
-    assert (matrix._first_triangle_violation(d, partners) is None) is metric
+    assert graph._certifies(d, links) is metric
     if metric and max(map(max, rows)) <= ORACLE_Q0_TOP:
         assert q0 == helpers.q_zero_oracle(rows)
 
 
-def _triangle_outcome(d, *partners):
+def _triangle_outcome(check, d):
     try:
-        return check_triangles(d, *partners)
+        return check(d)
     except ValidationError as err:
         return err.kind, err.witness
 
@@ -369,17 +369,20 @@ def _triangle_outcome(d, *partners):
 @example([[0, 4, 1], [4, 0, 1], [1, 1, 0]])
 @example([[0, 2**62, 2**62 - 2], [2**62, 0, 1], [2**62 - 2, 1, 0]])
 def test_the_partner_pass_returns_the_metric_or_raises_the_scans_witness(rows):
-    # Given the primitive partners, check_triangles proves a metric through
-    # them alone, and names a non-metric's first witness like the full scan.
+    # The certificate over the primitive links proves a metric alone, and
+    # bounds, which scans only when it fails, names a non-metric's first
+    # witness like the full scan.
     d = helpers.structural_matrix(rows)
     if d is None:
         return
     witness = helpers.triangle_oracle(d)
-    outcome = _triangle_outcome(d, matrix._primitive_pairs(d)[1])
-    assert outcome == _triangle_outcome(d)
+    assert graph._certifies(d, matrix._primitive_pairs(d)[1]) is (witness is None)
+    outcome = _triangle_outcome(solvers.bounds, d)
     if witness is None:
-        assert outcome is d
+        assert _triangle_outcome(check_triangles, d) is d
+        assert isinstance(outcome, solvers.Bounds)
     else:
+        assert outcome == _triangle_outcome(check_triangles, d)
         assert outcome == (ViolationKind.TRIANGLE_VIOLATION, witness)
 
 

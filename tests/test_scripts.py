@@ -23,6 +23,14 @@ def test_oracle_sweep_agrees_with_brute_force():
     assert proc.stdout.splitlines()[-1] == "mismatches: 0"
 
 
+def test_the_exhaustive_sweep_checks_every_small_metric_and_its_no_proof():
+    proc = run_script("scripts/oracle_sweep.py", "--exhaustive", "4", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[0] == "metrics: 180 classes on up to 4 anchors, entries up to 4"
+    assert out[-1] == "mismatches: 0"
+
+
 def test_reduction_demo_round_trips_colourings():
     proc = run_script("scripts/reduction_demo.py", "tests/data/k2.graph", "--max-k", "3")
     assert proc.returncode == 0, proc.stdout + proc.stderr
